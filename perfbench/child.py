@@ -3,11 +3,16 @@
     python3 perfbench/child.py RESULT --probe
     python3 perfbench/child.py RESULT PLAN [--spans SPANS]
 
-The process imports ``tensormoments`` and notes when the import finished
-(the probe stops there).  It then sends each request of PLAN through
+The process imports ``tensormoments`` and notes when the import finished.
+It then runs the host-speed reference slices (``hostspeed.py``); the probe
+stops there.  A pass sends each request of PLAN through
 ``tensormoments.cli.main`` in this process, one at a time, captures the JSON
-printed on stdout and checks it.  With ``--spans`` it first installs the
-tracer, and writes the spans to SPANS and the per-layer figures to RESULT.
+printed on stdout and checks it, with reference slices before the first
+request and after each one.  With ``--spans`` it first
+installs the tracer, and writes the spans to SPANS and the per-layer figures
+to RESULT.  Times in RESULT are wall-clock seconds, some also with the CPU
+steal taken out (``hoststeal.py``); the parent turns them into reference
+seconds.
 
 The parent sets PYTHONPATH to the checkout's ``src`` and pins the BLAS
 thread count in the environment before this process starts.
@@ -36,12 +41,17 @@ import traceback
 from fractions import Fraction
 
 import numpy as np
-from tensormoments.bubbles import Bubble
+from tensormoments import montecarlo
 
-from tracer import Tracer
-from workloads import einsum_plan
+from hostspeed import slices, slices_for
+from tracer import EinsumCalls, Tracer
 
 FIVE_SIGMA = 5
+# Reference slices run by a probe, and before the first request of a pass.
+PROBE_SLICES = 7
+EDGE_SLICES = 3
+# After each request, reference slices run for this share of its time.
+SLICE_SHARE = 0.1
 
 
 def check(request: dict, code, out: str):
@@ -91,10 +101,13 @@ def check(request: dict, code, out: str):
 def run_requests(requests: list, tracer=None) -> dict:
     """Send the requests through cli.main; time each call and check it.
 
-    A request's time is its wall-clock time with the host's CPU steal taken
-    out; the raw wall-clock time is kept beside it.
+    Each request's time is kept as measured and with the host's CPU steal
+    taken out.  Reference slices run outside the timed calls: before the
+    first request, and after each request for a tenth of the time it took,
+    so that they sample the host's speed about evenly over the pass.
     """
-    seconds, raw_seconds, failures = [], [], []
+    seconds, steal_free, failures = [], [], []
+    slice_s = slices(EDGE_SLICES)
     for index, request in enumerate(requests):
         if tracer is not None:
             tracer.request = index
@@ -108,17 +121,16 @@ def run_requests(requests: list, tracer=None) -> dict:
         except (Exception, SystemExit):
             # A failed request is counted, and the pass goes on.
             raised = traceback.format_exc(limit=-3)
-        raw = time.perf_counter() - start
-        raw_seconds.append(raw)
-        seconds.append(without_steal(raw, ticks, cpu_ticks()))
+        seconds.append(time.perf_counter() - start)
+        steal_free.append(without_steal(seconds[-1], ticks, cpu_ticks()))
         reason = f"raised {raised}" if raised else check(request, code, out.getvalue())
         if reason is not None:
             failures.append(f"request {index} {request['argv'][:2]}: {reason}")
+        slice_s += slices_for(SLICE_SHARE * seconds[-1])
     return {
-        "wall_s": sum(seconds),
-        "raw_wall_s": sum(raw_seconds),
-        "request_s": seconds,
-        "request_raw_s": raw_seconds,
+        "request_raw_s": seconds,
+        "request_steal_free_s": steal_free,
+        "slice_s": slice_s,
         "attempted": len(requests),
         "failed": len(failures),
         "failures": failures,
@@ -138,22 +150,7 @@ def blas_threads():
     return None
 
 
-def _mc_plans(plan: dict, notes: list) -> tuple[float, float]:
-    """Computed FLOPs and largest intermediate of the batches sampled."""
-    flops, largest, cache = 0.0, 0.0, {}
-    for request, (count, N), _ in notes:
-        key = (request, count)
-        if key not in cache:
-            path = plan["requests"][request]["argv"][1]
-            with open(path) as fh:
-                bubble = Bubble.from_json(json.load(fh))
-            cache[key] = einsum_plan(bubble, N, count)
-        flops += cache[key][0]
-        largest = max(largest, cache[key][1])
-    return flops, largest
-
-
-def layer_metrics(plan: dict, tracer, raw_wall_s: float) -> dict:
+def layer_metrics(plan: dict, tracer, einsums) -> dict:
     """Per-layer figures of a traced pass, named <module>.<function>.<stat>."""
     out = {}
     for name, stat in tracer.stats.items():
@@ -169,11 +166,9 @@ def layer_metrics(plan: dict, tracer, raw_wall_s: float) -> dict:
             seen.add(key)
             cold += duration
     out["weingarten.weingarten_exact.cold_s"] = cold
-    flops, largest = _mc_plans(plan, tracer.notes["montecarlo.sample_batch"])
-    out["montecarlo.einsum_flops"] = flops
-    out["montecarlo.largest_intermediate"] = largest
-    covered = sum(stat["self_s"] for stat in tracer.stats.values())
-    out["trace.self_coverage"] = covered / raw_wall_s
+    out["montecarlo.einsum_flops"], out["montecarlo.largest_intermediate"] = einsums.plans()
+    main = tracer.stats["cli.main"]
+    out["trace.cli_self_share"] = main["self_s"] / main["s"] if main["s"] else 0.0
     out["trace.spans"] = len(tracer.spans)
     return out
 
@@ -181,23 +176,25 @@ def layer_metrics(plan: dict, tracer, raw_wall_s: float) -> dict:
 def main(argv) -> int:
     result_path = argv[0]
     if argv[1] == "--probe":
+        probe = {"imported_at": IMPORTED_AT, "import_ticks": IMPORT_TICKS}
+        probe["slice_s"] = slices(PROBE_SLICES)
         with open(result_path, "w") as fh:
-            json.dump({"imported_at": IMPORTED_AT, "import_ticks": IMPORT_TICKS}, fh)
+            json.dump(probe, fh)
         return 0
     plan_path = argv[1]
     spans_path = argv[3] if argv[2:3] == ["--spans"] else None
     with open(plan_path) as fh:
         plan = json.load(fh)
-    tracer = None
+    tracer = einsums = None
     if spans_path is not None:
         tracer = Tracer(
             notes={
                 "oracle.wick_histogram": lambda b, *a, **k: b.n,
                 "weingarten.weingarten_exact": lambda cls, dim, *a, **k: (cls.n, str(dim)),
-                "montecarlo.sample_batch": lambda spec, index, count: (count, spec.N),
             }
         )
         tracer.install()
+        einsums = EinsumCalls(montecarlo)
     result = run_requests(plan["requests"], tracer)
     result["imported_at"] = IMPORTED_AT
     result["import_ticks"] = IMPORT_TICKS
@@ -208,7 +205,7 @@ def main(argv) -> int:
         "blas_threads": blas_threads(),
     }
     if tracer is not None:
-        result["layers"] = layer_metrics(plan, tracer, result["raw_wall_s"])
+        result["layers"] = layer_metrics(plan, tracer, einsums)
         tracer.write(spans_path)
     with open(result_path, "w") as fh:
         json.dump(result, fh)

@@ -10,11 +10,16 @@ The request list of the workload is drawn from ``--seed`` (see
 (``child.py``) that sends the requests through ``tensormoments.cli.main``
 one at a time (a closed loop with one client) and checks every answer.
 
-``--trace 0`` starts passes until ``--seconds`` have gone by and reports
-the end-to-end metrics as medians over the passes.  Times are wall-clock
-times with the host's CPU steal taken out (``hoststeal.py``); the table
-also prints the raw wall-clock time.  ``--trace 1`` makes one untraced and one traced pass and reports the
-per-layer metrics of the traced one; its spans go to ``.bench_out/``.
+``--trace 0`` starts passes, each after two set-up probes (processes that
+only import the package), until ``--seconds`` have gone by, and reports the
+end-to-end metrics as medians over the passes and probes.  Times are in
+reference seconds: the host's CPU steal is taken out of wall-clock times
+(``hoststeal.py``), and every timed process also runs a fixed reference task
+by whose speed the times are scaled (``hostspeed.py``), which takes the
+drift of a shared host's speed out.  The table also prints the raw
+wall-clock time.  ``--trace 1`` makes one untraced and one traced pass
+and reports the per-layer metrics of the traced one; its spans go to
+``.bench_out/``.
 ``--smoke`` shrinks every request so that a workload runs in seconds.
 
 The last line of stdout is one JSON object with the keys ``correct``,
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -34,6 +40,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from hostspeed import speed
 from hoststeal import cpu_ticks, without_steal
 from tracer import TRACED_NAMES
 
@@ -44,7 +51,7 @@ SRC = ROOT / "src"
 # numpy's BLAS gets one thread; the wick and trees requests ask the library
 # for two worker threads, so a run stays within the 2 cores it targets.
 BLAS_THREADS = 1
-SETUP_PROBES = 7
+PROBES_PER_PASS = 2
 # Every child must end within this many seconds of the start of the run.
 DEADLINE_S = 170
 
@@ -52,13 +59,20 @@ END_TO_END = {
     "wall_s": "s",
     "setup_s": "s",
     "peak_rss_mb": "MiB",
-    "pairings_per_s": "1/s",
 }
 # Listed with the others but kept out of the JSON result: fail_frac is 0 on
-# every correct run (the result carries it as failed / attempted),
-# samples_per_s exists only on the mc workload and raw_wall_s is wall_s
-# before the steal was taken out.
-SUMMARY_ONLY = {"fail_frac": "ratio", "samples_per_s": "1/s", "raw_wall_s": "s"}
+# every correct run (the result carries it as failed / attempted);
+# pairings_per_s (wick, trees) and samples_per_s (mc) are a fixed amount of
+# work divided by wall_s, so wall_s gates them already; raw_wall_s is wall_s
+# in wall-clock seconds, and host_speed the factor that turned one into the
+# other (hostspeed.speed, median over passes).
+SUMMARY_ONLY = {
+    "fail_frac": "ratio",
+    "pairings_per_s": "1/s",
+    "samples_per_s": "1/s",
+    "raw_wall_s": "s",
+    "host_speed": "ratio",
+}
 
 # Counts that must repeat exactly between two traced runs of one seed.
 EXACT_COUNTS = (
@@ -69,6 +83,7 @@ EXACT_COUNTS = (
     "algebra.poly_gcd.calls",
     "montecarlo.sample_batch.calls",
     "montecarlo.einsum_flops",
+    "montecarlo.largest_intermediate",
 )
 
 
@@ -86,7 +101,7 @@ PER_LAYER.update(
         "montecarlo.einsum_flops": "flop.computed",
         "montecarlo.largest_intermediate": "elem.computed",
         "montecarlo.plan_rejections": "count",
-        "trace.self_coverage": "ratio",
+        "trace.cli_self_share": "ratio",
         "trace.spans": "count",
         "trace.wall_s": "s",
         "trace.overhead": "ratio",
@@ -136,9 +151,10 @@ class Children:
             raise PassFailed(f"a child exited {proc.returncode}:\n{proc.stderr}")
         with open(result_path) as fh:
             result = json.load(fh)
-        result["setup_s"] = without_steal(
-            result["imported_at"] - started, ticks, result["import_ticks"]
-        )
+        # Importing is pure-Python work, whatever the workload does later, and
+        # it is short, so the process's own speed describes it best.
+        setup = without_steal(result["imported_at"] - started, ticks, result["import_ticks"])
+        result["setup_s"] = setup * speed(result["slice_s"], "python")
         return result
 
     def probe(self) -> dict:
@@ -148,6 +164,23 @@ class Children:
     def run(self, plan_path: Path, spans: Path | None = None) -> dict:
         """One pass over the plan, traced when ``spans`` is given."""
         return self._start(plan_path, *(["--spans", spans] if spans else []))
+
+
+def scale(passes: list, others: list, reference: tuple[str, str]) -> None:
+    """Put the request times of each pass in reference seconds.
+
+    The steal-free times are scaled by a speed.  ``reference`` is (part,
+    scope) from ``workloads.REFERENCE``: the part of the reference task whose
+    speed it is, taken per pass or as the median over the passes and the
+    ``others`` processes of the run.
+    """
+    part, scope = reference
+    run_speed = statistics.median(speed(p["slice_s"], part) for p in passes + others)
+    for p in passes:
+        p["host_speed"] = speed(p["slice_s"], part) if scope == "pass" else run_speed
+        p["request_s"] = [t * p["host_speed"] for t in p["request_steal_free_s"]]
+        p["wall_s"] = sum(p["request_s"])
+        p["raw_wall_s"] = sum(p["request_raw_s"])
 
 
 def aggregate(plan: dict, passes: list, setups: list) -> dict:
@@ -167,17 +200,18 @@ def aggregate(plan: dict, passes: list, setups: list) -> dict:
         "wall_s": wall,
         "setup_s": statistics.median(setups),
         "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in passes),
-        "pairings_per_s": sum(s["pairings"] for s in sizes) / wall,
         "fail_frac": failed / attempted,
         "raw_wall_s": median_sum("request_raw_s"),
+        "host_speed": statistics.median(p["host_speed"] for p in passes),
     }
-    samples = sum(s.get("samples", 0) for s in sizes)
-    if samples:
-        metrics["samples_per_s"] = samples / wall
+    for name, key in (("pairings_per_s", "pairings"), ("samples_per_s", "samples")):
+        work = sum(s.get(key, 0) for s in sizes)
+        if work:
+            metrics[name] = work / wall
     return metrics
 
 
-def measure(args, plan: dict, plan_path: Path, children: Children) -> tuple[dict, list]:
+def measure(args, plan: dict, plan_path: Path, children: Children, reference) -> tuple[dict, list]:
     """Run the passes of one run; return its metrics and its passes."""
     if args.trace:
         untraced = children.run(plan_path)
@@ -185,7 +219,8 @@ def measure(args, plan: dict, plan_path: Path, children: Children) -> tuple[dict
         out_dir.mkdir(exist_ok=True)
         spans = out_dir / f"spans_{args.workload}_seed{args.seed}.json"
         traced = children.run(plan_path, spans)
-        # Span times lose the traced pass's steal too, so the self times
+        scale([untraced, traced], [], reference)
+        # Span times are scaled like the request times, so the self times
         # still add up to trace.wall_s.
         factor = traced["wall_s"] / traced["raw_wall_s"]
         metrics = {
@@ -197,12 +232,13 @@ def measure(args, plan: dict, plan_path: Path, children: Children) -> tuple[dict
         metrics["trace.overhead"] = traced["wall_s"] / untraced["wall_s"]
         return metrics, [untraced, traced]
     children.probe()  # compiles the bytecode caches; not counted
-    setups = [children.probe()["setup_s"] for _ in range(SETUP_PROBES)]
-    passes = []
+    probes, passes = [], []
     started = time.monotonic()
     while not passes or time.monotonic() - started < args.seconds:
+        probes += [children.probe() for _ in range(PROBES_PER_PASS)]
         passes.append(children.run(plan_path))
-    setups += [p["setup_s"] for p in passes]
+    scale(passes, probes, reference)
+    setups = [p["setup_s"] for p in probes + passes]
     return aggregate(plan, passes, setups), passes
 
 
@@ -220,6 +256,9 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="tiny requests, for tests")
     args = parser.parse_args(argv)
+    # On SIGTERM, unwind: subprocess.run then kills the running child and
+    # waits for it, and the temporary directory is removed.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     deadline = time.monotonic() + DEADLINE_S
     tmp_root = ROOT / ".bench_tmp"
@@ -230,7 +269,9 @@ def main(argv=None) -> int:
         plan_path = tmp / "plan.json"
         plan_path.write_text(json.dumps(plan))
         try:
-            metrics, passes = measure(args, plan, plan_path, Children(tmp, deadline))
+            children = Children(tmp, deadline)
+            reference = workloads.REFERENCE[args.workload]
+            metrics, passes = measure(args, plan, plan_path, children, reference)
         except PassFailed as exc:
             print(f"perfbench: {exc}", file=sys.stderr)
             return 3

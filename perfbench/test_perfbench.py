@@ -4,16 +4,19 @@
 
 They check that every metric BENCHMARK.json declares is printed with its
 unit, that a wrong answer is counted as a failure, that the exact counts of
-a traced run repeat, and that the benchmark refuses to run without the
-package sources.
+a traced run repeat, that the traced layers hold the work, that einsum
+plans are costed from the calls the program makes, and that the benchmark
+refuses to run without the package sources.
 """
 import json
 import shutil
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 HERE = Path(__file__).resolve().parent
@@ -22,8 +25,17 @@ sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
 import run  # noqa: E402
 import workloads  # noqa: E402
+from tracer import EinsumCalls  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+# The layers that do a workload's work, below cli.main.
+BUSY = {
+    "wick": ("oracle.",),
+    "trees": ("oracle.", "trees."),
+    "angular": ("oracle.", "weingarten.", "algebra.", "effective."),
+    "mc": ("montecarlo.",),
+}
 
 
 def bench(workload, trace, seed=3, script=HERE / "run.py"):
@@ -75,8 +87,32 @@ def test_traced_run_prints_layers_and_repeats_exact_counts(workload):
         assert table[name] == unit
     for name in run.EXACT_COUNTS:
         assert first["metrics"][name]["value"] == second["metrics"][name]["value"], name
-    # Every traced request ran inside cli.main, so the self times cover it.
-    assert first["metrics"]["trace.self_coverage"]["value"] == pytest.approx(1, abs=0.05)
+    values = {name: m["value"] for name, m in first["metrics"].items()}
+    self_times = {
+        name[: -len(".self_s")]: value
+        for name, value in values.items() if name.endswith(".self_s")
+    }
+    wall = values["trace.wall_s"]
+    # The self times, cli.main's included, account for the traced wall time.
+    assert sum(self_times.values()) == pytest.approx(wall, rel=0.05)
+    # Most of it is in the workload's own layers, not in untraced code.
+    busy = sum(v for name, v in self_times.items() if name.startswith(BUSY[workload]))
+    assert busy >= 0.8 * wall, self_times
+    assert values["trace.cli_self_share"] < 0.2
+    assert (values["montecarlo.einsum_flops"] > 0) == (workload == "mc")
+
+
+def test_einsum_plans_are_costed_from_the_calls_made():
+    module = types.SimpleNamespace(np=np)
+    calls = EinsumCalls(module)
+    a, b = np.ones((6, 7)), np.ones((7, 8))
+    for _ in range(3):
+        module.np.einsum(a, [0, 1], b, [1, 2], [0, 2], optimize="greedy")
+    module.np.einsum("ij,jk->ik", a, b)
+    assert len(calls.calls) == 2
+    # np.einsum_path counts 673 FLOPs for a 6x7 by 7x8 product, and the
+    # 6x8 result is the largest array.
+    assert calls.plans() == (4 * 673.0, 48.0)
 
 
 def test_wrong_expected_value_counts_as_failure(tmp_path):

@@ -10,6 +10,10 @@ Each call records a span ``[name, start, end, parent span, request]`` in
 memory; ``write`` saves them at the end.  Per name the tracer keeps the call
 count, the summed duration and the self time, which is the duration minus
 the time covered by the spans it caused.
+
+``EinsumCalls`` likewise replaces a module's ``np`` by a proxy that notes the
+operand shapes, subscripts and ``optimize`` argument of every ``np.einsum``
+call the module makes, so the contraction plan can be costed afterwards.
 """
 from __future__ import annotations
 
@@ -17,9 +21,12 @@ import functools
 import importlib
 import inspect
 import json
+import re
 import sys
 import threading
 import time
+
+import numpy as np
 
 # (module, attribute) of every traced function; a dotted attribute is a
 # classmethod.
@@ -122,3 +129,52 @@ class Tracer:
                 fh,
             )
             fh.write("\n")
+
+
+def _frozen(value):
+    """A hashable copy of an einsum argument; arrays become their shape."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.shape, value.dtype.str)
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _thawed(value):
+    if isinstance(value, tuple) and value[:1] == ("array",):
+        return np.empty(value[1], dtype=value[2])
+    if isinstance(value, tuple):
+        return [_thawed(v) for v in value]
+    return value
+
+
+class EinsumCalls:
+    """Counts the distinct ``np.einsum`` calls of one module."""
+
+    def __init__(self, module):
+        self.calls: dict[tuple, int] = {}
+        calls = self.calls
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def einsum(*operands, **kwargs):
+                key = (_frozen(operands), _frozen(kwargs.get("optimize", False)))
+                calls[key] = calls.get(key, 0) + 1
+                return np.einsum(*operands, **kwargs)
+
+        module.np = Numpy()
+
+    def plans(self) -> tuple[float, float]:
+        """(FLOPs summed over all calls, largest intermediate in elements) of
+        the plans the calls asked for, as ``np.einsum_path`` computes them."""
+        flops, largest = 0.0, 0.0
+        for (operands, optimize), count in self.calls.items():
+            _, report = np.einsum_path(*_thawed(operands), optimize=_thawed(optimize))
+            flops += count * float(re.search(r"Optimized FLOP count:\s*(\S+)", report).group(1))
+            largest = max(
+                largest, float(re.search(r"Largest intermediate:\s*(\S+)", report).group(1))
+            )
+        return flops, largest

@@ -34,6 +34,20 @@ from tensormoments.oracle import per_color_dimensions
 from tensormoments.trees import enumerate_trees
 
 WORKLOADS = ("wick", "trees", "angular", "mc")
+# The part of the host-speed reference task (hostspeed.py) a workload's times
+# are scaled by, and over what: "pass" takes the speed of each pass's own
+# process, "run" the median speed over all processes of the run.  The
+# single-threaded workloads follow their own process, by the part that does
+# the same kind of work.  The wick and trees requests run two worker threads
+# on both CPUs, which one process's slices do not describe; the numpy
+# part's median over the run was the steadiest scale for them.  (Chosen from
+# six runs per workload and scale, of pass and run scales of both parts.)
+REFERENCE = {
+    "wick": ("numpy", "run"),
+    "trees": ("numpy", "run"),
+    "angular": ("python", "pass"),
+    "mc": ("numpy", "pass"),
+}
 
 D = 4
 SPLIT = ColorSplit(D, [2, 4])
@@ -41,13 +55,15 @@ SPLIT = ColorSplit(D, [2, 4])
 MC_CHUNK = 512
 
 # Request sizes.  "smoke" runs every code path of a workload in seconds.
-WICK = {"full": (8, 8, 8, 8, 9), "smoke": (5, 6)}
+WICK = {"full": (8, 8, 8, 8, 9), "smoke": (6, 7)}
 TREES = {  # (V, K, number of trees the enumeration must produce)
     "full": ((3, 6, 1134), (4, 5, 2053)),
     "smoke": ((3, 4, 176),),
 }
+# The m = 6 single box (20 s alone) and n = 9 chains (5 s each) are left
+# out: a run must repeat its passes several times to take a median.
 ANGULAR = {  # chain lengths; m = len(lengths), n = sum(lengths)
-    "full": ((1,) * 6, (1,) * 5, (1,) * 4, (2, 1, 1, 1), (3, 3, 2), (4, 3, 2)),
+    "full": ((1,) * 5, (1,) * 4, (2, 1, 1, 1), (3, 3, 2), (4, 2, 2), (5, 3)),
     "smoke": ((1, 1, 1), (2, 1), (2, 2, 1)),
 }
 
@@ -61,6 +77,15 @@ ANGULAR = {  # chain lengths; m = len(lengths), n = sum(lengths)
 # ``montecarlo.plan_rejections``.
 BAND_N5 = (4.0e6, 6.5e6)
 BAND_N8 = (3.0e6, 3.5e6)
+# One fixed n = 7 bubble whose greedy plan at N = 3 costs 1.6e8 FLOPs per
+# chunk, 30-50x the bands above and outside both: the planner cliff the
+# bands keep out, at a size that still finishes in about a second.
+PLANNER_CLIFF = (
+    (1, 2, 3, 4, 5, 6, 7),
+    (7, 1, 3, 5, 6, 4, 2),
+    (2, 4, 3, 1, 7, 5, 6),
+    (6, 4, 7, 1, 3, 5, 2),
+)
 MC = {  # (shape, n, N, samples, FLOP band of a random draw)
     "full": (
         ("necklace", 3, 6, 12 * 1024, None),
@@ -68,11 +93,13 @@ MC = {  # (shape, n, N, samples, FLOP band of a random draw)
         ("edge_tree", 4, 3, 20 * 1024, None),
         ("random", 5, 3, 40 * 1024, BAND_N5),
         ("random", 8, 2, 20 * 1024, BAND_N8),
+        ("planner_cliff", 7, 3, 2 * MC_CHUNK, None),
     ),
     "smoke": (
         ("necklace", 3, 3, 2048, None),
         ("edge_tree", 4, 3, 2048, None),
         ("random", 8, 2, 4096, BAND_N8),
+        ("planner_cliff", 7, 3, 2 * MC_CHUNK, None),
     ),
 }
 
@@ -110,8 +137,9 @@ def _einsum_operands(b: Bubble, N: int, batch: int):
     operands on zero arrays: index (c, j) is the colour-c edge into black
     vertex j, white vertex i carries (c, tau_c(i)), index 0 is the batch.
 
-    Built here rather than taken from the program, so the figure stays a
-    property of the bubble when the program's contraction code changes."""
+    Used only to choose inputs, so the choice does not change when the
+    program's contraction code does; the traced run costs the plans the
+    program itself asks for (``tracer.EinsumCalls``)."""
     def idx(c, j):
         return 1 + (c - 1) * b.n + (j - 1)
 
@@ -190,7 +218,6 @@ def _angular(rng, sizes, directory):
                     "n": sum(lengths),
                     "m": len(lengths),
                     "chains": list(lengths),
-                    "pairings": math.factorial(sum(lengths)),
                 },
             }
         )
@@ -205,6 +232,8 @@ def _mc(rng, sizes, directory):
             bubble = necklace(D, SPLIT, n)
         elif shape == "edge_tree":
             bubble = _edge_tree()
+        elif shape == "planner_cliff":
+            bubble = Bubble(D, n, tuple(Permutation(list(images)) for images in PLANNER_CLIFF))
         else:
             while True:
                 bubble = random_bubble(rng, n)
@@ -229,7 +258,6 @@ def _mc(rng, sizes, directory):
                     "n": n,
                     "N": N,
                     "samples": samples,
-                    "pairings": math.factorial(n),
                 },
             }
         )
