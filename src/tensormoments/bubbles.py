@@ -109,12 +109,12 @@ def validate(b: Bubble) -> Diagnostics:
                 x = parent[x]
             return x
 
+        base_inv = b.tau(1).inverse()
         for c in range(1, b.d + 1):
             tau = b.tau(c)
-            base = b.tau(1)
             for i in range(1, b.n + 1):
                 # white i and white base^{-1}(tau(i)) share black tau(i)
-                j = base.inverse()(tau(i))
+                j = base_inv(tau(i))
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj

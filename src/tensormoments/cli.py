@@ -14,13 +14,7 @@ from .algebra import LaurentPoly, partitions_of
 from .bubbles import Bubble, ColorSplit, chain_decomposition, chain_obstruction
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
 from .montecarlo import SampleSpec, estimate_expectation
-from .oracle import (
-    BubbleTooLarge,
-    dominant_contractions,
-    expectation,
-    gaussian_expectation,
-    per_color_dimensions,
-)
+from .oracle import BubbleTooLarge, expectation, gaussian_expectation, per_color_dimensions
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from .weingarten import weingarten_table
 
@@ -33,6 +27,20 @@ def _emit(report: dict, args) -> None:
     print(text)
 
 
+class _InputError(Exception):
+    """Malformed command-line input, reported as a one-line refusal."""
+
+
+def _load(cls, path):
+    """``cls.load(path)`` for a bubble or tree file, malformed files refused."""
+    try:
+        return cls.load(path)
+    except KeyError as exc:
+        raise _InputError(f"{path}: missing key {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise _InputError(f"{path}: {exc}") from None
+
+
 def _parse_dim(text: str):
     """'N', 'N^3' or a plain integer."""
     if text.startswith("N"):
@@ -42,28 +50,29 @@ def _parse_dim(text: str):
 
 
 def cmd_expect(args) -> int:
-    bubble = Bubble.load(args.bubble)
+    bubble = _load(Bubble, args.bubble)
     try:
         result = expectation(bubble, alpha=args.alpha, threads=args.threads)
     except BubbleTooLarge as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    exp, count = dominant_contractions(bubble, threads=args.threads)
+    exp, count = result.raw.leading_term()
     report = result.to_json()
-    report["dominant"] = {"exp": exp, "count": count}
+    report["dominant"] = {"exp": exp, "count": int(count)}
     report["raw_str"] = str(result.raw)
     report["scaled_str"] = str(result.scaled)
     if args.numeric_N is not None:
-        report["value_at_N"] = per_color_dimensions(
-            bubble, [args.numeric_N] * bubble.d, threads=args.threads
-        )
+        report["value_at_N"] = int(result.raw.evaluate(args.numeric_N))
     _emit(report, args)
     return 0
 
 
 def cmd_effective(args) -> int:
-    bubble = Bubble.load(args.bubble)
-    split = ColorSplit(bubble.d, [int(c) for c in args.split.split(",")])
+    bubble = _load(Bubble, args.bubble)
+    try:
+        split = ColorSplit(bubble.d, [int(c) for c in args.split.split(",")])
+    except ValueError as exc:
+        raise _InputError(f"--split {args.split}: {exc}") from None
     if chain_decomposition(bubble, split) is None:
         print(f"not chain-expressible: {chain_obstruction(bubble, split)}", file=sys.stderr)
         return 2
@@ -109,7 +118,7 @@ def cmd_tree(args) -> int:
         v, k = args.enumerate
         trees = list(enumerate_trees(v, k))
     else:
-        trees = [CornerLabeledTree.load(args.tree)]
+        trees = [_load(CornerLabeledTree, args.tree)]
     rows = _tree_rows(trees, args.threads)
     ok = all(r["verdict"] == "PASS" for r in rows)
     if args.csv:
@@ -156,7 +165,7 @@ def cmd_wishart(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    bubble = Bubble.load(args.bubble)
+    bubble = _load(Bubble, args.bubble)
     spec = SampleSpec(
         N=args.numeric_N,
         d=bubble.d,
@@ -186,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; Wick enumeration is serial",
+        )
         p.add_argument("--csv", action="store_true")
         p.add_argument("--out", default=None)
 
@@ -239,8 +251,15 @@ def main(argv=None) -> int:
     if args.command == "tree" and args.tree is None and args.enumerate is None:
         print("tree: provide a tree file or --enumerate V K", file=sys.stderr)
         return 2
+    if getattr(args, "numeric_N", None) is not None and args.numeric_N < 1:
+        print(f"refused: --numeric-N must be positive, got {args.numeric_N}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except _InputError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        code = 2
     elapsed = time.perf_counter() - start
     print(f"done in {elapsed:.3f}s (exit {code})", file=sys.stderr)
     return code

@@ -4,7 +4,9 @@ For a chain-expressible bubble the unitary average at fixed singular
 values is a combination of power sums p_l = sum_i lambda_i^{2l}; summing
 the Weingarten-weighted permutation pairs yields the expansion, and the
 complex Wishart (Laguerre) moments close the loop back to the exact
-Gaussian expectation.
+Gaussian expectation.  The Wishart moments are reductions of the Wick
+oracle's histogram (``oracle.wick_histogram``) of the two-color bubble
+(gamma, id), where gamma has one cycle per trace.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _perms
 from typing import Sequence, Union
 
 from .algebra import (
@@ -25,6 +26,7 @@ from .algebra import (
     symmetric_group,
 )
 from .bubbles import Bubble, ColorSplit, NotChainExpressible, chain_decomposition, chain_obstruction
+from .oracle import wick_histogram
 from .weingarten import DEFAULT_N_MAX, weingarten_exact
 
 WISHART_L_MAX = 9
@@ -129,40 +131,15 @@ DimLike = Union[int, Fraction, LaurentPoly]
 
 
 @lru_cache(maxsize=None)
-def _wishart_histogram(lengths: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """(cycles(gamma pi), cycles(pi)) histogram over pi in S_L."""
+def _gamma_histogram(lengths: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """(cycles(gamma pi), cycles(pi)) histogram over pi in S_L: the Wick
+    histogram of the two-color bubble (gamma, id), gamma one cycle per trace."""
     L = sum(lengths)
-    gamma = [0] * L
-    start = 0
-    for l in lengths:
-        for j in range(l):
-            gamma[start + j] = start + (j + 1) % l
-        start += l
-    hist: dict[tuple[int, int], int] = {}
-    for images in _perms(range(L)):
-        seen = [False] * L
-        c_pi = 0
-        for s in range(L):
-            if seen[s]:
-                continue
-            c_pi += 1
-            i = s
-            while not seen[i]:
-                seen[i] = True
-                i = images[i]
-        seen = [False] * L
-        c_gp = 0
-        for s in range(L):
-            if seen[s]:
-                continue
-            c_gp += 1
-            i = s
-            while not seen[i]:
-                seen[i] = True
-                i = gamma[images[i]]
-        key = (c_gp, c_pi)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    starts = [sum(lengths[:j]) + 1 for j in range(len(lengths))]
+    gamma = Permutation.from_cycles(
+        L, [tuple(range(s, s + l)) for s, l in zip(starts, lengths)]
+    )
+    return wick_histogram(Bubble(2, L, (gamma, Permutation.identity(L))))
 
 
 def wishart_moment_exact(
@@ -193,7 +170,7 @@ def wishart_moment_exact(
         total = Fraction(0)
     row_pows: dict[int, DimLike] = {}
     col_pows: dict[int, DimLike] = {}
-    for (a, c), cnt in _wishart_histogram(lens).items():
+    for (a, c), cnt in _gamma_histogram(lens).items():
         ra = row_pows.setdefault(a, row**a)
         cb = col_pows.setdefault(c, col**c)
         total = total + cnt * ra * cb

@@ -1,15 +1,17 @@
 """Brute-force Wick-contraction enumeration: the exact ground truth.
 
 The Gaussian expectation of a bubble polynomial at unit covariance is the
-sum over pairings pi in S_n of prod_c N^{#cycles(tau_c pi^{-1})}.  The
-enumeration streams a histogram of per-color cycle counts, so symbolic
-results, per-color numeric dimensions and dominant-contraction counts all
-come from one pass.
+sum over pairings pi in S_n of prod_c N^{#cycles(tau_c pi)} (pi -> pi^{-1}
+is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
+serial loop builds a histogram of per-color cycle counts; symbolic results,
+per-color numeric dimensions, dominant-contraction counts and, through the
+two-color bubble (gamma, id), the Wishart moments of ``effective`` are all
+reductions of it.  The ``threads`` keyword of the public functions is
+accepted for compatibility and does not change the work.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _perms
 from typing import Sequence
@@ -57,20 +59,19 @@ def _check_size(b: Bubble, n_max: int) -> None:
         raise BubbleTooLarge(b.n, b.d, n_max)
 
 
-def _chunk_histogram(taus: Sequence[Sequence[int]], n: int, first_image: int):
-    """Histogram of per-color cycle-count tuples over pairings with
-    pi(0) = first_image (0-indexed)."""
+def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
+    """Map (cycles of tau_c pi, per color) -> number of pairings pi realizing it.
+
+    The enumeration is serial; ``threads`` is accepted for compatibility and
+    does not change the work or the result.
+    """
+    n = b.n
+    # 0-indexed image tables
+    taus = [[img - 1 for img in b.tau(c).images] for c in range(1, b.d + 1)]
     hist: dict[tuple[int, ...], int] = {}
-    rest = [x for x in range(n) if x != first_image]
-    d = len(taus)
-    for tail in _perms(rest):
-        images = (first_image,) + tail
-        pinv = [0] * n
-        for i, img in enumerate(images):
-            pinv[img] = i
+    for pi in _perms(range(n)):
         key = []
-        for c in range(d):
-            tau = taus[c]
+        for tau in taus:
             seen = [False] * n
             count = 0
             for start in range(n):
@@ -80,33 +81,11 @@ def _chunk_histogram(taus: Sequence[Sequence[int]], n: int, first_image: int):
                 i = start
                 while not seen[i]:
                     seen[i] = True
-                    i = tau[pinv[i]]
+                    i = tau[pi[i]]
             key.append(count)
         tkey = tuple(key)
         hist[tkey] = hist.get(tkey, 0) + 1
     return hist
-
-
-def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
-    """Map (cycles per color) -> number of Wick pairings realizing it."""
-    n = b.n
-    # 0-indexed image tables
-    taus = [[img - 1 for img in b.tau(c).images] for c in range(1, b.d + 1)]
-    if n == 0:
-        return {(): 1}
-    if threads <= 1:
-        chunks = [_chunk_histogram(taus, n, f) for f in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_chunk_histogram, taus, n, f) for f in range(n)
-            ]
-            chunks = [f.result() for f in futures]
-    total: dict[tuple[int, ...], int] = {}
-    for chunk in chunks:
-        for key, cnt in chunk.items():
-            total[key] = total.get(key, 0) + cnt
-    return total
 
 
 def gaussian_expectation(

@@ -160,3 +160,31 @@ class TestMonteCarlo:
         _, out1 = run(capsys, *args)
         _, out2 = run(capsys, *args)
         assert out1 == out2
+
+
+DIPOLE = '{"d": 4, "n": 1, "colors": {"1": [1], "2": [1], "3": [1], "4": [1]}}'
+
+MALFORMED = {
+    "missing_color_key": ("expect", '{"d": 2, "n": 1, "colors": {"1": [1]}}', ()),
+    "not_a_bijection": ("expect", '{"d": 1, "n": 2, "colors": {"1": [1, 1]}}', ()),
+    "invalid_json": ("expect", '{"d": 4, "n":', ()),
+    "missing_file": ("expect", None, ()),
+    "tree_label_count": ("tree", '{"color": 1, "labels": [1, 1], "children": []}', ()),
+    "expect_numeric_N_zero": ("expect", DIPOLE, ("--numeric-N", "0")),
+    "mc_numeric_N_zero": ("mc", DIPOLE, ("--numeric-N", "0")),
+    "split_on_d1": ("effective", '{"d": 1, "n": 1, "colors": {"1": [1]}}', ("--split", "1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_refused(case, capsys, tmp_path):
+    command, text, extra = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code = main([command, str(path), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    reasons = [line for line in err.splitlines() if line.startswith("refused: ")]
+    assert len(reasons) == 1, err

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc, catalan
+from tensormoments.algebra import (
+    LaurentPoly,
+    Permutation,
+    RationalFunc,
+    catalan,
+    compose,
+    partitions_of,
+    symmetric_group,
+)
 from tensormoments.bubbles import (
     Bubble,
     ColorSplit,
@@ -68,6 +76,20 @@ class TestEffectiveObservable:
             effective_observable(b, SPLIT)
 
 
+def wishart_brute_force(lengths, row, col):
+    """sum over pi in S_L of row^{#cyc(gamma pi)} col^{#cyc(pi)}, with gamma
+    one cycle per trace."""
+    images, start = [], 0
+    for l in lengths:
+        images += [start + (j + 1) % l + 1 for j in range(l)]
+        start += l
+    gamma = Permutation(images)
+    total = 0
+    for pi in symmetric_group(start):
+        total = total + row ** compose(gamma, pi).cycle_count() * col ** pi.cycle_count()
+    return total
+
+
 class TestWishartMoments:
     def test_single_pair(self):
         assert wishart_moment_exact((1,), N, N) == N * N
@@ -105,6 +127,15 @@ class TestWishartMoments:
     def test_degree_bound(self):
         with pytest.raises(ValueError):
             wishart_moment_exact((10,), N, N)
+
+    @pytest.mark.parametrize(
+        "lengths", [p.parts for L in range(1, 7) for p in partitions_of(L)], ids=str
+    )
+    def test_matches_brute_force(self, lengths):
+        for row, col in ((N, N2), (2, 3)):
+            assert wishart_moment_exact(lengths, row, col) == wishart_brute_force(
+                lengths, row, col
+            )
 
     def test_catalan_limit_numeric(self):
         # <tr W^l> / m^{l+1} -> Cat_l for square m x m

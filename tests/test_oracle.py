@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tensormoments.algebra import LaurentPoly, Permutation
+from tensormoments.algebra import LaurentPoly, Permutation, compose, symmetric_group
 from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.oracle import (
     BubbleTooLarge,
@@ -18,6 +18,16 @@ from tensormoments.trees import CornerLabeledTree, tree_to_bubble
 from conftest import edge_tree_bubble
 
 SPLIT = ColorSplit(4, [2, 4])
+
+
+def histogram_brute_force(b):
+    """Per-color cycle counts of tau_c pi^{-1} over 1-indexed pi in S_n."""
+    hist = {}
+    for pi in symmetric_group(b.n):
+        pinv = pi.inverse()
+        key = tuple(compose(b.tau(c), pinv).cycle_count() for c in range(1, b.d + 1))
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 def dipole(d=4):
@@ -35,6 +45,11 @@ class TestGaussianExpectation:
         result = expectation(edge_tree_bubble(1, 1), alpha=2)
         assert result.scaled == LaurentPoly({3: 1, 1: 1})
         assert result.scaled.leading_term() == (3, 1)
+
+    def test_empty_bubble_is_one(self):
+        empty = Bubble(4, 0, tuple(Permutation.identity(0) for _ in range(4)))
+        assert gaussian_expectation(empty) == LaurentPoly({0: 1})
+        assert per_color_dimensions(empty, (2, 3, 4, 5)) == 1
 
     def test_refusal_with_cost_estimate(self):
         big = necklace(4, SPLIT, 12)
@@ -101,3 +116,9 @@ class TestParallelDeterminism:
         polys = [gaussian_expectation(b, threads=t) for t in (1, 2, 8)]
         assert polys[0] == polys[1] == polys[2]
         assert polys[0].to_records() == polys[1].to_records() == polys[2].to_records()
+
+    @pytest.mark.parametrize(
+        "b", [edge_tree_bubble(2, 2), necklace(4, SPLIT, 5)], ids=["edge_tree_2_2", "necklace_5"]
+    )
+    def test_histogram_matches_inverse_convention(self, b):
+        assert wick_histogram(b) == histogram_brute_force(b)
