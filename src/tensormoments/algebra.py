@@ -60,35 +60,16 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition; each cycle starts at its smallest element."""
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = True
-                cyc.append(i)
-                i = self(i)
-            out.append(tuple(cyc))
-        return out
+        return [tuple(i + 1 for i in cyc) for cyc in _cycles(self._zero_indexed())]
 
     def cycle_count(self) -> int:
-        seen = [False] * self.n
-        count = 0
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            count += 1
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = True
-                i = self(i)
-        return count
+        return len(_cycles(self._zero_indexed()))
 
     def cycle_type(self) -> "Partition":
-        return Partition(sorted((len(c) for c in self.cycles()), reverse=True))
+        return Partition(_cycle_type(self._zero_indexed()))
+
+    def _zero_indexed(self) -> list[int]:
+        return [img - 1 for img in self.images]
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
@@ -101,6 +82,29 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
+
+
+def _cycles(images: Sequence[int]) -> list[list[int]]:
+    """Cycles of the 0-indexed image table ``images`` (i -> images[i]), in
+    order of their smallest element, each starting there."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = images[i]
+        out.append(cyc)
+    return out
+
+
+def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of a 0-indexed image table, weakly decreasing."""
+    return tuple(sorted(map(len, _cycles(images)), reverse=True))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -445,10 +449,6 @@ class RationalFunc:
     @classmethod
     def one(cls) -> "RationalFunc":
         return cls(1)
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunc":
-        return cls(p)
 
     # -- queries -----------------------------------------------------------
 

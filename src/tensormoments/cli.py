@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -16,7 +17,7 @@ from .effective import effective_observable, laguerre_reconstruct, wishart_momen
 from .montecarlo import SampleSpec, estimate_expectation
 from .oracle import BubbleTooLarge, expectation, gaussian_expectation, per_color_dimensions
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
-from .weingarten import weingarten_table
+from .weingarten import DEFAULT_N_MAX as WG_N_MAX, weingarten_table
 
 
 def _emit(report: dict, args) -> None:
@@ -43,10 +44,13 @@ def _load(cls, path):
 
 def _parse_dim(text: str):
     """'N', 'N^3' or a plain integer."""
-    if text.startswith("N"):
-        power = 1 if text == "N" else int(text.split("^", 1)[1])
-        return LaurentPoly.monomial(power)
-    return int(text)
+    try:
+        if text.startswith("N"):
+            power = 1 if text == "N" else int(text.split("^", 1)[1])
+            return LaurentPoly.monomial(power)
+        return int(text)
+    except (ValueError, IndexError):
+        raise _InputError(f"dimension {text!r}: expected N, N^k or an integer") from None
 
 
 def cmd_expect(args) -> int:
@@ -73,14 +77,24 @@ def cmd_effective(args) -> int:
         split = ColorSplit(bubble.d, [int(c) for c in args.split.split(",")])
     except ValueError as exc:
         raise _InputError(f"--split {args.split}: {exc}") from None
-    if chain_decomposition(bubble, split) is None:
+    decomp = chain_decomposition(bubble, split)
+    if decomp is None:
         print(f"not chain-expressible: {chain_obstruction(bubble, split)}", file=sys.stderr)
         return 2
+    if decomp.m > WG_N_MAX:
+        raise _InputError(
+            f"{decomp.m} chains exceed the Weingarten bound n_max={WG_N_MAX}: "
+            f"~{math.factorial(decomp.m) ** 2:.1e} (sigma, tau) pairs"
+        )
+    # The oracle first: its size bound also keeps the Wishart moments in range.
+    try:
+        oracle = gaussian_expectation(bubble, threads=args.threads)
+    except BubbleTooLarge as exc:
+        raise _InputError(str(exc)) from None
     expansion = effective_observable(bubble, split)
     row_dim = LaurentPoly.monomial(split.d - len(split.column_colors))
     col_dim = LaurentPoly.monomial(len(split.column_colors))
     reconstructed = laguerre_reconstruct(expansion, row_dim, col_dim)
-    oracle = gaussian_expectation(bubble, threads=args.threads)
     ok = reconstructed == oracle
     report = {
         "expansion": expansion.to_json(),
@@ -132,7 +146,10 @@ def cmd_tree(args) -> int:
 
 def cmd_weingarten(args) -> int:
     dim = _parse_dim(args.dim)
-    table = weingarten_table(args.n, dim)
+    try:
+        table = weingarten_table(args.n, dim)
+    except ValueError as exc:
+        raise _InputError(f"weingarten {args.n} --dim {args.dim}: {exc}") from None
     rows = []
     for p in partitions_of(args.n):
         value = table[p]
@@ -155,7 +172,10 @@ def cmd_weingarten(args) -> int:
 def cmd_wishart(args) -> int:
     row = _parse_dim(args.rows)
     col = _parse_dim(args.cols)
-    moment = wishart_moment_exact(args.lengths, row, col)
+    try:
+        moment = wishart_moment_exact(args.lengths, row, col)
+    except ValueError as exc:
+        raise _InputError(f"wishart {' '.join(map(str, args.lengths))}: {exc}") from None
     if isinstance(moment, LaurentPoly):
         report = {"lengths": args.lengths, "moment": moment.to_records(), "moment_str": str(moment)}
     else:
@@ -166,13 +186,16 @@ def cmd_wishart(args) -> int:
 
 def cmd_mc(args) -> int:
     bubble = _load(Bubble, args.bubble)
-    spec = SampleSpec(
-        N=args.numeric_N,
-        d=bubble.d,
-        samples=args.samples,
-        seed=args.seed,
-        variance=args.variance,
-    )
+    try:
+        spec = SampleSpec(
+            N=args.numeric_N,
+            d=bubble.d,
+            samples=args.samples,
+            seed=args.seed,
+            variance=args.variance,
+        )
+    except ValueError as exc:
+        raise _InputError(f"mc: {exc}") from None
     estimate = estimate_expectation(bubble, spec)
     report = estimate.to_json()
     ok = True

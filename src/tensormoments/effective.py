@@ -4,9 +4,12 @@ For a chain-expressible bubble the unitary average at fixed singular
 values is a combination of power sums p_l = sum_i lambda_i^{2l}; summing
 the Weingarten-weighted permutation pairs yields the expansion, and the
 complex Wishart (Laguerre) moments close the loop back to the exact
-Gaussian expectation.  The Wishart moments are reductions of the Wick
-oracle's histogram (``oracle.wick_histogram``) of the two-color bubble
-(gamma, id), where gamma has one cycle per trace.
+Gaussian expectation.  One generator walks the pairs (sigma, tau) of
+S_m x S_m as 0-indexed tuples for both the expansion and the scaling
+diagnostics, and the Weingarten values come from the one table builder of
+``weingarten`` on ``gram_matrix``.  The Wishart moments are reductions of
+the Wick oracle's histogram (``oracle.wick_histogram``) of the two-color
+bubble (gamma, id), where gamma has one cycle per trace.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import Sequence, Union
 
 from .algebra import (
@@ -21,11 +25,18 @@ from .algebra import (
     Partition,
     Permutation,
     RationalFunc,
+    _cycle_type,
+    _cycles,
     catalan,
-    compose,
-    symmetric_group,
 )
-from .bubbles import Bubble, ColorSplit, NotChainExpressible, chain_decomposition, chain_obstruction
+from .bubbles import (
+    Bubble,
+    ChainDecomposition,
+    ColorSplit,
+    NotChainExpressible,
+    chain_decomposition,
+    chain_obstruction,
+)
 from .oracle import wick_histogram
 from .weingarten import DEFAULT_N_MAX, weingarten_exact
 
@@ -80,6 +91,39 @@ class ScalingDiagnostics:
         return self.f_rows.get(3, 0)
 
 
+def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
+    decomp = chain_decomposition(b, split)
+    if decomp is None:
+        raise NotChainExpressible(chain_obstruction(b, split))
+    return decomp
+
+
+def _angular_terms(decomp: ChainDecomposition, rows: Sequence[int]):
+    """Every (sigma, tau) in S_m x S_m as 0-indexed image tuples, sigma outer.
+
+    Yields (sigma, [F_c(sigma) for c in rows], tau, powers, cycle type of
+    sigma tau^{-1}) with F_c = #cycles(pi_c sigma) for the endpoint map pi_c
+    of row colour c, and powers the chain lengths summed over each cycle of
+    tau, in descending order.  F_c is computed once per sigma and powers
+    once per tau.
+    """
+    m, lengths = decomp.m, decomp.chain_lengths
+    group = list(permutations(range(m)))
+    taus = [
+        (
+            tau,
+            tuple(sorted((sum(lengths[j] for j in cyc) for cyc in _cycles(tau)), reverse=True)),
+            sorted(range(m), key=tau.__getitem__),  # tau^{-1}
+        )
+        for tau in group
+    ]
+    ends = [decomp.endpoint_maps[c]._zero_indexed() for c in rows]
+    for sigma in group:
+        f_rows = [len(_cycles([end[i] for i in sigma])) for end in ends]
+        for tau, powers, tau_inv in taus:
+            yield sigma, f_rows, tau, powers, _cycle_type([sigma[i] for i in tau_inv])
+
+
 def effective_observable(
     b: Bubble, split: ColorSplit, n_max: int = DEFAULT_N_MAX
 ) -> PowerSumExpansion:
@@ -88,40 +132,25 @@ def effective_observable(
     Sums Wg_{N^q}(sigma tau^{-1}) * prod_rows N^{#cycles(pi_c sigma)} over
     sigma, tau in S_m, attaching p_{sum of chain lengths} per cycle of tau.
     """
-    decomp = chain_decomposition(b, split)
-    if decomp is None:
-        raise NotChainExpressible(chain_obstruction(b, split))
-    m = decomp.m
-    if m > n_max:
-        raise ValueError(f"{m} chains exceed the Weingarten bound n_max={n_max}")
-    lengths = decomp.chain_lengths
-    rows = split.row_colors
+    decomp = _decompose(b, split)
+    if decomp.m > n_max:
+        raise ValueError(f"{decomp.m} chains exceed the Weingarten bound n_max={n_max}")
     row_power = split.d - len(split.column_colors)
 
-    # bucket[powers][(wg_class, color_exponent)] = multiplicity
-    bucket: dict[tuple[int, ...], dict[tuple[Partition, int], int]] = {}
-    sigmas = list(symmetric_group(m))
-    for tau in sigmas:
-        powers = tuple(
-            sorted((sum(lengths[j - 1] for j in cyc) for cyc in tau.cycles()), reverse=True)
-        )
-        cell = bucket.setdefault(powers, {})
-        tau_inv = tau.inverse()
-        for sigma in sigmas:
-            wg_class = compose(sigma, tau_inv).cycle_type()
-            color_exp = sum(
-                compose(decomp.endpoint_maps[c], sigma).cycle_count() for c in rows
-            )
-            key = (wg_class, color_exp)
-            cell[key] = cell.get(key, 0) + 1
+    # weights[powers][Wg class][row exponent] = multiplicity
+    weights: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
+    for _, f_rows, _, powers, wg_class in _angular_terms(decomp, split.row_colors):
+        cell = weights.setdefault(powers, {}).setdefault(wg_class, {})
+        exp = sum(f_rows)
+        cell[exp] = cell.get(exp, 0) + 1
 
     dim = LaurentPoly.monomial(row_power)
     terms: dict[tuple[int, ...], RationalFunc] = {}
-    for powers, cell in bucket.items():
+    for powers, by_class in weights.items():
         coeff = RationalFunc.zero()
-        for (wg_class, color_exp), cnt in cell.items():
-            wg = weingarten_exact(wg_class, dim, n_max=n_max)
-            coeff = coeff + cnt * RationalFunc(LaurentPoly.monomial(color_exp)) * wg
+        for wg_class, exps in by_class.items():
+            wg = weingarten_exact(Partition(wg_class), dim, n_max=n_max)
+            coeff = coeff + RationalFunc(LaurentPoly(exps)) * wg
         if coeff:
             terms[powers] = coeff
     return PowerSumExpansion(terms=terms, row_power=row_power)
@@ -160,21 +189,8 @@ def wishart_moment_exact(
             f"total degree {L} exceeds the bound {WISHART_L_MAX} "
             f"(~{math.factorial(L):.1e} pairings)"
         )
-    symbolic = isinstance(row_dim, LaurentPoly) or isinstance(col_dim, LaurentPoly)
-    if symbolic:
-        row = row_dim if isinstance(row_dim, LaurentPoly) else LaurentPoly.constant(row_dim)
-        col = col_dim if isinstance(col_dim, LaurentPoly) else LaurentPoly.constant(col_dim)
-        total = LaurentPoly.zero()
-    else:
-        row, col = Fraction(row_dim), Fraction(col_dim)
-        total = Fraction(0)
-    row_pows: dict[int, DimLike] = {}
-    col_pows: dict[int, DimLike] = {}
-    for (a, c), cnt in _gamma_histogram(lens).items():
-        ra = row_pows.setdefault(a, row**a)
-        cb = col_pows.setdefault(c, col**c)
-        total = total + cnt * ra * cb
-    return total
+    row, col = (Fraction(x) if isinstance(x, int) else x for x in (row_dim, col_dim))
+    return sum(cnt * row**a * col**c for (a, c), cnt in _gamma_histogram(lens).items())
 
 
 def wishart_moment_leading(l: int, balance: str) -> int:
@@ -206,29 +222,22 @@ def laguerre_reconstruct(
 def scaling_diagnostics(b: Bubble, split: ColorSplit) -> list[ScalingDiagnostics]:
     """Per-(sigma, tau) cycle counts F_c, F_box, F_0 and the exponent
     sum_c F_c + |C| F_box + |C| (F_0 - 2m)."""
-    decomp = chain_decomposition(b, split)
-    if decomp is None:
-        raise NotChainExpressible(chain_obstruction(b, split))
+    decomp = _decompose(b, split)
     m = decomp.m
     rows = split.row_colors
     ncols = len(split.column_colors)
+    perm = {p: Permutation([i + 1 for i in p]) for p in permutations(range(m))}
     out = []
-    for sigma in symmetric_group(m):
-        for tau in symmetric_group(m):
-            f_rows = {
-                c: compose(decomp.endpoint_maps[c], sigma).cycle_count() for c in rows
-            }
-            f_box = tau.cycle_count()
-            f0 = compose(sigma, tau.inverse()).cycle_type().num_parts
-            exponent = sum(f_rows.values()) + ncols * f_box + ncols * (f0 - 2 * m)
-            out.append(
-                ScalingDiagnostics(
-                    sigma=sigma,
-                    tau=tau,
-                    f_rows=f_rows,
-                    f_box=f_box,
-                    f0=f0,
-                    exponent=exponent,
-                )
+    for sigma, f_rows, tau, powers, rho_type in _angular_terms(decomp, rows):
+        f_box, f0 = len(powers), len(rho_type)
+        out.append(
+            ScalingDiagnostics(
+                sigma=perm[sigma],
+                tau=perm[tau],
+                f_rows=dict(zip(rows, f_rows)),
+                f_box=f_box,
+                f0=f0,
+                exponent=sum(f_rows) + ncols * f_box + ncols * (f0 - 2 * m),
             )
+        )
     return out

@@ -1,8 +1,9 @@
 """Exact and asymptotic Weingarten functions for the unitary group.
 
-Values are obtained by inverting the class-algebra Gram matrix of the
-function dim^{#cycles} over the symmetric group, either symbolically over
-rational functions of N or numerically over exact rationals.
+Values come from one table builder that solves the class-algebra Gram
+system of ``gram_matrix`` (the function dim^{#cycles} over the symmetric
+group): symbolically over rational functions of N, with N -> N^k
+substituted afterwards, or numerically over exact rationals.
 """
 from __future__ import annotations
 
@@ -10,17 +11,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import Union
 
 from .algebra import (
     LaurentPoly,
+    N,
     Partition,
     Permutation,
     RationalFunc,
+    _cycle_type,
     catalan,
-    compose,
     partitions_of,
-    symmetric_group,
 )
 
 DEFAULT_N_MAX = 8
@@ -60,30 +62,20 @@ def conjugacy_classes(n: int) -> ConjugacyClassTable:
 @lru_cache(maxsize=None)
 def _gram_counts(n: int) -> tuple[tuple[Partition, ...], list[list[dict[Partition, int]]]]:
     """counts[a][b][type] = #{tau in class b : cycle_type(sigma_a tau^{-1}) = type}."""
-    table = conjugacy_classes(n)
-    index = {p: i for i, p in enumerate(table.classes)}
-    reps = [class_representative(p) for p in table.classes]
-    m = len(table.classes)
-    counts: list[list[dict[Partition, int]]] = [
-        [{} for _ in range(m)] for _ in range(m)
-    ]
-    for tau in symmetric_group(n):
-        b = index[tau.cycle_type()]
-        tau_inv = tau.inverse()
-        for a, sigma in enumerate(reps):
-            t = compose(sigma, tau_inv).cycle_type()
-            cell = counts[a][b]
-            cell[t] = cell.get(t, 0) + 1
-    return table.classes, counts
+    classes = conjugacy_classes(n).classes
+    index = {p.parts: i for i, p in enumerate(classes)}
+    reps = [class_representative(p)._zero_indexed() for p in classes]
+    counts: list[list[dict[Partition, int]]] = [[{} for _ in classes] for _ in classes]
+    # tau -> tau^{-1} maps class b onto itself, so count sigma_a tau instead.
+    for tau in permutations(range(n)):
+        b = index[_cycle_type(tau)]
+        for sigma, cells in zip(reps, counts):
+            t = classes[index[_cycle_type([sigma[i] for i in tau])]]
+            cells[b][t] = cells[b].get(t, 0) + 1
+    return classes, counts
 
 
 Dim = Union[int, LaurentPoly]
-
-
-def _dim_power(dim: Dim, k: int):
-    if isinstance(dim, int):
-        return Fraction(dim) ** k
-    return dim**k
 
 
 def gram_matrix(n: int, dim: Dim = None) -> list[list[LaurentPoly]]:
@@ -92,24 +84,20 @@ def gram_matrix(n: int, dim: Dim = None) -> list[list[LaurentPoly]]:
 
     Entry (a, b) sums dim^{#cycles(sigma_a tau^{-1})} over all tau in class
     b, with sigma_a a fixed representative of class a.  ``dim`` defaults to
-    the symbol N.
+    the symbol N; an integer gives exact rational entries.
     """
     if dim is None:
-        dim = LaurentPoly.monomial(1)
+        dim = N
+    elif isinstance(dim, int):
+        dim = Fraction(dim)
     _, counts = _gram_counts(n)
-    out = []
-    for row in counts:
-        out_row = []
-        for cell in row:
-            entry = _dim_power(dim, 0) * 0
-            for t, cnt in cell.items():
-                entry = entry + cnt * _dim_power(dim, t.num_parts)
-            out_row.append(entry)
-        out.append(out_row)
-    return out
+    return [
+        [sum((cnt * dim**t.num_parts for t, cnt in cell.items()), dim * 0) for cell in row]
+        for row in counts
+    ]
 
 
-def _solve_linear(matrix, rhs, zero, one):
+def _solve_linear(matrix, rhs, zero):
     """Gaussian elimination over an exact field; matrix is modified."""
     m = len(matrix)
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
@@ -128,45 +116,16 @@ def _solve_linear(matrix, rhs, zero, one):
 
 
 @lru_cache(maxsize=None)
-def _weingarten_table_symbolic(n: int) -> dict[Partition, RationalFunc]:
-    """Weingarten values at symbolic dimension N, per class of S_n."""
-    classes, counts = _gram_counts(n)
-    sym = LaurentPoly.monomial(1)
-    matrix = [
-        [
-            RationalFunc(
-                sum(
-                    (cnt * sym**t.num_parts for t, cnt in cell.items()),
-                    LaurentPoly.zero(),
-                )
-            )
-            for cell in row
-        ]
-        for row in counts
-    ]
-    identity_class = Partition([1] * n)
-    rhs = [RationalFunc(1 if p == identity_class else 0) for p in classes]
-    sol = _solve_linear(matrix, rhs, RationalFunc.zero(), RationalFunc.one())
-    return dict(zip(classes, sol))
-
-
-@lru_cache(maxsize=None)
-def _weingarten_table_numeric(n: int, dim: int) -> dict[Partition, Fraction]:
-    classes, counts = _gram_counts(n)
-    matrix = [
-        [
-            sum(
-                (cnt * Fraction(dim) ** t.num_parts for t, cnt in cell.items()),
-                Fraction(0),
-            )
-            for cell in row
-        ]
-        for row in counts
-    ]
-    identity_class = Partition([1] * n)
-    rhs = [Fraction(1 if p == identity_class else 0) for p in classes]
-    sol = _solve_linear(matrix, rhs, Fraction(0), Fraction(1))
-    return dict(zip(classes, sol))
+def _weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, Fraction]]:
+    """Weingarten values per class of S_n at ``dim``, the symbol N (values
+    in RationalFunc) or an integer (exact Fractions): the solution x of
+    gram_matrix(n, dim) x = [class is the identity]."""
+    classes = conjugacy_classes(n).classes
+    matrix = gram_matrix(n, dim)
+    if not isinstance(dim, int):
+        matrix = [[RationalFunc(x) for x in row] for row in matrix]
+    rhs = [int(p.parts == (1,) * n) for p in classes]
+    return dict(zip(classes, _solve_linear(matrix, rhs, 0)))
 
 
 def _symbolic_power(dim: LaurentPoly) -> int:
@@ -195,9 +154,9 @@ def weingarten_exact(
             raise ValueError(
                 f"numeric dimension {dim} < n={n}: Gram matrix not invertible"
             )
-        return _weingarten_table_numeric(n, dim)[cls]
+        return _weingarten_table(n, dim)[cls]
     power = _symbolic_power(dim)
-    value = _weingarten_table_symbolic(n)[cls]
+    value = _weingarten_table(n, N)[cls]
     return value.substitute_power(power) if power != 1 else value
 
 

@@ -1,10 +1,11 @@
 """Command-line interface: verdicts, exit codes, output determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
-from tensormoments.algebra import LaurentPoly, RationalFunc
-from tensormoments.bubbles import Bubble, ColorSplit, necklace
+from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc
+from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
 from tensormoments.cli import main
 from tensormoments.trees import CornerLabeledTree
 
@@ -163,6 +164,12 @@ class TestMonteCarlo:
 
 
 DIPOLE = '{"d": 4, "n": 1, "colors": {"1": [1], "2": [1], "3": [1], "4": [1]}}'
+# Nine single-box chains: colour 3 shifts every box to the next one.
+NINE_CHAINS = json.dumps(
+    bubble_from_chains(
+        4, SPLIT, (1,) * 9, {1: Permutation.identity(9), 3: Permutation([2, 3, 4, 5, 6, 7, 8, 9, 1])}
+    ).to_json()
+)
 
 MALFORMED = {
     "missing_color_key": ("expect", '{"d": 2, "n": 1, "colors": {"1": [1]}}', ()),
@@ -173,7 +180,21 @@ MALFORMED = {
     "expect_numeric_N_zero": ("expect", DIPOLE, ("--numeric-N", "0")),
     "mc_numeric_N_zero": ("mc", DIPOLE, ("--numeric-N", "0")),
     "split_on_d1": ("effective", '{"d": 1, "n": 1, "colors": {"1": [1]}}', ("--split", "1")),
+    "mc_no_samples": ("mc", DIPOLE, ("--numeric-N", "2", "--samples", "0")),
+    "mc_one_sample": ("mc", DIPOLE, ("--numeric-N", "2", "--samples", "1")),
+    "mc_zero_variance": ("mc", DIPOLE, ("--numeric-N", "2", "--variance", "0")),
+    "effective_nine_chains": ("effective", NINE_CHAINS, ()),
+    "effective_over_oracle_bound": ("effective", json.dumps(necklace(4, SPLIT, 10).to_json()), ()),
 }
+
+
+def assert_refused(code, capsys):
+    """Exit 2 with exactly one ``refused: ...`` line and no traceback."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    reasons = [line for line in err.splitlines() if line.startswith("refused: ")]
+    assert len(reasons) == 1, err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -182,9 +203,38 @@ def test_malformed_input_refused(case, capsys, tmp_path):
     path = tmp_path / "input.json"
     if text is not None:
         path.write_text(text)
-    code = main([command, str(path), *extra])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err
-    reasons = [line for line in err.splitlines() if line.startswith("refused: ")]
-    assert len(reasons) == 1, err
+    assert_refused(main([command, str(path), *extra]), capsys)
+
+
+REFUSED_ARGV = {
+    "wishart_over_bound": ("wishart", "10"),
+    "wishart_zero_length": ("wishart", "0"),
+    "wishart_bad_dim": ("wishart", "2", "--rows", "x"),
+    "weingarten_over_bound": ("weingarten", "9"),
+    "weingarten_small_dim": ("weingarten", "3", "--dim", "2"),
+    "weingarten_dim_N0": ("weingarten", "3", "--dim", "N^0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGV))
+def test_out_of_range_arguments_refused(case, capsys):
+    assert_refused(main(list(REFUSED_ARGV[case])), capsys)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {
+    "weingarten_5_N2": ("weingarten", "5", "--dim", "N^2"),
+    "weingarten_5_11": ("weingarten", "5", "--dim", "11"),
+    "effective_1-1-1-1": ("effective", "chains_1-1-1-1.json", "--split", "2,4"),
+    "effective_2-1-1-1": ("effective", "chains_2-1-1-1.json", "--split", "2,4"),
+    "effective_3-3-2": ("effective", "chains_3-3-2.json", "--split", "2,4"),
+    "wishart_3-2-1": ("wishart", "3", "2", "1", "--rows", "N", "--cols", "N^2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
+def test_stdout_matches_golden_file(case, capsys):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_ARGV[case]]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.out").read_text()

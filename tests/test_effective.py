@@ -16,6 +16,7 @@ from tensormoments.bubbles import (
     Bubble,
     ColorSplit,
     NotChainExpressible,
+    bubble_from_chains,
     chain_decomposition,
     necklace,
 )
@@ -27,6 +28,7 @@ from tensormoments.effective import (
     wishart_moment_leading,
 )
 from tensormoments.oracle import gaussian_expectation
+from tensormoments.weingarten import weingarten_exact
 from tensormoments.trees import CornerLabeledTree, enumerate_trees, tree_to_bubble
 
 from conftest import edge_tree_bubble
@@ -237,3 +239,55 @@ class TestScalingDiagnostics:
         for d in diags:
             if d.exponent == mx:
                 assert d.sigma(2) == 2 and d.tau(2) == 2
+
+
+# Three chains of unequal length; no two row colours agree on any endpoint.
+UNEQUAL = bubble_from_chains(
+    4, SPLIT, (2, 1, 1), {1: Permutation([2, 3, 1]), 3: Permutation([3, 1, 2])}
+)
+
+
+def angular_brute_force(b, split):
+    """1-indexed reference for the (sigma, tau) sum, sigma outer: per pair
+    (sigma, tau, F_c, F_box, F_0, exponent, powers of tau, Wg class)."""
+    decomp = chain_decomposition(b, split)
+    m, ncols = decomp.m, len(split.column_colors)
+    out = []
+    for sigma in symmetric_group(m):
+        for tau in symmetric_group(m):
+            f_rows = {
+                c: compose(decomp.endpoint_maps[c], sigma).cycle_count()
+                for c in split.row_colors
+            }
+            f_box = tau.cycle_count()
+            rho = compose(sigma, tau.inverse())
+            f0 = rho.cycle_count()
+            exponent = sum(f_rows.values()) + ncols * f_box + ncols * (f0 - 2 * m)
+            powers = tuple(
+                sorted(
+                    (sum(decomp.chain_lengths[j - 1] for j in cyc) for cyc in tau.cycles()),
+                    reverse=True,
+                )
+            )
+            out.append((sigma, tau, f_rows, f_box, f0, exponent, powers, rho.cycle_type()))
+    return out
+
+
+class TestAngularBruteForce:
+    def test_chains_are_unequal(self):
+        assert chain_decomposition(UNEQUAL, SPLIT).chain_lengths == (2, 1, 1)
+
+    def test_scaling_diagnostics_match(self):
+        got = [
+            (d.sigma, d.tau, d.f_rows, d.f_box, d.f0, d.exponent)
+            for d in scaling_diagnostics(UNEQUAL, SPLIT)
+        ]
+        assert got == [row[:6] for row in angular_brute_force(UNEQUAL, SPLIT)]
+
+    def test_effective_observable_matches(self):
+        expected = {}
+        for _, _, f_rows, _, _, _, powers, wg_class in angular_brute_force(UNEQUAL, SPLIT):
+            term = weingarten_exact(wg_class, N2) * N ** sum(f_rows.values())
+            expected[powers] = expected.get(powers, RationalFunc.zero()) + term
+        expected = {p: c for p, c in expected.items() if c}
+        assert effective_observable(UNEQUAL, SPLIT).terms == expected

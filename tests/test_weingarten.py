@@ -14,7 +14,7 @@ from tensormoments.algebra import (
 )
 from tensormoments.weingarten import (
     _gram_counts,
-    _weingarten_table_numeric,
+    _weingarten_table,
     class_representative,
     class_size,
     conjugacy_classes,
@@ -50,16 +50,17 @@ class TestGramMatrix:
     def test_n1(self):
         assert gram_matrix(1) == [[N]]
 
-    def test_n2_by_direct_enumeration(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_by_direct_enumeration(self, n):
         # independent oracle: sum dim^{cycles(sigma_a tau^{-1})} over tau in class b
-        table = conjugacy_classes(2)
+        table = conjugacy_classes(n)
         reps = [class_representative(p) for p in table.classes]
         expected = [
             [
                 sum(
                     (
                         N ** compose(sigma, tau.inverse()).cycle_count()
-                        for tau in symmetric_group(2)
+                        for tau in symmetric_group(n)
                         if tau.cycle_type() == cls_b
                     ),
                     LaurentPoly.zero(),
@@ -68,7 +69,7 @@ class TestGramMatrix:
             ]
             for sigma in reps
         ]
-        assert gram_matrix(2) == expected
+        assert gram_matrix(n) == expected
 
     def test_n2_determinant(self):
         m = gram_matrix(2)
@@ -121,7 +122,7 @@ class TestExactValues:
         # every sigma (not only class representatives): Wg is a class function.
         for n in (2, 3, 4):
             dim = 7
-            wg = _weingarten_table_numeric(n, dim)
+            wg = _weingarten_table(n, dim)
             for sigma in symmetric_group(n):
                 total = sum(
                     Fraction(dim) ** compose(sigma, tau.inverse()).cycle_count()
@@ -136,7 +137,7 @@ class TestOrthogonality:
     @pytest.mark.parametrize("dim", [7, 11, 13])
     def test_gram_times_weingarten_is_identity(self, n, dim):
         classes, counts = _gram_counts(n)
-        wg = _weingarten_table_numeric(n, dim)
+        wg = _weingarten_table(n, dim)
         m = len(classes)
         gram = [
             [
