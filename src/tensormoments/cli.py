@@ -15,7 +15,9 @@ from .algebra import LaurentPoly, partitions_of
 from .bubbles import Bubble, ColorSplit, chain_decomposition, chain_obstruction
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
 from .montecarlo import SampleSpec, estimate_expectation
+from .oracle import DEFAULT_N_MAX as ORACLE_N_MAX
 from .oracle import BubbleTooLarge, expectation, gaussian_expectation, per_color_dimensions
+from .trees import D as TREE_D
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from .weingarten import DEFAULT_N_MAX as WG_N_MAX, weingarten_table
 
@@ -43,14 +45,17 @@ def _load(cls, path):
 
 
 def _parse_dim(text: str):
-    """'N', 'N^3' or a plain integer."""
+    """'N', 'N^k' with k >= 1 or a positive integer."""
     try:
         if text.startswith("N"):
             power = 1 if text == "N" else int(text.split("^", 1)[1])
-            return LaurentPoly.monomial(power)
-        return int(text)
+            if power >= 1:
+                return LaurentPoly.monomial(power)
+        elif int(text) >= 1:
+            return int(text)
     except (ValueError, IndexError):
-        raise _InputError(f"dimension {text!r}: expected N, N^k or an integer") from None
+        pass
+    raise _InputError(f"dimension {text!r}: expected N, N^k with k >= 1 or a positive integer")
 
 
 def cmd_expect(args) -> int:
@@ -127,12 +132,26 @@ def _tree_rows(trees, threads):
     return rows
 
 
+def _check_tree_size(total_label: int, source: str) -> None:
+    """A tree's bubble has n = total label; refuse n over the oracle bound."""
+    if total_label > ORACLE_N_MAX:
+        raise _InputError(f"{source}: {BubbleTooLarge(total_label, TREE_D, ORACLE_N_MAX)}")
+
+
 def cmd_tree(args) -> int:
     if args.enumerate:
         v, k = args.enumerate
-        trees = list(enumerate_trees(v, k))
+        _check_tree_size(k, f"--enumerate {v} {k}")
+        try:
+            trees = list(enumerate_trees(v, k))
+        except ValueError as exc:
+            raise _InputError(f"--enumerate {v} {k}: {exc}") from None
     else:
-        trees = [_load(CornerLabeledTree, args.tree)]
+        tree = _load(CornerLabeledTree, args.tree)
+        _check_tree_size(tree.total_label, args.tree)
+        if tree.color != 1:
+            raise _InputError(f"{args.tree}: root insertion color must be 1, got {tree.color}")
+        trees = [tree]
     rows = _tree_rows(trees, args.threads)
     ok = all(r["verdict"] == "PASS" for r in rows)
     if args.csv:

@@ -7,7 +7,7 @@ Exactness lives elsewhere; this module is double precision by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,8 +29,8 @@ class SampleSpec:
             raise ValueError("N must be >= 1")
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(f"variance must be finite and positive, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,7 @@ class Estimate:
     max_rel_imag: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -69,24 +64,19 @@ def sample_batch(spec: SampleSpec, index: int, count: int) -> np.ndarray:
     return scale * (re + 1j * im)
 
 
-def _einsum_args(b: Bubble, batched: bool):
-    """Integer-subscript einsum operands for the full bubble contraction.
+def _einsum_args(b: Bubble, batch: np.ndarray) -> list:
+    """Integer-subscript einsum arguments contracting the bubble on a batch.
 
-    Index (c, j) is the color-c edge into black vertex j; white i uses
-    (c, tau_c(i)).
+    Index 0 is the batch; index (c, j) is the color-c edge into black
+    vertex j, and white i uses (c, tau_c(i)).
     """
     def idx(c, j):
-        return (c - 1) * b.n + (j - 1) + (1 if batched else 0)
+        return 1 + (c - 1) * b.n + (j - 1)
 
-    subs = []
-    for i in range(1, b.n + 1):
-        subs.append([idx(c, b.tau(c)(i)) for c in range(1, b.d + 1)])
-    for j in range(1, b.n + 1):
-        subs.append([idx(c, j) for c in range(1, b.d + 1)])
-    if batched:
-        subs = [[0] + s for s in subs]
-        return subs, [0]
-    return subs, []
+    subs = [[0] + [idx(c, b.tau(c)(i)) for c in range(1, b.d + 1)] for i in range(1, b.n + 1)]
+    subs += [[0] + [idx(c, j) for c in range(1, b.d + 1)] for j in range(1, b.n + 1)]
+    operands = [batch] * b.n + [np.conj(batch)] * b.n
+    return [x for pair in zip(operands, subs) for x in pair] + [[0]]
 
 
 def evaluate_bubble(b: Bubble, tensor: np.ndarray, optimize="greedy") -> complex:
@@ -99,52 +89,40 @@ def evaluate_bubble(b: Bubble, tensor: np.ndarray, optimize="greedy") -> complex
         raise ValueError(
             f"tensor shape {tensor.shape} does not match d={b.d} equal dimensions"
         )
-    subs, out = _einsum_args(b, batched=False)
-    operands = [tensor] * b.n + [np.conj(tensor)] * b.n
-    args = [x for pair in zip(operands, subs) for x in pair] + [out]
-    return complex(np.einsum(*args, optimize=optimize))
+    return complex(np.einsum(*_einsum_args(b, tensor[None]), optimize=optimize)[0])
 
 
-def _evaluate_batch(b: Bubble, batch: np.ndarray, optimize="greedy") -> np.ndarray:
-    subs, out = _einsum_args(b, batched=True)
-    operands = [batch] * b.n + [np.conj(batch)] * b.n
-    args = [x for pair in zip(operands, subs) for x in pair] + [out]
-    return np.einsum(*args, optimize=optimize)
-
-
-def estimate_expectation(
-    b: Bubble, spec: SampleSpec, chunk: int = DEFAULT_CHUNK
-) -> Estimate:
+def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     """Streaming mean and standard error over ``spec.samples`` draws.
 
-    Chunks are keyed by their index, so the result is byte-identical for a
-    fixed seed regardless of how the chunks are scheduled.
+    Chunks of ``DEFAULT_CHUNK`` draws are keyed by their index, so the result
+    is byte-identical for a fixed seed however the chunks are scheduled. The
+    contraction is planned once, on the first chunk.
     """
     if spec.d != b.d:
         raise ValueError(f"spec has d={spec.d}, bubble has d={b.d}")
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    max_rel_imag = 0.0
-    index = 0
-    while count < spec.samples:
-        take = min(chunk, spec.samples - count)
-        values = _evaluate_batch(b, sample_batch(spec, index, take))
-        re = np.real(values)
+    mean, m2, max_rel_imag, path = 0.0, 0.0, 0.0, None
+    for index, done in enumerate(range(0, spec.samples, DEFAULT_CHUNK)):
+        take = min(DEFAULT_CHUNK, spec.samples - done)
+        args = _einsum_args(b, sample_batch(spec, index, take))
+        if path is None:
+            path, _ = np.einsum_path(*args, optimize="greedy")
+        values = np.einsum(*args, optimize=path)
         scale = np.abs(values)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.where(scale > 0, np.abs(np.imag(values)) / scale, 0.0)
+        rel = np.divide(np.abs(values.imag), scale, out=np.zeros(take), where=scale > 0)
         max_rel_imag = max(max_rel_imag, float(np.max(rel)))
-        total += float(np.sum(re))
-        total_sq += float(np.sum(re * re))
-        count += take
-        index += 1
-    mean = total / count
-    var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
+        # Merge this chunk's (count, mean, M2) into the running one in
+        # chunk-index order (Chan, Golub & LeVeque 1979): no cancellation.
+        re = values.real
+        chunk_mean = float(np.mean(re))
+        delta = chunk_mean - mean
+        mean += delta * take / (done + take)
+        m2 += float(np.sum((re - chunk_mean) ** 2)) + delta * delta * done * take / (done + take)
+    n = spec.samples
     return Estimate(
         mean=mean,
-        stderr=math.sqrt(var / count),
-        samples=count,
+        stderr=math.sqrt(m2 / (n - 1) / n),
+        samples=n,
         seed=spec.seed,
         max_rel_imag=max_rel_imag,
     )

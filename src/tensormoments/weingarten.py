@@ -164,6 +164,8 @@ def weingarten_table(
     n: int, dim: Dim, n_max: int = DEFAULT_N_MAX
 ) -> dict[Partition, Union[RationalFunc, Fraction]]:
     """All Weingarten values for S_n at the given dimension."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     return {p: weingarten_exact(p, dim, n_max=n_max) for p in partitions_of(n)}
 
 

@@ -183,6 +183,10 @@ MALFORMED = {
     "mc_no_samples": ("mc", DIPOLE, ("--numeric-N", "2", "--samples", "0")),
     "mc_one_sample": ("mc", DIPOLE, ("--numeric-N", "2", "--samples", "1")),
     "mc_zero_variance": ("mc", DIPOLE, ("--numeric-N", "2", "--variance", "0")),
+    "mc_nan_variance": ("mc", DIPOLE, ("--numeric-N", "2", "--variance", "nan")),
+    "mc_inf_variance": ("mc", DIPOLE, ("--numeric-N", "2", "--variance", "inf")),
+    "tree_over_oracle_bound": ("tree", '{"color": 1, "labels": [10], "children": []}', ()),
+    "tree_root_color_3": ("tree", '{"color": 3, "labels": [1], "children": []}', ()),
     "effective_nine_chains": ("effective", NINE_CHAINS, ()),
     "effective_over_oracle_bound": ("effective", json.dumps(necklace(4, SPLIT, 10).to_json()), ()),
 }
@@ -213,6 +217,12 @@ REFUSED_ARGV = {
     "weingarten_over_bound": ("weingarten", "9"),
     "weingarten_small_dim": ("weingarten", "3", "--dim", "2"),
     "weingarten_dim_N0": ("weingarten", "3", "--dim", "N^0"),
+    "weingarten_negative_n": ("weingarten", "-1"),
+    "wishart_negative_dim": ("wishart", "2", "--rows", "-3", "--cols", "2"),
+    "wishart_zero_dim": ("wishart", "2", "--cols", "0"),
+    "wishart_dim_N_negative_power": ("wishart", "2", "--rows", "N^-1"),
+    "tree_enumerate_zero_vertices": ("tree", "--enumerate", "0", "3"),
+    "tree_enumerate_over_oracle_bound": ("tree", "--enumerate", "1", "10"),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from tensormoments.algebra import Permutation
 from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.montecarlo import (
+    DEFAULT_CHUNK,
     Estimate,
     SampleSpec,
     estimate_expectation,
@@ -52,6 +53,9 @@ class TestSampling:
             SampleSpec(N=2, d=4, samples=1, seed=0)
         with pytest.raises(ValueError):
             SampleSpec(N=2, d=4, samples=10, seed=0, variance=0.0)
+        for variance in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SampleSpec(N=2, d=4, samples=10, seed=0, variance=variance)
 
 
 class TestEvaluateBubble:
@@ -118,8 +122,8 @@ class TestEstimate:
     def test_chunk_size_does_not_change_result(self):
         b = dipole()
         spec = SampleSpec(N=2, d=4, samples=1536, seed=3)
-        a = estimate_expectation(b, spec, chunk=512)
-        c = estimate_expectation(b, spec, chunk=512)
+        a = estimate_expectation(b, spec)
+        c = estimate_expectation(b, spec)
         assert a == c
 
     def test_dipole_matches_exact(self):
@@ -148,4 +152,24 @@ class TestEstimate:
 
     def test_json_fields(self):
         e = Estimate(mean=1.0, stderr=0.1, samples=100, seed=9)
-        assert e.to_json() == {"mean": 1.0, "stderr": 0.1, "samples": 100, "seed": 9}
+        assert e.to_json() == {
+            "mean": 1.0, "stderr": 0.1, "samples": 100, "seed": 9, "max_rel_imag": 0.0
+        }
+
+    def test_merged_statistics_match_two_pass(self):
+        # 1300 draws: two full chunks and a partial one of 276.
+        b = edge_tree_bubble(1, 1)
+        spec = SampleSpec(N=2, d=4, samples=1300, seed=21)
+        est = estimate_expectation(b, spec)
+        sizes = [DEFAULT_CHUNK, DEFAULT_CHUNK, spec.samples - 2 * DEFAULT_CHUNK]
+        values = np.array(
+            [
+                evaluate_bubble(b, t).real
+                for index, size in enumerate(sizes)
+                for t in sample_batch(spec, index, size)
+            ]
+        )
+        n = len(values)
+        assert est.samples == n
+        assert est.mean == pytest.approx(np.mean(values), rel=1e-12)
+        assert est.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(n), rel=1e-12)
