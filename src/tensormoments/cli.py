@@ -7,27 +7,30 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 from .algebra import LaurentPoly, partitions_of
-from .bubbles import Bubble, ColorSplit, chain_decomposition, chain_obstruction
+from .bubbles import Bubble, ColorSplit, NotChainExpressible
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
 from .montecarlo import SampleSpec, estimate_expectation
 from .oracle import DEFAULT_N_MAX as ORACLE_N_MAX
 from .oracle import BubbleTooLarge, expectation, gaussian_expectation, per_color_dimensions
 from .trees import D as TREE_D
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
-from .weingarten import DEFAULT_N_MAX as WG_N_MAX, weingarten_table
+from .weingarten import weingarten_table
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=1)
-    if getattr(args, "out", None):
+def _emit(text: str, args) -> None:
+    """Print ``text`` and write the same to ``--out`` when given."""
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=1)
 
 
 class _InputError(Exception):
@@ -60,11 +63,12 @@ def _parse_dim(text: str):
 
 def cmd_expect(args) -> int:
     bubble = _load(Bubble, args.bubble)
+    if args.numeric_N is not None and args.numeric_N < 1:
+        raise _InputError(f"--numeric-N must be positive, got {args.numeric_N}")
     try:
         result = expectation(bubble, alpha=args.alpha, threads=args.threads)
     except BubbleTooLarge as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(str(exc)) from None
     exp, count = result.raw.leading_term()
     report = result.to_json()
     report["dominant"] = {"exp": exp, "count": int(count)}
@@ -72,7 +76,7 @@ def cmd_expect(args) -> int:
     report["scaled_str"] = str(result.scaled)
     if args.numeric_N is not None:
         report["value_at_N"] = int(result.raw.evaluate(args.numeric_N))
-    _emit(report, args)
+    _emit(_json(report), args)
     return 0
 
 
@@ -82,21 +86,17 @@ def cmd_effective(args) -> int:
         split = ColorSplit(bubble.d, [int(c) for c in args.split.split(",")])
     except ValueError as exc:
         raise _InputError(f"--split {args.split}: {exc}") from None
-    decomp = chain_decomposition(bubble, split)
-    if decomp is None:
-        print(f"not chain-expressible: {chain_obstruction(bubble, split)}", file=sys.stderr)
-        return 2
-    if decomp.m > WG_N_MAX:
-        raise _InputError(
-            f"{decomp.m} chains exceed the Weingarten bound n_max={WG_N_MAX}: "
-            f"~{math.factorial(decomp.m) ** 2:.1e} (sigma, tau) pairs"
-        )
     # The oracle first: its size bound also keeps the Wishart moments in range.
     try:
         oracle = gaussian_expectation(bubble, threads=args.threads)
     except BubbleTooLarge as exc:
         raise _InputError(str(exc)) from None
-    expansion = effective_observable(bubble, split)
+    try:
+        expansion = effective_observable(bubble, split)
+    except NotChainExpressible as exc:
+        raise _InputError(f"not chain-expressible: {exc}") from None
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     row_dim = LaurentPoly.monomial(split.d - len(split.column_colors))
     col_dim = LaurentPoly.monomial(len(split.column_colors))
     reconstructed = laguerre_reconstruct(expansion, row_dim, col_dim)
@@ -108,7 +108,7 @@ def cmd_effective(args) -> int:
         "oracle": oracle.to_records(),
         "cross_check": "PASS" if ok else "FAIL",
     }
-    _emit(report, args)
+    _emit(_json(report), args)
     print(f"cross-check: {'PASS' if ok else 'FAIL'} "
           f"(angular route {reconstructed} vs oracle {oracle})")
     return 0 if ok else 1
@@ -135,7 +135,7 @@ def _tree_rows(trees, threads):
 def _check_tree_size(total_label: int, source: str) -> None:
     """A tree's bubble has n = total label; refuse n over the oracle bound."""
     if total_label > ORACLE_N_MAX:
-        raise _InputError(f"{source}: {BubbleTooLarge(total_label, TREE_D, ORACLE_N_MAX)}")
+        raise _InputError(f"{source}: {BubbleTooLarge(total_label, TREE_D)}")
 
 
 def cmd_tree(args) -> int:
@@ -146,6 +146,8 @@ def cmd_tree(args) -> int:
             trees = list(enumerate_trees(v, k))
         except ValueError as exc:
             raise _InputError(f"--enumerate {v} {k}: {exc}") from None
+    elif args.tree is None:
+        raise _InputError("tree: provide a tree file or --enumerate V K")
     else:
         tree = _load(CornerLabeledTree, args.tree)
         _check_tree_size(tree.total_label, args.tree)
@@ -155,11 +157,12 @@ def cmd_tree(args) -> int:
     rows = _tree_rows(trees, args.threads)
     ok = all(r["verdict"] == "PASS" for r in rows)
     if args.csv:
-        print("n,predicted,oracle_leading_coeff,verdict")
-        for r in rows:
-            print(f"{r['n']},{r['predicted']},{r['oracle_leading_coeff']},{r['verdict']}")
+        lines = ["n,predicted,oracle_leading_coeff,verdict"] + [
+            f"{r['n']},{r['predicted']},{r['oracle_leading_coeff']},{r['verdict']}" for r in rows
+        ]
+        _emit("\n".join(lines), args)
     else:
-        _emit({"trees": rows, "all_pass": ok}, args)
+        _emit(_json({"trees": rows, "all_pass": ok}), args)
     return 0 if ok else 1
 
 
@@ -180,11 +183,10 @@ def cmd_weingarten(args) -> int:
             }
         )
     if args.csv:
-        print("class,value")
-        for r in rows:
-            print(f"\"{r['class']}\",\"{r['value_str']}\"")
+        lines = ["class,value"] + [f"\"{r['class']}\",\"{r['value_str']}\"" for r in rows]
+        _emit("\n".join(lines), args)
     else:
-        _emit({"n": args.n, "dim": args.dim, "values": rows}, args)
+        _emit(_json({"n": args.n, "dim": args.dim, "values": rows}), args)
     return 0
 
 
@@ -199,7 +201,7 @@ def cmd_wishart(args) -> int:
         report = {"lengths": args.lengths, "moment": moment.to_records(), "moment_str": str(moment)}
     else:
         report = {"lengths": args.lengths, "moment": str(moment)}
-    _emit(report, args)
+    _emit(_json(report), args)
     return 0
 
 
@@ -225,7 +227,7 @@ def cmd_mc(args) -> int:
         deviation = abs(estimate.mean - exact_scaled)
         ok = deviation <= 5 * estimate.stderr
         report["within_5_sigma"] = "PASS" if ok else "FAIL"
-    _emit(report, args)
+    _emit(_json(report), args)
     return 0 if ok else 1
 
 
@@ -236,44 +238,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility; Wick enumeration is serial",
-        )
-        p.add_argument("--csv", action="store_true")
-        p.add_argument("--out", default=None)
-
     p = sub.add_parser("expect", help="exact Wick-enumeration expectation")
     p.add_argument("bubble")
     p.add_argument("--alpha", type=int, default=0, help="covariance exponent")
     p.add_argument("--numeric-N", type=int, default=None)
-    common(p)
     p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("effective", help="angular integration + cross-check")
     p.add_argument("bubble")
     p.add_argument("--split", default="2,4", help="comma-separated column colors")
-    common(p)
     p.set_defaults(func=cmd_effective)
 
     p = sub.add_parser("tree", help="Catalan-product law on tree observables")
     p.add_argument("tree", nargs="?", default=None)
     p.add_argument("--enumerate", nargs=2, type=int, metavar=("V", "K"), default=None)
-    common(p)
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("weingarten", help="Weingarten table for S_n")
     p.add_argument("n", type=int)
     p.add_argument("--dim", default="N^2", help="'N^k' or an integer")
-    common(p)
     p.set_defaults(func=cmd_weingarten)
 
     p = sub.add_parser("wishart", help="complex Wishart trace moments")
     p.add_argument("lengths", nargs="+", type=int)
     p.add_argument("--rows", default="N^2")
     p.add_argument("--cols", default="N^2")
-    common(p)
     p.set_defaults(func=cmd_wishart)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate")
@@ -282,20 +271,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variance", type=float, default=1.0)
-    common(p)
     p.set_defaults(func=cmd_mc)
 
+    # Each subcommand takes only the flags it reads.
+    for name in ("expect", "effective", "tree"):
+        sub.choices[name].add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; Wick enumeration is serial",
+        )
+    for name in ("tree", "weingarten"):
+        sub.choices[name].add_argument("--csv", action="store_true")
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write the report to this file too")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "tree" and args.tree is None and args.enumerate is None:
-        print("tree: provide a tree file or --enumerate V K", file=sys.stderr)
-        return 2
-    if getattr(args, "numeric_N", None) is not None and args.numeric_N < 1:
-        print(f"refused: --numeric-N must be positive, got {args.numeric_N}", file=sys.stderr)
-        return 2
     start = time.perf_counter()
     try:
         code = args.func(args)

@@ -38,9 +38,11 @@ from .bubbles import (
     chain_obstruction,
 )
 from .oracle import wick_histogram
-from .weingarten import DEFAULT_N_MAX, weingarten_exact
+from .weingarten import weingarten_exact
 
 WISHART_L_MAX = 9
+# The angular route sums over S_m x S_m: m!^2 pairs (518,400 at m = 6).
+ANGULAR_M_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,15 @@ class ScalingDiagnostics:
 
 
 def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
+    """The chain decomposition of ``b``, refused over the angular bound."""
     decomp = chain_decomposition(b, split)
     if decomp is None:
         raise NotChainExpressible(chain_obstruction(b, split))
+    if decomp.m > ANGULAR_M_MAX:
+        raise ValueError(
+            f"{decomp.m} chains exceed the angular bound {ANGULAR_M_MAX}: "
+            f"~{math.factorial(decomp.m) ** 2:.1e} (sigma, tau) pairs"
+        )
     return decomp
 
 
@@ -124,17 +132,14 @@ def _angular_terms(decomp: ChainDecomposition, rows: Sequence[int]):
             yield sigma, f_rows, tau, powers, _cycle_type([sigma[i] for i in tau_inv])
 
 
-def effective_observable(
-    b: Bubble, split: ColorSplit, n_max: int = DEFAULT_N_MAX
-) -> PowerSumExpansion:
+def effective_observable(b: Bubble, split: ColorSplit) -> PowerSumExpansion:
     """Integrate out the angular degrees of freedom of ``b`` over ``split``.
 
     Sums Wg_{N^q}(sigma tau^{-1}) * prod_rows N^{#cycles(pi_c sigma)} over
     sigma, tau in S_m, attaching p_{sum of chain lengths} per cycle of tau.
+    More than ``ANGULAR_M_MAX`` chains raise ValueError.
     """
     decomp = _decompose(b, split)
-    if decomp.m > n_max:
-        raise ValueError(f"{decomp.m} chains exceed the Weingarten bound n_max={n_max}")
     row_power = split.d - len(split.column_colors)
 
     # weights[powers][Wg class][row exponent] = multiplicity
@@ -149,7 +154,7 @@ def effective_observable(
     for powers, by_class in weights.items():
         coeff = RationalFunc.zero()
         for wg_class, exps in by_class.items():
-            wg = weingarten_exact(Partition(wg_class), dim, n_max=n_max)
+            wg = weingarten_exact(Partition(wg_class), dim)
             coeff = coeff + RationalFunc(LaurentPoly(exps)) * wg
         if coeff:
             terms[powers] = coeff
@@ -221,7 +226,8 @@ def laguerre_reconstruct(
 
 def scaling_diagnostics(b: Bubble, split: ColorSplit) -> list[ScalingDiagnostics]:
     """Per-(sigma, tau) cycle counts F_c, F_box, F_0 and the exponent
-    sum_c F_c + |C| F_box + |C| (F_0 - 2m)."""
+    sum_c F_c + |C| F_box + |C| (F_0 - 2m).  More than ``ANGULAR_M_MAX``
+    chains raise ValueError."""
     decomp = _decompose(b, split)
     m = decomp.m
     rows = split.row_colors

@@ -23,11 +23,11 @@ DEFAULT_N_MAX = 9
 
 
 class BubbleTooLarge(Exception):
-    def __init__(self, n: int, d: int, n_max: int):
-        self.n, self.d, self.n_max = n, d, n_max
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
         cost = math.factorial(n) * n * (d + 1)
         super().__init__(
-            f"n={n} exceeds n_max={n_max}: ~{cost:.2e} elementary steps; "
+            f"n={n} exceeds n_max={DEFAULT_N_MAX}: ~{cost:.2e} elementary steps; "
             "use the Monte Carlo estimator instead"
         )
 
@@ -54,9 +54,9 @@ class ExpectationResult:
         }
 
 
-def _check_size(b: Bubble, n_max: int) -> None:
-    if b.n > n_max:
-        raise BubbleTooLarge(b.n, b.d, n_max)
+def _check_size(b: Bubble) -> None:
+    if b.n > DEFAULT_N_MAX:
+        raise BubbleTooLarge(b.n, b.d)
 
 
 def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
@@ -88,11 +88,9 @@ def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
     return hist
 
 
-def gaussian_expectation(
-    b: Bubble, n_max: int = DEFAULT_N_MAX, threads: int = 1
-) -> LaurentPoly:
+def gaussian_expectation(b: Bubble, threads: int = 1) -> LaurentPoly:
     """Exact unit-covariance expectation of the bubble polynomial."""
-    _check_size(b, n_max)
+    _check_size(b)
     hist = wick_histogram(b, threads=threads)
     terms: dict[int, int] = {}
     for key, cnt in hist.items():
@@ -101,36 +99,30 @@ def gaussian_expectation(
     return LaurentPoly(terms)
 
 
-def expectation(
-    b: Bubble, alpha: int = 0, n_max: int = DEFAULT_N_MAX, threads: int = 1
-) -> ExpectationResult:
+def expectation(b: Bubble, alpha: int = 0, threads: int = 1) -> ExpectationResult:
     """Expectation with covariance N^{-alpha} (applied as N^{-alpha n})."""
     return ExpectationResult(
-        raw=gaussian_expectation(b, n_max=n_max, threads=threads),
+        raw=gaussian_expectation(b, threads=threads),
         alpha=alpha,
         n=b.n,
     )
 
 
-def dominant_contractions(
-    b: Bubble, n_max: int = DEFAULT_N_MAX, threads: int = 1
-) -> tuple[int, int]:
+def dominant_contractions(b: Bubble, threads: int = 1) -> tuple[int, int]:
     """(leading exponent, number of pairings achieving it)."""
-    poly = gaussian_expectation(b, n_max=n_max, threads=threads)
+    poly = gaussian_expectation(b, threads=threads)
     exp, coeff = poly.leading_term()
     assert coeff.denominator == 1
     return exp, coeff.numerator
 
 
-def per_color_dimensions(
-    b: Bubble, dims: Sequence[int], n_max: int = DEFAULT_N_MAX, threads: int = 1
-) -> int:
+def per_color_dimensions(b: Bubble, dims: Sequence[int], threads: int = 1) -> int:
     """Exact expectation with a separate numeric dimension per color."""
     if len(dims) != b.d:
         raise ValueError(f"need {b.d} dimensions, got {len(dims)}")
     if any(x < 1 for x in dims):
         raise ValueError("dimensions must be positive")
-    _check_size(b, n_max)
+    _check_size(b)
     hist = wick_histogram(b, threads=threads)
     total = 0
     for key, cnt in hist.items():

@@ -138,17 +138,15 @@ def _symbolic_power(dim: LaurentPoly) -> int:
     return exp
 
 
-def weingarten_exact(
-    cls: Partition, dim: Dim, n_max: int = DEFAULT_N_MAX
-) -> Union[RationalFunc, Fraction]:
+def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
     """Exact Weingarten value for a conjugacy class at the given dimension.
 
     ``dim`` is either a positive integer (returns a Fraction; must be
     >= |cls|) or a LaurentPoly monomial N^k (returns a RationalFunc in N).
     """
     n = cls.n
-    if n > n_max:
-        raise ValueError(f"class size {n} exceeds n_max={n_max}")
+    if n > DEFAULT_N_MAX:
+        raise ValueError(f"class size {n} exceeds n_max={DEFAULT_N_MAX}")
     if isinstance(dim, int):
         if dim < n:
             raise ValueError(
@@ -160,13 +158,11 @@ def weingarten_exact(
     return value.substitute_power(power) if power != 1 else value
 
 
-def weingarten_table(
-    n: int, dim: Dim, n_max: int = DEFAULT_N_MAX
-) -> dict[Partition, Union[RationalFunc, Fraction]]:
+def weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, Fraction]]:
     """All Weingarten values for S_n at the given dimension."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return {p: weingarten_exact(p, dim, n_max=n_max) for p in partitions_of(n)}
+    return {p: weingarten_exact(p, dim) for p in partitions_of(n)}
 
 
 def weingarten_asymptotic(cls: Partition) -> tuple[int, int]:

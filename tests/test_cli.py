@@ -1,4 +1,5 @@
 """Command-line interface: verdicts, exit codes, output determinism."""
+import argparse
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc
 from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
-from tensormoments.cli import main
+from tensormoments.cli import build_parser, main
 from tensormoments.trees import CornerLabeledTree
 
 from conftest import edge_tree_bubble
@@ -164,11 +165,19 @@ class TestMonteCarlo:
 
 
 DIPOLE = '{"d": 4, "n": 1, "colors": {"1": [1], "2": [1], "3": [1], "4": [1]}}'
-# Nine single-box chains: colour 3 shifts every box to the next one.
-NINE_CHAINS = json.dumps(
-    bubble_from_chains(
-        4, SPLIT, (1,) * 9, {1: Permutation.identity(9), 3: Permutation([2, 3, 4, 5, 6, 7, 8, 9, 1])}
-    ).to_json()
+
+
+def single_box_chains(m: int) -> str:
+    """m single-box chains: colour 3 shifts every box to the next one."""
+    shift = Permutation([*range(2, m + 1), 1])
+    return json.dumps(
+        bubble_from_chains(4, SPLIT, (1,) * m, {1: Permutation.identity(m), 3: shift}).to_json()
+    )
+
+
+# Column colours 2 and 4 disagree, so no chains exist for the split (2, 4).
+NOT_CHAIN_EXPRESSIBLE = (
+    '{"d": 4, "n": 2, "colors": {"1": [1, 2], "2": [2, 1], "3": [1, 2], "4": [1, 2]}}'
 )
 
 MALFORMED = {
@@ -187,7 +196,9 @@ MALFORMED = {
     "mc_inf_variance": ("mc", DIPOLE, ("--numeric-N", "2", "--variance", "inf")),
     "tree_over_oracle_bound": ("tree", '{"color": 1, "labels": [10], "children": []}', ()),
     "tree_root_color_3": ("tree", '{"color": 3, "labels": [1], "children": []}', ()),
-    "effective_nine_chains": ("effective", NINE_CHAINS, ()),
+    "effective_nine_chains": ("effective", single_box_chains(9), ()),
+    "effective_seven_chains": ("effective", single_box_chains(7), ()),
+    "effective_not_chain_expressible": ("effective", NOT_CHAIN_EXPRESSIBLE, ()),
     "effective_over_oracle_bound": ("effective", json.dumps(necklace(4, SPLIT, 10).to_json()), ()),
 }
 
@@ -223,6 +234,7 @@ REFUSED_ARGV = {
     "wishart_dim_N_negative_power": ("wishart", "2", "--rows", "N^-1"),
     "tree_enumerate_zero_vertices": ("tree", "--enumerate", "0", "3"),
     "tree_enumerate_over_oracle_bound": ("tree", "--enumerate", "1", "10"),
+    "tree_no_input": ("tree",),
 }
 
 
@@ -248,3 +260,43 @@ def test_stdout_matches_golden_file(case, capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{case}.out").read_text()
+
+
+@pytest.mark.parametrize("argv", [("tree", "TREE", "--csv"), ("weingarten", "2", "--csv")])
+def test_csv_out_file_equals_stdout(argv, capsys, tmp_path):
+    tree = tmp_path / "tree.json"
+    CornerLabeledTree(1, (1, 1), (CornerLabeledTree(1, (1,)),)).save(tree)
+    out_path = tmp_path / "out.csv"
+    argv = [str(tree) if a == "TREE" else a for a in argv]
+    code, out = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out.startswith(("n,predicted", "class,value"))
+    assert out_path.read_text() == out
+
+
+CLI_OPTIONS = {
+    "expect": {"--alpha", "--numeric-N", "--threads", "--out"},
+    "effective": {"--split", "--threads", "--out"},
+    "tree": {"--enumerate", "--threads", "--csv", "--out"},
+    "weingarten": {"--dim", "--csv", "--out"},
+    "wishart": {"--rows", "--cols", "--out"},
+    "mc": {"--numeric-N", "--samples", "--seed", "--variance", "--out"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv", [("expect", "b.json", "--csv"), ("mc", "b.json", "--numeric-N", "2", "--threads", "2")]
+)
+def test_unread_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2

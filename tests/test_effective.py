@@ -1,4 +1,5 @@
 """Effective observables, Wishart moments, reconstruction, scaling counts."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,17 @@ class TestEffectiveObservable:
         )
         with pytest.raises(NotChainExpressible, match="disagree"):
             effective_observable(b, SPLIT)
+
+    @pytest.mark.parametrize("route", [effective_observable, scaling_diagnostics])
+    def test_seven_chains_refused_before_the_pair_sum(self, route):
+        # Seven single-box chains: colour 3 shifts every box to the next one.
+        b = bubble_from_chains(
+            4, SPLIT, (1,) * 7, {1: Permutation.identity(7), 3: Permutation([2, 3, 4, 5, 6, 7, 1])}
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="7 chains exceed the angular bound 6"):
+            route(b, SPLIT)
+        assert time.perf_counter() - start < 1.0
 
 
 def wishart_brute_force(lengths, row, col):

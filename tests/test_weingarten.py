@@ -115,7 +115,7 @@ class TestExactValues:
 
     def test_n_max_enforced(self):
         with pytest.raises(ValueError):
-            weingarten_exact(Partition([9]), 20, n_max=8)
+            weingarten_exact(Partition([9]), 20)
 
     def test_defining_relation_all_representatives(self):
         # sum_tau dim^{cycles(sigma tau^{-1})} Wg(tau) = [sigma = id], for
