@@ -1,14 +1,17 @@
 """Exact combinatorial and symbolic arithmetic shared by every other module.
 
-Permutations and partitions of the symmetric group, Catalan numbers, and
-Laurent polynomials / rational functions in the single symbol N with
-arbitrary-precision rational coefficients.  No floating point anywhere.
+Permutations and partitions of the symmetric group, its irreducible
+characters (with the contents and hook lengths of Young diagrams), Catalan
+numbers, and Laurent polynomials / rational functions in the single symbol
+N with arbitrary-precision rational coefficients.  No floating point
+anywhere.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as _sym_group
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -170,6 +173,44 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
     for parts in gen(n, n):
         yield Partition(parts)
+
+
+@lru_cache(maxsize=None)
+def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Irreducible character chi^lam of S_n at the class mu (both partitions
+    of n as part tuples), by the Murnaghan-Nakayama rule.
+
+    A border strip of length r is a bead of the beta-set {lam_i + l - i}
+    (l = len(lam)) moved down by r onto an empty position; its height is the
+    number of beads jumped over.  chi^lam(mu) sums (-1)^height over the strip
+    removals of mu[0], recursing on the remaining parts.
+    """
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    ell = len(lam)
+    beta = [p + ell - 1 - i for i, p in enumerate(lam)]
+    beads = set(beta)
+    total = 0
+    for b in beta:
+        if b < r or b - r in beads:
+            continue
+        height = sum(1 for c in beta if b - r < c < b)
+        moved = sorted(beads - {b} | {b - r}, reverse=True)
+        shape = tuple(x for i, c in enumerate(moved) if (x := c - (ell - 1 - i)))
+        total += (-1) ** height * _character(shape, rest)
+    return total
+
+
+def _contents(lam: Sequence[int]) -> list[int]:
+    """Contents j - i of the boxes (i, j) of the Young diagram of lam."""
+    return [j - i for i, row in enumerate(lam) for j in range(row)]
+
+
+def _hook_product(lam: Sequence[int]) -> int:
+    """Product of the hook lengths of lam; f^lam = n! / _hook_product(lam)."""
+    cols = [sum(1 for row in lam if row > j) for j in range(lam[0])] if lam else []
+    return math.prod(row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
 
 
 def catalan(l: int) -> int:

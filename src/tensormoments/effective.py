@@ -6,10 +6,9 @@ the Weingarten-weighted permutation pairs yields the expansion, and the
 complex Wishart (Laguerre) moments close the loop back to the exact
 Gaussian expectation.  One generator walks the pairs (sigma, tau) of
 S_m x S_m as 0-indexed tuples for both the expansion and the scaling
-diagnostics, and the Weingarten values come from the one table builder of
-``weingarten`` on ``gram_matrix``.  The Wishart moments are reductions of
-the Wick oracle's histogram (``oracle.wick_histogram``) of the two-color
-bubble (gamma, id), where gamma has one cycle per trace.
+diagnostics, and the Weingarten values come from the character table of
+``weingarten``.  The Wishart moments are sums over the characters of S_L
+too, so this route never calls the Wick oracle it is checked against.
 """
 from __future__ import annotations
 
@@ -25,9 +24,13 @@ from .algebra import (
     Partition,
     Permutation,
     RationalFunc,
+    _character,
+    _contents,
     _cycle_type,
     _cycles,
+    _hook_product,
     catalan,
+    partitions_of,
 )
 from .bubbles import (
     Bubble,
@@ -37,7 +40,6 @@ from .bubbles import (
     chain_decomposition,
     chain_obstruction,
 )
-from .oracle import wick_histogram
 from .weingarten import weingarten_exact
 
 WISHART_L_MAX = 9
@@ -164,18 +166,6 @@ def effective_observable(b: Bubble, split: ColorSplit) -> PowerSumExpansion:
 DimLike = Union[int, Fraction, LaurentPoly]
 
 
-@lru_cache(maxsize=None)
-def _gamma_histogram(lengths: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """(cycles(gamma pi), cycles(pi)) histogram over pi in S_L: the Wick
-    histogram of the two-color bubble (gamma, id), gamma one cycle per trace."""
-    L = sum(lengths)
-    starts = [sum(lengths[:j]) + 1 for j in range(len(lengths))]
-    gamma = Permutation.from_cycles(
-        L, [tuple(range(s, s + l)) for s, l in zip(starts, lengths)]
-    )
-    return wick_histogram(Bubble(2, L, (gamma, Permutation.identity(L))))
-
-
 def wishart_moment_exact(
     lengths: Sequence[int], row_dim: DimLike, col_dim: DimLike
 ) -> Union[LaurentPoly, Fraction]:
@@ -183,19 +173,29 @@ def wishart_moment_exact(
 
     W = M M^dagger with M of size row_dim x col_dim.  Dimensions may be
     exact numbers or Laurent polynomials in N; the result is symbolic as
-    soon as either one is.
+    soon as either one is.  By characters (Hanlon, Stanley & Stembridge
+    1992), with L = sum(lengths):
+
+        sum_{lam |- L} chi^lam(lengths) prod_{box in lam} (row + c)(col + c) / H_lam.
     """
     lens = tuple(sorted((int(l) for l in lengths), reverse=True))
     if not lens or any(l < 1 for l in lens):
         raise ValueError("lengths must be positive integers")
     L = sum(lens)
     if L > WISHART_L_MAX:
-        raise ValueError(
-            f"total degree {L} exceeds the bound {WISHART_L_MAX} "
-            f"(~{math.factorial(L):.1e} pairings)"
-        )
+        raise ValueError(f"total degree {L} exceeds the bound {WISHART_L_MAX}")
     row, col = (Fraction(x) if isinstance(x, int) else x for x in (row_dim, col_dim))
-    return sum(cnt * row**a * col**c for (a, c), cnt in _gamma_histogram(lens).items())
+    return sum(_character(lam, lens) * w for lam, w in _wishart_weights(L, row, col))
+
+
+@lru_cache(maxsize=None)
+def _wishart_weights(L: int, row: DimLike, col: DimLike) -> tuple:
+    """(lam, prod_{box in lam} (row + c)(col + c) / H_lam) for every lam |- L."""
+    out = []
+    for lam in (p.parts for p in partitions_of(L)):
+        boxes = math.prod((row + c) * (col + c) for c in _contents(lam))
+        out.append((lam, Fraction(1, _hook_product(lam)) * boxes))
+    return tuple(out)
 
 
 def wishart_moment_leading(l: int, balance: str) -> int:

@@ -14,6 +14,8 @@ import numpy as np
 from .bubbles import Bubble
 
 DEFAULT_CHUNK = 512
+# numpy's einsum names subscripts by the letters a-z and A-Z.
+EINSUM_LABELS = 52
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,16 @@ def _einsum_args(b: Bubble, batch: np.ndarray) -> list:
     """Integer-subscript einsum arguments contracting the bubble on a batch.
 
     Index 0 is the batch; index (c, j) is the color-c edge into black
-    vertex j, and white i uses (c, tau_c(i)).
+    vertex j, and white i uses (c, tau_c(i)).  That is d*n + 1 labels; a
+    bubble needing more than numpy's einsum has raises ValueError.
     """
+    labels = b.d * b.n + 1
+    if labels > EINSUM_LABELS:
+        raise ValueError(
+            f"d={b.d}, n={b.n} needs {labels} einsum labels (d*n + 1); "
+            f"numpy's einsum has {EINSUM_LABELS}"
+        )
+
     def idx(c, j):
         return 1 + (c - 1) * b.n + (j - 1)
 

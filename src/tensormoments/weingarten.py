@@ -1,13 +1,15 @@
 """Exact and asymptotic Weingarten functions for the unitary group.
 
-Values come from one table builder that solves the class-algebra Gram
-system of ``gram_matrix`` (the function dim^{#cycles} over the symmetric
-group): symbolically over rational functions of N, with N -> N^k
-substituted afterwards, or numerically over exact rationals.
+Values come from one cached table per (n, dimension), built from the
+characters of S_n (Collins & Sniady 2006): over rational functions of N for
+a dimension N^k, over exact rationals for an integer.  ``gram_matrix`` (the
+function dim^{#cycles} over the symmetric group) is the system those values
+solve; the tests check the table against it.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +22,10 @@ from .algebra import (
     Partition,
     Permutation,
     RationalFunc,
+    _character,
+    _contents,
     _cycle_type,
+    _hook_product,
     catalan,
     partitions_of,
 )
@@ -97,45 +102,34 @@ def gram_matrix(n: int, dim: Dim = None) -> list[list[LaurentPoly]]:
     ]
 
 
-def _solve_linear(matrix, rhs, zero):
-    """Gaussian elimination over an exact field; matrix is modified."""
-    m = len(matrix)
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col] != zero), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular Gram matrix")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col] != zero:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [rows[r][m] for r in range(m)]
-
-
 @lru_cache(maxsize=None)
 def _weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, Fraction]]:
-    """Weingarten values per class of S_n at ``dim``, the symbol N (values
-    in RationalFunc) or an integer (exact Fractions): the solution x of
-    gram_matrix(n, dim) x = [class is the identity]."""
-    classes = conjugacy_classes(n).classes
-    matrix = gram_matrix(n, dim)
-    if not isinstance(dim, int):
-        matrix = [[RationalFunc(x) for x in row] for row in matrix]
-    rhs = [int(p.parts == (1,) * n) for p in classes]
-    return dict(zip(classes, _solve_linear(matrix, rhs, 0)))
+    """Weingarten values per class of S_n at ``dim``: exact Fractions for an
+    integer, RationalFunc in N for a Laurent polynomial such as N^k.  By
+    characters,
 
+        Wg(mu) = (1/n!) sum_{lam |- n} f^lam chi^lam(mu) / prod_{box in lam} (dim + c(box)),
 
-def _symbolic_power(dim: LaurentPoly) -> int:
-    terms = dim.terms
-    if len(terms) != 1:
-        raise ValueError(f"symbolic dimension must be a power of N, got {dim}")
-    (exp, coeff), = terms.items()
-    if coeff != 1 or exp < 1:
-        raise ValueError(f"symbolic dimension must be N^k with k >= 1, got {dim}")
-    return exp
+    with every term over the common denominator prod_c (dim + c)^{k_c} (k_c
+    the most boxes of content c in any lam), so each class costs one
+    RationalFunc construction.  The values solve gram_matrix(n, dim) x = delta.
+    """
+    if isinstance(dim, int):
+        dim = Fraction(dim)
+    lams = [lam.parts for lam in partitions_of(n)]
+    mults = [Counter(_contents(lam)) for lam in lams]
+    top = {c: max(m[c] for m in mults) for c in set().union(*mults)}
+    den = math.prod((dim + c) ** k for c, k in top.items())
+    # f^lam / n! = 1 / H_lam, times the cofactor of lam's content product.
+    weights = [
+        Fraction(1, _hook_product(lam)) * math.prod((dim + c) ** (k - m[c]) for c, k in top.items())
+        for lam, m in zip(lams, mults)
+    ]
+    table = {}
+    for cls in conjugacy_classes(n).classes:
+        num = sum((_character(lam, cls.parts) * w for lam, w in zip(lams, weights)), dim * 0)
+        table[cls] = num / den if isinstance(dim, Fraction) else RationalFunc(num, den)
+    return table
 
 
 def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
@@ -152,10 +146,9 @@ def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
             raise ValueError(
                 f"numeric dimension {dim} < n={n}: Gram matrix not invertible"
             )
-        return _weingarten_table(n, dim)[cls]
-    power = _symbolic_power(dim)
-    value = _weingarten_table(n, N)[cls]
-    return value.substitute_power(power) if power != 1 else value
+    elif list(dim.terms.values()) != [1] or dim.max_exp < 1:
+        raise ValueError(f"symbolic dimension must be N^k with k >= 1, got {dim}")
+    return _weingarten_table(n, dim)[cls]
 
 
 def weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, Fraction]]:

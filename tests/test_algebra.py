@@ -1,4 +1,6 @@
-"""Permutations, partitions, Catalan numbers, exact polynomial arithmetic."""
+"""Permutations, partitions, characters, Catalan numbers, exact polynomial
+arithmetic."""
+import math
 import random
 from fractions import Fraction
 
@@ -11,12 +13,16 @@ from tensormoments.algebra import (
     Partition,
     Permutation,
     RationalFunc,
+    _character,
+    _contents,
+    _hook_product,
     catalan,
     compose,
     cycle_type,
     partitions_of,
     symmetric_group,
 )
+from tensormoments.weingarten import class_size
 
 
 class TestPermutation:
@@ -115,6 +121,53 @@ class TestCatalan:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             catalan(-1)
+
+
+def character_table(n):
+    """(classes, class sizes, {(lam, mu): chi^lam(mu)}) of S_n."""
+    parts = [p.parts for p in partitions_of(n)]
+    sizes = [class_size(Partition(mu)) for mu in parts]
+    return parts, sizes, {(lam, mu): _character(lam, mu) for lam in parts for mu in parts}
+
+
+class TestCharacters:
+    @pytest.mark.parametrize("n", range(9))
+    def test_row_orthogonality(self, n):
+        # sum_mu |C_mu| chi^lam(mu) chi^nu(mu) = n! [lam = nu]
+        parts, sizes, chi = character_table(n)
+        for lam in parts:
+            for nu in parts:
+                total = sum(s * chi[lam, mu] * chi[nu, mu] for mu, s in zip(parts, sizes))
+                assert total == (math.factorial(n) if lam == nu else 0), (lam, nu)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_column_orthogonality(self, n):
+        # sum_lam chi^lam(mu) chi^lam(nu) = n! / |C_mu| [mu = nu]
+        parts, sizes, chi = character_table(n)
+        for mu, s in zip(parts, sizes):
+            for nu in parts:
+                total = sum(chi[lam, mu] * chi[lam, nu] for lam in parts)
+                assert total == (math.factorial(n) // s if mu == nu else 0), (mu, nu)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_dimension_is_hook_length_formula(self, n):
+        for lam in partitions_of(n):
+            assert _character(lam.parts, (1,) * n) == math.factorial(n) // _hook_product(lam.parts)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_trivial_sign_and_standard_by_enumeration(self, n):
+        # independent oracle: chi^(n) = 1, chi^(1^n) = sign, chi^(n-1,1) = fixed points - 1
+        for sigma in symmetric_group(n):
+            mu = sigma.cycle_type().parts
+            fixed = sum(1 for i in range(1, n + 1) if sigma(i) == i)
+            assert _character((n,), mu) == 1
+            assert _character((1,) * n, mu) == (-1) ** (n - len(mu))
+            assert _character((n - 1, 1), mu) == fixed - 1
+
+    def test_contents_and_hooks(self):
+        assert _contents((3, 2)) == [0, 1, 2, -1, 0]
+        assert _hook_product((3, 2)) == 4 * 3 * 1 * 2 * 1
+        assert _hook_product(()) == 1
 
 
 laurent_polys = st.dictionaries(

@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, exit codes, output determinism."""
 import argparse
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc
 from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
 from tensormoments.cli import build_parser, main
 from tensormoments.trees import CornerLabeledTree
+from tensormoments.weingarten import _weingarten_table
 
 from conftest import edge_tree_bubble
 
@@ -133,6 +135,15 @@ class TestWeingarten:
         assert values[(2,)] == "-1/120"
 
 
+    def test_n8_symbolic_table_in_seconds(self, capsys):
+        _weingarten_table.cache_clear()
+        start = time.perf_counter()
+        code, out = run(capsys, "weingarten", "8", "--dim", "N")
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert len(first_json(out)["values"]) == 22
+
+
 class TestWishart:
     def test_symbolic(self, capsys):
         code, out = run(capsys, "wishart", "2", "--rows", "N", "--cols", "N")
@@ -200,6 +211,9 @@ MALFORMED = {
     "effective_seven_chains": ("effective", single_box_chains(7), ()),
     "effective_not_chain_expressible": ("effective", NOT_CHAIN_EXPRESSIBLE, ()),
     "effective_over_oracle_bound": ("effective", json.dumps(necklace(4, SPLIT, 10).to_json()), ()),
+    "mc_over_einsum_labels": (
+        "mc", json.dumps(necklace(4, SPLIT, 13).to_json()), ("--numeric-N", "2")
+    ),
 }
 
 
@@ -235,6 +249,7 @@ REFUSED_ARGV = {
     "tree_enumerate_zero_vertices": ("tree", "--enumerate", "0", "3"),
     "tree_enumerate_over_oracle_bound": ("tree", "--enumerate", "1", "10"),
     "tree_no_input": ("tree",),
+    "tree_enumerate_over_pairing_budget": ("tree", "--enumerate", "4", "9"),
 }
 
 

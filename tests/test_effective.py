@@ -1,4 +1,5 @@
 """Effective observables, Wishart moments, reconstruction, scaling counts."""
+import sys
 import time
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from tensormoments.effective import (
     wishart_moment_exact,
     wishart_moment_leading,
 )
+from tensormoments import oracle
 from tensormoments.oracle import gaussian_expectation
 from tensormoments.weingarten import weingarten_exact
 from tensormoments.trees import CornerLabeledTree, enumerate_trees, tree_to_bubble
@@ -212,6 +214,28 @@ class TestLaguerreReconstruct:
         assert chain_decomposition(b, SPLIT).chain_lengths == (1, 1, 1, 1, 1)
         e = effective_observable(b, SPLIT)
         assert laguerre_reconstruct(e, N2, N2) == gaussian_expectation(b)
+
+
+    def test_angular_route_never_calls_the_wick_oracle(self, monkeypatch):
+        # The two routes of the cross-check must be independent: replace
+        # wick_histogram under every name a tensormoments module holds it by.
+        leaf = CornerLabeledTree(1, (1,))
+        b = tree_to_bubble(CornerLabeledTree(1, (1, 2), (CornerLabeledTree(3, (2, 1), (leaf,)),)))
+        expected = gaussian_expectation(b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the angular route called the Wick oracle")
+
+        original = oracle.wick_histogram
+        for name, module in list(sys.modules.items()):
+            if name == "tensormoments" or name.startswith("tensormoments."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        with pytest.raises(AssertionError):
+            gaussian_expectation(b)
+        e = effective_observable(b, SPLIT)
+        assert laguerre_reconstruct(e, N2, N2) == expected
 
 
 class TestScalingDiagnostics:

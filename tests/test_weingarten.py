@@ -8,8 +8,10 @@ from tensormoments.algebra import (
     LaurentPoly,
     Partition,
     RationalFunc,
+    _poly_divmod,
     compose,
     partitions_of,
+    poly_gcd,
     symmetric_group,
 )
 from tensormoments.weingarten import (
@@ -154,6 +156,46 @@ class TestOrthogonality:
             for c in range(m):
                 entry = sum(gram[a][b] * wmat[b][c] for b in range(m))
                 assert entry == (1 if a == c else 0)
+
+
+    @pytest.mark.parametrize("n,dim", [(6, 6), (6, 11), (7, 7), (7, 11), (8, 8), (8, 11)])
+    def test_gram_matrix_times_weingarten_is_identity(self, n, dim):
+        wg = _weingarten_table(n, dim)
+        size = len(wg)
+        identity = [[int(a == c) for c in range(size)] for a in range(size)]
+        assert gram_times_class_function(n, dim, wg) == identity
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_symbolic_gram_matrix_times_weingarten_is_identity(self, n):
+        # Clear the denominators: den * Wg is a Laurent polynomial per class,
+        # and gram * (den * Wg) must be den times the identity.
+        wg = _weingarten_table(n, N)
+        den = LaurentPoly.one()
+        for value in wg.values():
+            den, _ = _poly_divmod(den * value.den, poly_gcd(den, value.den))
+        cleared = {}
+        for cls, value in wg.items():
+            quotient, remainder = _poly_divmod(den, value.den)
+            assert remainder == 0
+            cleared[cls] = value.num * quotient
+        size = len(wg)
+        zero = LaurentPoly.zero()
+        expected = [[den if a == c else zero for c in range(size)] for a in range(size)]
+        assert gram_times_class_function(n, N, cleared) == expected
+
+
+def gram_times_class_function(n, dim, values):
+    """gram_matrix(n, dim) times the class-algebra matrix of the class
+    function ``values`` (entry (b, c) sums values over sigma_b tau^{-1},
+    tau in class c)."""
+    _, counts = _gram_counts(n)
+    gram = gram_matrix(n, dim)
+    wmat = [[sum(cnt * values[t] for t, cnt in cell.items()) for cell in row] for row in counts]
+    size = len(counts)
+    return [
+        [sum(gram[a][b] * wmat[b][c] for b in range(size)) for c in range(size)]
+        for a in range(size)
+    ]
 
 
 class TestAsymptotics:
