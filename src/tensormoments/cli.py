@@ -87,17 +87,17 @@ def cmd_effective(args) -> int:
         split = ColorSplit(bubble.d, [int(c) for c in args.split.split(",")])
     except ValueError as exc:
         raise _InputError(f"--split {args.split}: {exc}") from None
-    # The oracle first: its size bound also keeps the Wishart moments in range.
-    try:
-        oracle = gaussian_expectation(bubble, threads=args.threads)
-    except BubbleTooLarge as exc:
-        raise _InputError(str(exc)) from None
+    # Refusals before any enumeration: the oracle's size bound (which also
+    # keeps the Wishart moments in range), then the angular route's bounds.
+    if bubble.n > ORACLE_N_MAX:
+        raise _InputError(str(BubbleTooLarge(bubble.n, bubble.d)))
     try:
         expansion = effective_observable(bubble, split)
     except NotChainExpressible as exc:
         raise _InputError(f"not chain-expressible: {exc}") from None
     except ValueError as exc:
         raise _InputError(str(exc)) from None
+    oracle = gaussian_expectation(bubble, threads=args.threads)
     row_dim = LaurentPoly.monomial(split.d - len(split.column_colors))
     col_dim = LaurentPoly.monomial(len(split.column_colors))
     reconstructed = laguerre_reconstruct(expansion, row_dim, col_dim)

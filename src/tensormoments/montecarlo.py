@@ -2,20 +2,33 @@
 
 Sampling uses the counter-based Philox generator keyed by (seed, chunk
 index), so results are reproducible and independent of evaluation order.
+
+The contraction is planned here, not by numpy: ``_plan`` orders the 2n
+tensors pair by pair with a greedy smallest-intermediate rule, once per
+bubble and before any sample is drawn, and ``_contract`` runs each pair as
+one two-operand ``np.einsum`` with its labels renumbered from 0.  So
+numpy's 52 einsum letters do not limit d*n, and no intermediate cap drops
+the rest of a contraction into one nested loop, as numpy's greedy path
+does.  The one bound is memory: a plan whose largest array in a chunk, the
+sampled batch included, exceeds ``INTERMEDIATE_MAX`` elements is refused
+with its size and FLOP count.
 Exactness lives elsewhere; this module is double precision by design.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .bubbles import Bubble
 
 DEFAULT_CHUNK = 512
-# numpy's einsum names subscripts by the letters a-z and A-Z.
-EINSUM_LABELS = 52
+# Elements in the largest array of one chunk, the sampled batch included:
+# 2**25 complex doubles are 512 MiB.
+INTERMEDIATE_MAX = 2**25
 
 
 @dataclass(frozen=True)
@@ -66,40 +79,104 @@ def sample_batch(spec: SampleSpec, index: int, count: int) -> np.ndarray:
     return scale * (re + 1j * im)
 
 
-def _einsum_args(b: Bubble, batch: np.ndarray) -> list:
-    """Integer-subscript einsum arguments contracting the bubble on a batch.
+def _labels(b: Bubble) -> list[tuple[int, ...]]:
+    """Contraction labels of the 2n tensors: the n copies of T, then the n of T-bar.
 
-    Index 0 is the batch; index (c, j) is the color-c edge into black
-    vertex j, and white i uses (c, tau_c(i)).  That is d*n + 1 labels; a
-    bubble needing more than numpy's einsum has raises ValueError.
+    Label 0 is the sample; label (c, j) is the color-c edge into black
+    vertex j, and white i uses (c, tau_c(i)).  Every other label sits on
+    exactly one white and one black tensor.
     """
-    labels = b.d * b.n + 1
-    if labels > EINSUM_LABELS:
-        raise ValueError(
-            f"d={b.d}, n={b.n} needs {labels} einsum labels (d*n + 1); "
-            f"numpy's einsum has {EINSUM_LABELS}"
-        )
-
     def idx(c, j):
         return 1 + (c - 1) * b.n + (j - 1)
 
-    subs = [[0] + [idx(c, b.tau(c)(i)) for c in range(1, b.d + 1)] for i in range(1, b.n + 1)]
-    subs += [[0] + [idx(c, j) for c in range(1, b.d + 1)] for j in range(1, b.n + 1)]
-    operands = [batch] * b.n + [np.conj(batch)] * b.n
-    return [x for pair in zip(operands, subs) for x in pair] + [[0]]
+    colors = range(1, b.d + 1)
+    whites = [(0, *(idx(c, b.tau(c)(i)) for c in colors)) for i in range(1, b.n + 1)]
+    blacks = [(0, *(idx(c, j) for c in colors)) for j in range(1, b.n + 1)]
+    return whites + blacks
 
 
-def evaluate_bubble(b: Bubble, tensor: np.ndarray, optimize="greedy") -> complex:
+def _kept(a: tuple, c: tuple, holders: dict) -> tuple:
+    """Labels of the product of terms ``a`` and ``c`` that another term or the
+    output still holds, in the order numpy's batched matmul produces them
+    (it takes the pair as (c, a)): shared, then ``c``'s own, then ``a``'s."""
+    order = [x for x in c if x in a] + [x for x in c if x not in a] + [x for x in a if x not in c]
+    return tuple(x for x in order if holders[x] > (x in a) + (x in c))
+
+
+def _plan(b: Bubble, N: int) -> tuple[list, int, int]:
+    """Greedy pairwise contraction order for one chunk of ``DEFAULT_CHUNK`` samples.
+
+    Works on label sets alone.  Each step contracts the pair of terms (i, j),
+    i < j, whose product grows memory least, size(out) - size(a) - size(b),
+    the rule of opt_einsum's greedy (Smith & Gray 2018), with ties to the
+    smallest (i, j); the product goes to the end of the list, as in numpy's
+    paths.  No intermediate is capped.  Returns (steps, FLOPs per chunk as
+    ``np.einsum_path`` counts them, largest array in elements), where a step
+    is (i, j, subscripts of a, b and the product, renumbered from 0) and the
+    largest array includes the sampled batch.  A plan whose largest array
+    exceeds ``INTERMEDIATE_MAX`` is refused with ValueError.
+    """
+    def size(labels, dim=N):  # every term carries the sample label 0
+        return DEFAULT_CHUNK * dim ** (len(labels) - 1)
+
+    # At N = 1 every order costs the same; ranking pairs as at N = 2 keeps
+    # each step's label count small (numpy's einsum has 52 letters).
+    rank_dim = max(N, 2)
+    terms = _labels(b)
+    holders = Counter(x for term in terms for x in term)
+    holders[0] += 1  # the output holds the sample label
+    steps, flops, largest = [], 0, DEFAULT_CHUNK * N**b.d
+    while len(terms) > 1:
+        best = None
+        for i, j in combinations(range(len(terms)), 2):
+            out = _kept(terms[i], terms[j], holders)
+            cost = size(out, rank_dim) - size(terms[i], rank_dim) - size(terms[j], rank_dim)
+            if best is None or cost < best[0]:
+                best = (cost, i, j, out)
+        _, i, j, out = best
+        a, c = terms[i], terms[j]
+        local = {x: k for k, x in enumerate(dict.fromkeys(a + c))}
+        steps.append((i, j, tuple([local[x] for x in t] for t in (a, c, out))))
+        flops += size(local) * (2 if len(out) < len(local) else 1)
+        largest = max(largest, size(out))
+        holders.subtract(a + c)
+        holders.update(out)
+        del terms[j], terms[i]
+        terms.append(out)
+    if largest > INTERMEDIATE_MAX:
+        raise ValueError(
+            f"d={b.d}, n={b.n} at N={N}: the largest array of a {DEFAULT_CHUNK}-sample "
+            f"chunk holds {largest:.2e} elements, over INTERMEDIATE_MAX = "
+            f"{INTERMEDIATE_MAX:.2e}; the plan costs {flops:.2e} FLOPs per chunk"
+        )
+    return steps, flops, largest
+
+
+def _contract(batch: np.ndarray, n: int, steps: list) -> np.ndarray:
+    """The bubble's value on each tensor of ``batch``, one einsum per step."""
+    operands = [batch] * n + [np.conj(batch)] * n
+    for i, j, (sub_a, sub_b, sub_out) in steps:
+        # An explicit one-pair path sends the pair to numpy's batched matmul.
+        product = np.einsum(
+            operands[i], sub_a, operands[j], sub_b, sub_out, optimize=["einsum_path", (0, 1)]
+        )
+        del operands[j], operands[i]
+        operands.append(product)
+    return operands[0]
+
+
+def evaluate_bubble(b: Bubble, tensor: np.ndarray) -> complex:
     """Contract the bubble polynomial on one tensor.
 
-    The contraction order comes from numpy's greedy smallest-intermediate
-    planner by default; any order gives the same value up to rounding.
+    It runs the plan ``estimate_expectation`` runs, so the memory budget of
+    a full chunk applies here too.
     """
     if tensor.ndim != b.d or any(s != tensor.shape[0] for s in tensor.shape):
         raise ValueError(
             f"tensor shape {tensor.shape} does not match d={b.d} equal dimensions"
         )
-    return complex(np.einsum(*_einsum_args(b, tensor[None]), optimize=optimize)[0])
+    steps, _, _ = _plan(b, tensor.shape[0])
+    return complex(_contract(tensor[None], b.n, steps)[0])
 
 
 def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
@@ -107,17 +184,16 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
 
     Chunks of ``DEFAULT_CHUNK`` draws are keyed by their index, so the result
     is byte-identical for a fixed seed however the chunks are scheduled. The
-    contraction is planned once, on the first chunk.
+    contraction is planned once, before the first chunk is drawn, so a plan
+    over the memory budget is refused before any sampling.
     """
     if spec.d != b.d:
         raise ValueError(f"spec has d={spec.d}, bubble has d={b.d}")
-    mean, m2, max_rel_imag, path = 0.0, 0.0, 0.0, None
+    steps, _, _ = _plan(b, spec.N)
+    mean, m2, max_rel_imag = 0.0, 0.0, 0.0
     for index, done in enumerate(range(0, spec.samples, DEFAULT_CHUNK)):
         take = min(DEFAULT_CHUNK, spec.samples - done)
-        args = _einsum_args(b, sample_batch(spec, index, take))
-        if path is None:
-            path, _ = np.einsum_path(*args, optimize="greedy")
-        values = np.einsum(*args, optimize=path)
+        values = _contract(sample_batch(spec, index, take), b.n, steps)
         scale = np.abs(values)
         rel = np.divide(np.abs(values.imag), scale, out=np.zeros(take), where=scale > 0)
         max_rel_imag = max(max_rel_imag, float(np.max(rel)))

@@ -1,11 +1,13 @@
 """Command-line interface: verdicts, exit codes, output determinism."""
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from tensormoments import montecarlo, oracle
 from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc
 from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
 from tensormoments.cli import build_parser, main
@@ -167,6 +169,13 @@ class TestMonteCarlo:
         assert report["exact"] == 160.0
         assert report["within_5_sigma"] == "PASS"
 
+    def test_past_numpy_einsum_labels(self, capsys, bubble_file):
+        # d*n + 1 = 53 labels: more than numpy's einsum alphabet.
+        path = bubble_file(necklace(4, SPLIT, 13))
+        code, out = run(capsys, "mc", path, "--numeric-N", "2", "--seed", "5")
+        assert code == 0
+        assert first_json(out)["samples"] == 100_000
+
     def test_reruns_byte_identical(self, capsys, bubble_file):
         path = bubble_file(necklace(4, SPLIT, 2))
         args = ("mc", path, "--numeric-N", "2", "--samples", "2000", "--seed", "3")
@@ -211,8 +220,9 @@ MALFORMED = {
     "effective_seven_chains": ("effective", single_box_chains(7), ()),
     "effective_not_chain_expressible": ("effective", NOT_CHAIN_EXPRESSIBLE, ()),
     "effective_over_oracle_bound": ("effective", json.dumps(necklace(4, SPLIT, 10).to_json()), ()),
-    "mc_over_einsum_labels": (
-        "mc", json.dumps(necklace(4, SPLIT, 13).to_json()), ("--numeric-N", "2")
+    # One 512-sample chunk of N^4 entries at N = 64 would be ~137 GB.
+    "mc_over_memory_budget": (
+        "mc", json.dumps(necklace(4, SPLIT, 2).to_json()), ("--numeric-N", "64")
     ),
 }
 
@@ -226,8 +236,26 @@ def assert_refused(code, capsys):
     assert len(reasons) == 1, err
 
 
+def _forbid(monkeypatch, module, name):
+    """Make ``module.name`` raise, under every name a tensormoments module
+    holds it by."""
+    original = getattr(module, name)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} called before the refusal")
+
+    for key, mod in list(sys.modules.items()):
+        if key == "tensormoments" or key.startswith("tensormoments."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, forbidden)
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_refused(case, capsys, tmp_path):
+def test_malformed_input_refused(case, capsys, tmp_path, monkeypatch):
+    # A refusal costs no Wick enumeration and no Monte Carlo sample.
+    _forbid(monkeypatch, oracle, "wick_histogram")
+    _forbid(monkeypatch, montecarlo, "sample_batch")
     command, text, extra = MALFORMED[case]
     path = tmp_path / "input.json"
     if text is not None:

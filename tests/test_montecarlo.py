@@ -1,13 +1,18 @@
 """Monte Carlo sampling: reproducibility, invariances, statistical accuracy."""
+import time
+
 import numpy as np
 import pytest
 
+from tensormoments import montecarlo
 from tensormoments.algebra import Permutation
 from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.montecarlo import (
     DEFAULT_CHUNK,
+    INTERMEDIATE_MAX,
     Estimate,
     SampleSpec,
+    _plan,
     estimate_expectation,
     evaluate_bubble,
     sample_batch,
@@ -18,6 +23,22 @@ from tensormoments.oracle import per_color_dimensions
 from conftest import edge_tree_bubble
 
 SPLIT = ColorSplit(4, [2, 4])
+# A connected d = 4, n = 14 bubble: colour 1 the identity, the others drawn
+# at random once and written out.
+RANDOM_N14 = (
+    tuple(range(1, 15)),
+    (13, 14, 8, 1, 7, 3, 6, 5, 4, 9, 11, 12, 10, 2),
+    (4, 1, 10, 13, 6, 3, 9, 14, 2, 12, 7, 11, 8, 5),
+    (2, 4, 10, 13, 7, 8, 6, 1, 14, 5, 12, 11, 9, 3),
+)
+# The d = 4, n = 8 bubble on which numpy's greedy plan cost 4.5e11 FLOPs per
+# 512-sample chunk at N = 2.
+GREEDY_CLIFF_N8 = (
+    (1, 2, 3, 4, 5, 6, 7, 8),
+    (7, 4, 2, 1, 8, 3, 6, 5),
+    (5, 7, 6, 4, 3, 8, 2, 1),
+    (7, 3, 4, 6, 1, 8, 5, 2),
+)
 
 
 def dipole(d=4):
@@ -97,12 +118,35 @@ class TestEvaluateBubble:
             assert evaluate_bubble(b, rotated) == pytest.approx(base, rel=1e-8)
 
     def test_contraction_order_irrelevant(self):
+        # Reference: numpy's own full einsum, planned by its optimal search.
         rng = np.random.default_rng(17)
         t = rng.standard_normal((3,) * 4) + 1j * rng.standard_normal((3,) * 4)
-        b = edge_tree_bubble(2, 2)
-        greedy = evaluate_bubble(b, t, optimize="greedy")
-        optimal = evaluate_bubble(b, t, optimize="optimal")
-        assert greedy == pytest.approx(optimal, rel=1e-9)
+        for b in [edge_tree_bubble(2, 2), necklace(4, SPLIT, 2), necklace(4, SPLIT, 3)]:
+            args = []
+            for i in range(1, b.n + 1):
+                args += [t, [b.n * (c - 1) + b.tau(c)(i) - 1 for c in range(1, 5)]]
+            for j in range(1, b.n + 1):
+                args += [t.conj(), [b.n * (c - 1) + j - 1 for c in range(1, 5)]]
+            optimal = np.einsum(*args, [], optimize="optimal")
+            assert evaluate_bubble(b, t) == pytest.approx(complex(optimal), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            necklace(4, SPLIT, 13),
+            necklace(4, SPLIT, 16),
+            Bubble(4, 14, tuple(Permutation(list(images)) for images in RANDOM_N14)),
+        ],
+        ids=["necklace13", "necklace16", "random14"],
+    )
+    def test_rank_one_tensor_past_numpy_einsum_labels(self, b):
+        # T = u1 x u2 x u3 x u4: each colour-c edge contracts u_c with its
+        # conjugate, so the bubble is prod_c |u_c|^(2n).  d*n + 1 > 52.
+        rng = np.random.default_rng(23)
+        us = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
+        t = np.einsum("i,j,k,l->ijkl", *us)
+        expected = np.prod([np.linalg.norm(u) ** (2 * b.n) for u in us])
+        assert evaluate_bubble(b, t) == pytest.approx(expected, rel=1e-10)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -173,3 +217,41 @@ class TestEstimate:
         assert est.samples == n
         assert est.mean == pytest.approx(np.mean(values), rel=1e-12)
         assert est.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(n), rel=1e-12)
+
+
+class TestPlan:
+    def test_greedy_cliff_bubble_in_seconds(self):
+        b = Bubble(4, 8, tuple(Permutation(list(images)) for images in GREEDY_CLIFF_N8))
+        spec = SampleSpec(N=2, d=4, samples=2000, seed=0)
+        start = time.perf_counter()
+        est = estimate_expectation(b, spec)
+        assert time.perf_counter() - start < 5.0
+        exact = float(per_color_dimensions(b, (2,) * 4))
+        assert abs(est.mean - exact) <= 5 * est.stderr
+
+    def test_plan_counts_flops_like_numpy(self):
+        # The plan's FLOPs per chunk are np.einsum_path's count of each step.
+        b = necklace(4, SPLIT, 3)
+        steps, flops, largest = _plan(b, 3)
+        counted = []
+        for _, _, (sub_a, sub_b, sub_out) in steps:
+            a = np.empty((DEFAULT_CHUNK,) + (3,) * (len(sub_a) - 1))
+            c = np.empty((DEFAULT_CHUNK,) + (3,) * (len(sub_b) - 1))
+            _, report = np.einsum_path(
+                a, sub_a, c, sub_b, sub_out, optimize=["einsum_path", (0, 1)]
+            )
+            counted.append(float(report.split("Optimized FLOP count:")[1].split()[0]))
+        assert flops == pytest.approx(sum(counted), rel=1e-3)
+        assert largest == DEFAULT_CHUNK * 3**4
+
+    def test_over_memory_budget_refused_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the plan was checked")
+
+        monkeypatch.setattr(montecarlo, "sample_batch", refuse)
+        # The dipole's only intermediate is one value per sample, so the
+        # sampled batch alone decides: it fills the budget at N = 16.
+        N = round((INTERMEDIATE_MAX / DEFAULT_CHUNK) ** 0.25)
+        assert _plan(dipole(), N)[2] == INTERMEDIATE_MAX
+        with pytest.raises(ValueError, match="INTERMEDIATE_MAX"):
+            estimate_expectation(dipole(), SampleSpec(N=N + 1, d=4, samples=10, seed=0))
