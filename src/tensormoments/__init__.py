@@ -10,6 +10,7 @@ from .algebra import (
     Partition,
     Permutation,
     RationalFunc,
+    Refused,
     catalan,
     compose,
     cycle_type,

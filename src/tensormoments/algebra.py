@@ -4,7 +4,8 @@ Permutations and partitions of the symmetric group, its irreducible
 characters (with the contents and hook lengths of Young diagrams), Catalan
 numbers, and Laurent polynomials / rational functions in the single symbol
 N with arbitrary-precision rational coefficients.  No floating point
-anywhere.
+anywhere.  Also ``Refused``, the one exception a size bound or range check
+raises.
 """
 from __future__ import annotations
 
@@ -16,6 +17,14 @@ from itertools import permutations as _sym_group
 from typing import Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
+
+
+class Refused(ValueError):
+    """An input over a size bound or out of range, refused where the bound lives.
+
+    The command line reports it as one ``refused:`` line with exit code 2;
+    any other exception is a fault and keeps its traceback.
+    """
 
 
 class Permutation:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Permutation, compose
+from .algebra import Permutation, Refused, compose
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class ChainDecomposition:
         return len(self.chain_lengths)
 
 
-class NotChainExpressible(Exception):
+class NotChainExpressible(Refused):
     """The bubble is not a word in MM^dagger for the given split."""
 
 

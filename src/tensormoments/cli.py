@@ -1,7 +1,10 @@
 """Command-line front end: expect, effective, tree, weingarten, wishart, mc.
 
 Every cross-check command prints a PASS/FAIL verdict with both sides'
-exact values and exits 0 only when all checks pass.
+exact values and exits 0 only when all checks pass.  A ``Refused`` raised
+anywhere below a command, where its bound lives, becomes one ``refused:``
+line and exit code 2; any other exception is a fault and keeps its
+traceback.
 """
 from __future__ import annotations
 
@@ -11,12 +14,11 @@ import math
 import sys
 import time
 
-from .algebra import LaurentPoly, partitions_of
-from .bubbles import Bubble, ColorSplit, NotChainExpressible
+from .algebra import LaurentPoly, Refused, partitions_of
+from .bubbles import Bubble, ColorSplit
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
 from .montecarlo import SampleSpec, estimate_expectation
-from .oracle import DEFAULT_N_MAX as ORACLE_N_MAX
-from .oracle import BubbleTooLarge, expectation, gaussian_expectation, per_color_dimensions
+from .oracle import check_size, expectation, gaussian_expectation, per_color_dimensions
 from .trees import D as TREE_D
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from .weingarten import weingarten_table
@@ -34,18 +36,14 @@ def _json(report: dict) -> str:
     return json.dumps(report, indent=1)
 
 
-class _InputError(Exception):
-    """Malformed command-line input, reported as a one-line refusal."""
-
-
 def _load(cls, path):
     """``cls.load(path)`` for a bubble or tree file, malformed files refused."""
     try:
         return cls.load(path)
     except KeyError as exc:
-        raise _InputError(f"{path}: missing key {exc}") from None
+        raise Refused(f"{path}: missing key {exc}") from None
     except (OSError, ValueError, TypeError) as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        raise Refused(f"{path}: {exc}") from None
 
 
 def _parse_dim(text: str):
@@ -59,17 +57,14 @@ def _parse_dim(text: str):
             return int(text)
     except (ValueError, IndexError):
         pass
-    raise _InputError(f"dimension {text!r}: expected N, N^k with k >= 1 or a positive integer")
+    raise Refused(f"dimension {text!r}: expected N, N^k with k >= 1 or a positive integer")
 
 
 def cmd_expect(args) -> int:
     bubble = _load(Bubble, args.bubble)
     if args.numeric_N is not None and args.numeric_N < 1:
-        raise _InputError(f"--numeric-N must be positive, got {args.numeric_N}")
-    try:
-        result = expectation(bubble, alpha=args.alpha, threads=args.threads)
-    except BubbleTooLarge as exc:
-        raise _InputError(str(exc)) from None
+        raise Refused(f"--numeric-N must be positive, got {args.numeric_N}")
+    result = expectation(bubble, alpha=args.alpha, threads=args.threads)
     exp, count = result.raw.leading_term()
     report = result.to_json()
     report["dominant"] = {"exp": exp, "count": int(count)}
@@ -86,17 +81,11 @@ def cmd_effective(args) -> int:
     try:
         split = ColorSplit(bubble.d, [int(c) for c in args.split.split(",")])
     except ValueError as exc:
-        raise _InputError(f"--split {args.split}: {exc}") from None
+        raise Refused(f"--split {args.split}: {exc}") from None
     # Refusals before any enumeration: the oracle's size bound (which also
     # keeps the Wishart moments in range), then the angular route's bounds.
-    if bubble.n > ORACLE_N_MAX:
-        raise _InputError(str(BubbleTooLarge(bubble.n, bubble.d)))
-    try:
-        expansion = effective_observable(bubble, split)
-    except NotChainExpressible as exc:
-        raise _InputError(f"not chain-expressible: {exc}") from None
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+    check_size(bubble.n, bubble.d)
+    expansion = effective_observable(bubble, split)
     oracle = gaussian_expectation(bubble, threads=args.threads)
     row_dim = LaurentPoly.monomial(split.d - len(split.column_colors))
     col_dim = LaurentPoly.monomial(len(split.column_colors))
@@ -138,33 +127,24 @@ def _tree_rows(trees, threads):
 TREE_PAIRINGS_MAX = 10**6
 
 
-def _check_tree_size(total_label: int, source: str) -> None:
-    """A tree's bubble has n = total label; refuse n over the oracle bound."""
-    if total_label > ORACLE_N_MAX:
-        raise _InputError(f"{source}: {BubbleTooLarge(total_label, TREE_D)}")
-
-
 def cmd_tree(args) -> int:
+    # A tree's bubble has n = its total label: the oracle's bound is checked
+    # before any tree is enumerated.
     if args.enumerate:
         v, k = args.enumerate
-        _check_tree_size(k, f"--enumerate {v} {k}")
-        try:
-            trees = list(enumerate_trees(v, k))
-        except ValueError as exc:
-            raise _InputError(f"--enumerate {v} {k}: {exc}") from None
+        check_size(k, TREE_D)
+        trees = list(enumerate_trees(v, k))
         pairings = sum(math.factorial(t.total_label) for t in trees)
         if pairings > TREE_PAIRINGS_MAX:
-            raise _InputError(
+            raise Refused(
                 f"--enumerate {v} {k}: {len(trees)} trees need ~{pairings:.1e} Wick "
                 f"pairings, over the budget {TREE_PAIRINGS_MAX:.0e}"
             )
     elif args.tree is None:
-        raise _InputError("tree: provide a tree file or --enumerate V K")
+        raise Refused("provide a tree file or --enumerate V K")
     else:
         tree = _load(CornerLabeledTree, args.tree)
-        _check_tree_size(tree.total_label, args.tree)
-        if tree.color != 1:
-            raise _InputError(f"{args.tree}: root insertion color must be 1, got {tree.color}")
+        check_size(tree.total_label, TREE_D)
         trees = [tree]
     rows = _tree_rows(trees, args.threads)
     ok = all(r["verdict"] == "PASS" for r in rows)
@@ -180,10 +160,7 @@ def cmd_tree(args) -> int:
 
 def cmd_weingarten(args) -> int:
     dim = _parse_dim(args.dim)
-    try:
-        table = weingarten_table(args.n, dim)
-    except ValueError as exc:
-        raise _InputError(f"weingarten {args.n} --dim {args.dim}: {exc}") from None
+    table = weingarten_table(args.n, dim)
     rows = []
     for p in partitions_of(args.n):
         value = table[p]
@@ -205,10 +182,7 @@ def cmd_weingarten(args) -> int:
 def cmd_wishart(args) -> int:
     row = _parse_dim(args.rows)
     col = _parse_dim(args.cols)
-    try:
-        moment = wishart_moment_exact(args.lengths, row, col)
-    except ValueError as exc:
-        raise _InputError(f"wishart {' '.join(map(str, args.lengths))}: {exc}") from None
+    moment = wishart_moment_exact(args.lengths, row, col)
     if isinstance(moment, LaurentPoly):
         report = {"lengths": args.lengths, "moment": moment.to_records(), "moment_str": str(moment)}
     else:
@@ -219,20 +193,14 @@ def cmd_wishart(args) -> int:
 
 def cmd_mc(args) -> int:
     bubble = _load(Bubble, args.bubble)
-    try:
-        spec = SampleSpec(
-            N=args.numeric_N,
-            d=bubble.d,
-            samples=args.samples,
-            seed=args.seed,
-            variance=args.variance,
-        )
-    except ValueError as exc:
-        raise _InputError(f"mc: {exc}") from None
-    try:
-        estimate = estimate_expectation(bubble, spec)
-    except ValueError as exc:
-        raise _InputError(f"mc: {exc}") from None
+    spec = SampleSpec(
+        N=args.numeric_N,
+        d=bubble.d,
+        samples=args.samples,
+        seed=args.seed,
+        variance=args.variance,
+    )
+    estimate = estimate_expectation(bubble, spec)
     report = estimate.to_json()
     ok = True
     if bubble.n <= 7:
@@ -306,8 +274,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
-    except _InputError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+    except Refused as exc:
+        print(f"refused: {args.command}: {exc}", file=sys.stderr)
         code = 2
     elapsed = time.perf_counter() - start
     print(f"done in {elapsed:.3f}s (exit {code})", file=sys.stderr)

@@ -24,6 +24,7 @@ from .algebra import (
     Partition,
     Permutation,
     RationalFunc,
+    Refused,
     _character,
     _contents,
     _cycle_type,
@@ -99,9 +100,9 @@ def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
     """The chain decomposition of ``b``, refused over the angular bound."""
     decomp = chain_decomposition(b, split)
     if decomp is None:
-        raise NotChainExpressible(chain_obstruction(b, split))
+        raise NotChainExpressible(f"not chain-expressible: {chain_obstruction(b, split)}")
     if decomp.m > ANGULAR_M_MAX:
-        raise ValueError(
+        raise Refused(
             f"{decomp.m} chains exceed the angular bound {ANGULAR_M_MAX}: "
             f"~{math.factorial(decomp.m) ** 2:.1e} (sigma, tau) pairs"
         )
@@ -139,7 +140,9 @@ def effective_observable(b: Bubble, split: ColorSplit) -> PowerSumExpansion:
 
     Sums Wg_{N^q}(sigma tau^{-1}) * prod_rows N^{#cycles(pi_c sigma)} over
     sigma, tau in S_m, attaching p_{sum of chain lengths} per cycle of tau.
-    More than ``ANGULAR_M_MAX`` chains raise ValueError.
+    A bubble that is not chain-expressible for ``split`` raises
+    ``NotChainExpressible`` and more than ``ANGULAR_M_MAX`` chains raise
+    ``Refused``, both before any pair is walked.
     """
     decomp = _decompose(b, split)
     row_power = split.d - len(split.column_colors)
@@ -179,11 +182,11 @@ def wishart_moment_exact(
         sum_{lam |- L} chi^lam(lengths) prod_{box in lam} (row + c)(col + c) / H_lam.
     """
     lens = tuple(sorted((int(l) for l in lengths), reverse=True))
-    if not lens or any(l < 1 for l in lens):
-        raise ValueError("lengths must be positive integers")
+    if any(l < 1 for l in lens):
+        raise Refused("lengths must be positive integers")
     L = sum(lens)
     if L > WISHART_L_MAX:
-        raise ValueError(f"total degree {L} exceeds the bound {WISHART_L_MAX}")
+        raise Refused(f"total degree {L} exceeds the bound {WISHART_L_MAX}")
     row, col = (Fraction(x) if isinstance(x, int) else x for x in (row_dim, col_dim))
     return sum(_character(lam, lens) * w for lam, w in _wishart_weights(L, row, col))
 
@@ -226,8 +229,8 @@ def laguerre_reconstruct(
 
 def scaling_diagnostics(b: Bubble, split: ColorSplit) -> list[ScalingDiagnostics]:
     """Per-(sigma, tau) cycle counts F_c, F_box, F_0 and the exponent
-    sum_c F_c + |C| F_box + |C| (F_0 - 2m).  More than ``ANGULAR_M_MAX``
-    chains raise ValueError."""
+    sum_c F_c + |C| F_box + |C| (F_0 - 2m).  Refused as
+    ``effective_observable`` is."""
     decomp = _decompose(b, split)
     m = decomp.m
     rows = split.row_colors

@@ -23,6 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .algebra import Refused
 from .bubbles import Bubble
 
 DEFAULT_CHUNK = 512
@@ -41,11 +42,11 @@ class SampleSpec:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("N must be >= 1")
+            raise Refused("N must be >= 1")
         if self.samples < 2:
-            raise ValueError("need at least 2 samples")
+            raise Refused("need at least 2 samples")
         if not 0 < self.variance < math.inf:
-            raise ValueError(f"variance must be finite and positive, got {self.variance}")
+            raise Refused(f"variance must be finite and positive, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -103,21 +104,22 @@ def _kept(a: tuple, c: tuple, holders: dict) -> tuple:
     return tuple(x for x in order if holders[x] > (x in a) + (x in c))
 
 
-def _plan(b: Bubble, N: int) -> tuple[list, int, int]:
-    """Greedy pairwise contraction order for one chunk of ``DEFAULT_CHUNK`` samples.
+def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
+    """Greedy pairwise contraction order for a chunk of ``batch`` samples.
 
     Works on label sets alone.  Each step contracts the pair of terms (i, j),
     i < j, whose product grows memory least, size(out) - size(a) - size(b),
     the rule of opt_einsum's greedy (Smith & Gray 2018), with ties to the
     smallest (i, j); the product goes to the end of the list, as in numpy's
-    paths.  No intermediate is capped.  Returns (steps, FLOPs per chunk as
+    paths.  No intermediate is capped.  Every size scales with ``batch``, so
+    the order does not depend on it.  Returns (steps, FLOPs per chunk as
     ``np.einsum_path`` counts them, largest array in elements), where a step
     is (i, j, subscripts of a, b and the product, renumbered from 0) and the
     largest array includes the sampled batch.  A plan whose largest array
-    exceeds ``INTERMEDIATE_MAX`` is refused with ValueError.
+    exceeds ``INTERMEDIATE_MAX`` raises ``Refused``.
     """
     def size(labels, dim=N):  # every term carries the sample label 0
-        return DEFAULT_CHUNK * dim ** (len(labels) - 1)
+        return batch * dim ** (len(labels) - 1)
 
     # At N = 1 every order costs the same; ranking pairs as at N = 2 keeps
     # each step's label count small (numpy's einsum has 52 letters).
@@ -125,7 +127,7 @@ def _plan(b: Bubble, N: int) -> tuple[list, int, int]:
     terms = _labels(b)
     holders = Counter(x for term in terms for x in term)
     holders[0] += 1  # the output holds the sample label
-    steps, flops, largest = [], 0, DEFAULT_CHUNK * N**b.d
+    steps, flops, largest = [], 0, batch * N**b.d
     while len(terms) > 1:
         best = None
         for i, j in combinations(range(len(terms)), 2):
@@ -144,8 +146,8 @@ def _plan(b: Bubble, N: int) -> tuple[list, int, int]:
         del terms[j], terms[i]
         terms.append(out)
     if largest > INTERMEDIATE_MAX:
-        raise ValueError(
-            f"d={b.d}, n={b.n} at N={N}: the largest array of a {DEFAULT_CHUNK}-sample "
+        raise Refused(
+            f"d={b.d}, n={b.n} at N={N}: the largest array of a {batch}-sample "
             f"chunk holds {largest:.2e} elements, over INTERMEDIATE_MAX = "
             f"{INTERMEDIATE_MAX:.2e}; the plan costs {flops:.2e} FLOPs per chunk"
         )
@@ -162,20 +164,20 @@ def _contract(batch: np.ndarray, n: int, steps: list) -> np.ndarray:
         )
         del operands[j], operands[i]
         operands.append(product)
-    return operands[0]
+    return operands[0] if n else np.ones(len(batch), dtype=complex)
 
 
 def evaluate_bubble(b: Bubble, tensor: np.ndarray) -> complex:
     """Contract the bubble polynomial on one tensor.
 
-    It runs the plan ``estimate_expectation`` runs, so the memory budget of
-    a full chunk applies here too.
+    It runs the plan ``estimate_expectation`` runs, with the memory budget
+    applied to a chunk of this one tensor.
     """
     if tensor.ndim != b.d or any(s != tensor.shape[0] for s in tensor.shape):
         raise ValueError(
             f"tensor shape {tensor.shape} does not match d={b.d} equal dimensions"
         )
-    steps, _, _ = _plan(b, tensor.shape[0])
+    steps, _, _ = _plan(b, tensor.shape[0], 1)
     return complex(_contract(tensor[None], b.n, steps)[0])
 
 
@@ -189,7 +191,7 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     """
     if spec.d != b.d:
         raise ValueError(f"spec has d={spec.d}, bubble has d={b.d}")
-    steps, _, _ = _plan(b, spec.N)
+    steps, _, _ = _plan(b, spec.N, DEFAULT_CHUNK)
     mean, m2, max_rel_imag = 0.0, 0.0, 0.0
     for index, done in enumerate(range(0, spec.samples, DEFAULT_CHUNK)):
         take = min(DEFAULT_CHUNK, spec.samples - done)

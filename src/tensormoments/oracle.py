@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from itertools import permutations as _perms
 from typing import Sequence
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, Refused
 from .bubbles import Bubble
 
 DEFAULT_N_MAX = 9
 
 
-class BubbleTooLarge(Exception):
+class BubbleTooLarge(Refused):
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
         cost = math.factorial(n) * n * (d + 1)
@@ -54,9 +54,10 @@ class ExpectationResult:
         }
 
 
-def _check_size(b: Bubble) -> None:
-    if b.n > DEFAULT_N_MAX:
-        raise BubbleTooLarge(b.n, b.d)
+def check_size(n: int, d: int) -> None:
+    """Refuse n over ``DEFAULT_N_MAX``: the one place the oracle's bound is checked."""
+    if n > DEFAULT_N_MAX:
+        raise BubbleTooLarge(n, d)
 
 
 def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
@@ -90,7 +91,7 @@ def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
 
 def gaussian_expectation(b: Bubble, threads: int = 1) -> LaurentPoly:
     """Exact unit-covariance expectation of the bubble polynomial."""
-    _check_size(b)
+    check_size(b.n, b.d)
     hist = wick_histogram(b, threads=threads)
     terms: dict[int, int] = {}
     for key, cnt in hist.items():
@@ -122,7 +123,7 @@ def per_color_dimensions(b: Bubble, dims: Sequence[int], threads: int = 1) -> in
         raise ValueError(f"need {b.d} dimensions, got {len(dims)}")
     if any(x < 1 for x in dims):
         raise ValueError("dimensions must be positive")
-    _check_size(b)
+    check_size(b.n, b.d)
     hist = wick_histogram(b, threads=threads)
     total = 0
     for key, cnt in hist.items():

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import Permutation, catalan
+from .algebra import Permutation, Refused, catalan
 from .bubbles import Bubble
 
 ROW_COLORS = (1, 3)
@@ -166,7 +166,7 @@ def _build(node: CornerLabeledTree, builder: _Builder) -> tuple[int, int]:
 def tree_to_bubble(t: CornerLabeledTree) -> Bubble:
     """The d=4 bubble obtained by recursive open-necklace insertion."""
     if t.color != 1:
-        raise ValueError("root insertion color must be 1")
+        raise Refused(f"root insertion color must be 1, got {t.color}")
     builder = _Builder()
     _build(t, builder)
     n = builder.count
@@ -243,7 +243,7 @@ def _trees_exact(color: int, v: int, s: int) -> tuple[CornerLabeledTree, ...]:
 def enumerate_trees(max_vertices: int, max_total_label: int) -> Iterator[CornerLabeledTree]:
     """Exhaustive, duplicate-free enumeration of rooted trees within bounds."""
     if max_vertices < 1 or max_total_label < 1:
-        raise ValueError("bounds must be >= 1")
+        raise Refused(f"bounds must be >= 1, got {max_vertices} and {max_total_label}")
     for v in range(1, max_vertices + 1):
         for s in range(v, max_total_label + 1):
             yield from _trees_exact(1, v, s)

@@ -22,6 +22,7 @@ from .algebra import (
     Partition,
     Permutation,
     RationalFunc,
+    Refused,
     _character,
     _contents,
     _cycle_type,
@@ -137,24 +138,25 @@ def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
 
     ``dim`` is either a positive integer (returns a Fraction; must be
     >= |cls|) or a LaurentPoly monomial N^k (returns a RationalFunc in N).
+    A class over ``DEFAULT_N_MAX`` or any other dimension raises ``Refused``.
     """
     n = cls.n
     if n > DEFAULT_N_MAX:
-        raise ValueError(f"class size {n} exceeds n_max={DEFAULT_N_MAX}")
+        raise Refused(f"class size {n} exceeds n_max={DEFAULT_N_MAX}")
     if isinstance(dim, int):
         if dim < n:
-            raise ValueError(
+            raise Refused(
                 f"numeric dimension {dim} < n={n}: Gram matrix not invertible"
             )
     elif list(dim.terms.values()) != [1] or dim.max_exp < 1:
-        raise ValueError(f"symbolic dimension must be N^k with k >= 1, got {dim}")
+        raise Refused(f"symbolic dimension must be N^k with k >= 1, got {dim}")
     return _weingarten_table(n, dim)[cls]
 
 
 def weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, Fraction]]:
     """All Weingarten values for S_n at the given dimension."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise Refused(f"n must be >= 0, got {n}")
     return {p: weingarten_exact(p, dim) for p in partitions_of(n)}
 
 

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from tensormoments import montecarlo, oracle
-from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc
+from tensormoments import effective, montecarlo, oracle
+from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc, Refused
 from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
 from tensormoments.cli import build_parser, main
 from tensormoments.trees import CornerLabeledTree
@@ -251,16 +251,21 @@ def _forbid(monkeypatch, module, name):
                     monkeypatch.setattr(mod, attr, forbidden)
 
 
+def malformed_argv(case, tmp_path):
+    """The command line of a MALFORMED case, its input written to a file."""
+    command, text, extra = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    return [command, str(path), *extra]
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_refused(case, capsys, tmp_path, monkeypatch):
     # A refusal costs no Wick enumeration and no Monte Carlo sample.
     _forbid(monkeypatch, oracle, "wick_histogram")
     _forbid(monkeypatch, montecarlo, "sample_batch")
-    command, text, extra = MALFORMED[case]
-    path = tmp_path / "input.json"
-    if text is not None:
-        path.write_text(text)
-    assert_refused(main([command, str(path), *extra]), capsys)
+    assert_refused(main(malformed_argv(case, tmp_path)), capsys)
 
 
 REFUSED_ARGV = {
@@ -284,6 +289,56 @@ REFUSED_ARGV = {
 @pytest.mark.parametrize("case", sorted(REFUSED_ARGV))
 def test_out_of_range_arguments_refused(case, capsys):
     assert_refused(main(list(REFUSED_ARGV[case])), capsys)
+
+
+# The command-line functions that turn a constructor's ValueError (or a
+# failed read) into a refusal; every other refusal is raised where its
+# bound lives and reaches ``main`` as it was raised.
+PARSE_SITES = {"_load", "_parse_dim", "cmd_effective"}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(REFUSED_ARGV))
+def test_refusal_raised_at_its_origin(case, tmp_path):
+    argv = list(REFUSED_ARGV[case]) if case in REFUSED_ARGV else malformed_argv(case, tmp_path)
+    args = build_parser().parse_args(argv)
+    with pytest.raises(Refused) as info:
+        args.func(args)
+    assert info.value.__context__ is None or info.traceback[-1].name in PARSE_SITES
+
+
+def _inject_fault(*args, **kwargs):
+    raise ValueError("injected fault")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (montecarlo, "_contract", ("mc", "--numeric-N", "2", "--samples", "10")),
+        (effective, "_angular_terms", ("effective",)),
+    ],
+    ids=["mc_contraction", "effective_pair_walk"],
+)
+def test_fault_is_not_a_refusal(module, name, argv, monkeypatch, capsys, bubble_file):
+    monkeypatch.setattr(module, name, _inject_fault)
+    command, *extra = argv
+    with pytest.raises(ValueError, match="injected fault"):
+        main([command, bubble_file(edge_tree_bubble(1, 1)), *extra])
+    assert "refused: " not in capsys.readouterr().err
+
+
+EMPTY = '{"d": 4, "n": 0, "colors": {"1": [], "2": [], "3": [], "4": []}}'
+
+
+def test_empty_bubble_is_one_on_all_three_routes(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(EMPTY)
+    code, out = run(capsys, "expect", str(path))
+    assert code == 0 and first_json(out)["raw_str"] == "1"
+    code, out = run(capsys, "effective", str(path))
+    assert code == 0 and "cross-check: PASS (angular route 1 vs oracle 1)" in out
+    code, out = run(capsys, "mc", str(path), "--numeric-N", "2", "--samples", "10")
+    report = first_json(out)
+    assert code == 0 and (report["mean"], report["stderr"], report["exact"]) == (1.0, 0.0, 1.0)
 
 
 GOLDEN = Path(__file__).parent / "golden"

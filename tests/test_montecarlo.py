@@ -79,6 +79,14 @@ class TestSampling:
                 SampleSpec(N=2, d=4, samples=10, seed=0, variance=variance)
 
 
+def rank_one(N, seed):
+    """T = u1 x u2 x u3 x u4 and prod_c |u_c|^2: each colour-c edge contracts
+    u_c with its conjugate, so a bubble on T is that product to the power n."""
+    rng = np.random.default_rng(seed)
+    us = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(4)]
+    return np.einsum("i,j,k,l->ijkl", *us), np.prod([np.linalg.norm(u) ** 2 for u in us])
+
+
 class TestEvaluateBubble:
     def test_rank_one_tensor_gives_one(self):
         # T = e1 x e1 x e1 x e1: every contraction evaluates to 1
@@ -140,13 +148,16 @@ class TestEvaluateBubble:
         ids=["necklace13", "necklace16", "random14"],
     )
     def test_rank_one_tensor_past_numpy_einsum_labels(self, b):
-        # T = u1 x u2 x u3 x u4: each colour-c edge contracts u_c with its
-        # conjugate, so the bubble is prod_c |u_c|^(2n).  d*n + 1 > 52.
-        rng = np.random.default_rng(23)
-        us = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
-        t = np.einsum("i,j,k,l->ijkl", *us)
-        expected = np.prod([np.linalg.norm(u) ** (2 * b.n) for u in us])
-        assert evaluate_bubble(b, t) == pytest.approx(expected, rel=1e-10)
+        # d*n + 1 > 52.
+        t, norm2 = rank_one(2, 23)
+        assert evaluate_bubble(b, t) == pytest.approx(norm2**b.n, rel=1e-10)
+
+    def test_one_tensor_budgeted_as_one_sample(self):
+        # One 20^4 tensor is 1.6e5 elements; a 512-sample chunk of them
+        # would be 8.2e7, over INTERMEDIATE_MAX.
+        b = necklace(4, SPLIT, 2)
+        t, norm2 = rank_one(20, 29)
+        assert evaluate_bubble(b, t) == pytest.approx(norm2**b.n, rel=1e-10)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -232,7 +243,7 @@ class TestPlan:
     def test_plan_counts_flops_like_numpy(self):
         # The plan's FLOPs per chunk are np.einsum_path's count of each step.
         b = necklace(4, SPLIT, 3)
-        steps, flops, largest = _plan(b, 3)
+        steps, flops, largest = _plan(b, 3, DEFAULT_CHUNK)
         counted = []
         for _, _, (sub_a, sub_b, sub_out) in steps:
             a = np.empty((DEFAULT_CHUNK,) + (3,) * (len(sub_a) - 1))
@@ -252,6 +263,6 @@ class TestPlan:
         # The dipole's only intermediate is one value per sample, so the
         # sampled batch alone decides: it fills the budget at N = 16.
         N = round((INTERMEDIATE_MAX / DEFAULT_CHUNK) ** 0.25)
-        assert _plan(dipole(), N)[2] == INTERMEDIATE_MAX
+        assert _plan(dipole(), N, DEFAULT_CHUNK)[2] == INTERMEDIATE_MAX
         with pytest.raises(ValueError, match="INTERMEDIATE_MAX"):
             estimate_expectation(dipole(), SampleSpec(N=N + 1, d=4, samples=10, seed=0))
