@@ -123,7 +123,8 @@ def _tree_rows(trees, threads):
 
 
 # Wick pairings (sum of n! over the trees) one ``tree --enumerate`` may
-# cost: about 4 s of enumeration on one core of a 2-vCPU Xeon VM.
+# cost: about 2-4 s on one core of a 2-vCPU Xeon VM (`1 9`, 4.1e5 pairings in
+# 9 trees: 0.8-1.0 s; `5 5`, 4.8e5 pairings in 4341 trees: 1.6-1.7 s).
 TREE_PAIRINGS_MAX = 10**6
 
 

@@ -3,17 +3,17 @@
 The Gaussian expectation of a bubble polynomial at unit covariance is the
 sum over pairings pi in S_n of prod_c N^{#cycles(tau_c pi)} (pi -> pi^{-1}
 is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
-serial loop builds a histogram of per-color cycle counts; symbolic results,
-per-color numeric dimensions, dominant-contraction counts and, through the
-two-color bubble (gamma, id), the Wishart moments of ``effective`` are all
-reductions of it.  The ``threads`` keyword of the public functions is
-accepted for compatibility and does not change the work.
+serial walk over S_n in Heap's order (Heap 1963), where consecutive pairings
+differ by one transposition, moves each per-color cycle count by +-1 per
+step and builds a histogram of them; symbolic results, per-color numeric
+dimensions and dominant-contraction counts are all reductions of it.  The
+``threads`` keyword of the public functions is accepted for compatibility
+and does not change the work.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as _perms
 from typing import Sequence
 
 from .algebra import LaurentPoly, Refused
@@ -25,9 +25,9 @@ DEFAULT_N_MAX = 9
 class BubbleTooLarge(Refused):
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
-        cost = math.factorial(n) * n * (d + 1)
+        cost = math.factorial(n) * d
         super().__init__(
-            f"n={n} exceeds n_max={DEFAULT_N_MAX}: ~{cost:.2e} elementary steps; "
+            f"n={n} exceeds n_max={DEFAULT_N_MAX}: ~{cost:.2e} transposition updates; "
             "use the Monte Carlo estimator instead"
         )
 
@@ -63,29 +63,34 @@ def check_size(n: int, d: int) -> None:
 def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
     """Map (cycles of tau_c pi, per color) -> number of pairings pi realizing it.
 
-    The enumeration is serial; ``threads`` is accepted for compatibility and
-    does not change the work or the result.
+    pi walks S_n in Heap's order, where each step is pi -> pi (i j), so each
+    sigma_c = tau_c pi swaps its images of i and j: that splits the cycle
+    through i and j (+1) or merges the two cycles holding them (-1).  The
+    enumeration is serial; ``threads`` is accepted for compatibility and does
+    not change the work or the result.
     """
-    n = b.n
-    # 0-indexed image tables
-    taus = [[img - 1 for img in b.tau(c).images] for c in range(1, b.d + 1)]
-    hist: dict[tuple[int, ...], int] = {}
-    for pi in _perms(range(n)):
-        key = []
-        for tau in taus:
-            seen = [False] * n
-            count = 0
-            for start in range(n):
-                if seen[start]:
-                    continue
-                count += 1
-                i = start
-                while not seen[i]:
-                    seen[i] = True
-                    i = tau[pi[i]]
-            key.append(count)
-        tkey = tuple(key)
-        hist[tkey] = hist.get(tkey, 0) + 1
+    taus = [b.tau(c) for c in range(1, b.d + 1)]
+    sigmas = [[img - 1 for img in tau.images] for tau in taus]
+    counts = [tau.cycle_count() for tau in taus]
+    hist = {tuple(counts): 1}
+    stack = [0] * b.n  # Heap's counters: swaps made so far at each level i
+    i = 1
+    while i < b.n:
+        if stack[i] == i:
+            stack[i] = 0
+            i += 1
+            continue
+        j = stack[i] if i % 2 else 0
+        for c, sigma in enumerate(sigmas):
+            k = sigma[j]
+            while k != i and k != j:
+                k = sigma[k]
+            counts[c] += 1 if k == i else -1
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+        key = tuple(counts)
+        hist[key] = hist.get(key, 0) + 1
+        stack[i] += 1
+        i = 1
     return hist
 
 

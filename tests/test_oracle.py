@@ -1,5 +1,6 @@
 """Wick-enumeration oracle: exact expectations, dominant contractions."""
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from tensormoments.oracle import (
     per_color_dimensions,
     wick_histogram,
 )
-from tensormoments.trees import CornerLabeledTree, tree_to_bubble
+from tensormoments.trees import CornerLabeledTree, enumerate_trees, tree_to_bubble
 
 from conftest import edge_tree_bubble
 
@@ -28,6 +29,16 @@ def histogram_brute_force(b):
         key = tuple(compose(b.tau(c), pinv).cycle_count() for c in range(1, b.d + 1))
         hist[key] = hist.get(key, 0) + 1
     return hist
+
+
+def random_bubble(rng, d, n):
+    """d uniformly random color maps on n vertices (connected or not)."""
+    maps = []
+    for _ in range(d):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        maps.append(Permutation(images))
+    return Bubble(d, n, tuple(maps))
 
 
 def dipole(d=4):
@@ -122,3 +133,25 @@ class TestParallelDeterminism:
     )
     def test_histogram_matches_inverse_convention(self, b):
         assert wick_histogram(b) == histogram_brute_force(b)
+
+
+class TestTranspositionWalk:
+    """The Heap's-order kernel against the recount over every pi in S_n."""
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_random_bubbles(self, d, n):
+        # n = 0 and 1 take no step, n = 2 takes one swap.
+        rng = random.Random(f"{d}:{n}")
+        for _ in range(3):
+            b = random_bubble(rng, d, n)
+            assert wick_histogram(b) == histogram_brute_force(b)
+
+    def test_every_tree_bubble(self):
+        for t in enumerate_trees(3, 4):
+            b = tree_to_bubble(t)
+            assert wick_histogram(b) == histogram_brute_force(b)
+
+    def test_counts_every_pairing_once(self):
+        b = random_bubble(random.Random(8), 4, 8)
+        assert sum(wick_histogram(b).values()) == math.factorial(8)
