@@ -203,30 +203,18 @@ def chain_decomposition(b: Bubble, split: ColorSplit) -> Optional[ChainDecomposi
         if len(nexts) == 1:
             link[i] = next(iter(nexts))
 
+    # ``link`` is injective: open runs start at whites with no incoming link.
     has_incoming = set(link.values())
+    whites = range(1, b.n + 1)
     chains: list[tuple[int, ...]] = []
     placed: set[int] = set()
-    # Open chains start at whites with no incoming link.
-    for start in range(1, b.n + 1):
-        if start in has_incoming or start in placed:
-            continue
-        chain = [start]
-        placed.add(start)
-        while chain[-1] in link:
-            chain.append(link[chain[-1]])
-            placed.add(chain[-1])
-        chains.append(tuple(chain))
-    # Remaining whites sit on cycles; cut each at its smallest label.
-    for start in range(1, b.n + 1):
+    for start in [w for w in whites if w not in has_incoming] + list(whites):
         if start in placed:
             continue
         chain = [start]
-        placed.add(start)
-        i = link[start]
-        while i != start:
-            chain.append(i)
-            placed.add(i)
-            i = link[i]
+        while chain[-1] in link and link[chain[-1]] != start:
+            chain.append(link[chain[-1]])
+        placed.update(chain)
         chains.append(tuple(chain))
     chains.sort(key=lambda ch: ch[0])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -274,6 +275,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.out:  # refused before any work; a new file is not left behind
+            existed = os.path.exists(args.out)
+            try:
+                open(args.out, "a").close()
+            except OSError as exc:
+                raise Refused(f"--out {args.out}: {exc.strerror}") from None
+            if not existed:
+                os.remove(args.out)
         code = args.func(args)
     except Refused as exc:
         print(f"refused: {args.command}: {exc}", file=sys.stderr)

@@ -6,9 +6,9 @@ the Weingarten-weighted permutation pairs yields the expansion, and the
 complex Wishart (Laguerre) moments close the loop back to the exact
 Gaussian expectation.  One generator walks the pairs (sigma, tau) of
 S_m x S_m as 0-indexed tuples for both the expansion and the scaling
-diagnostics, and the Weingarten values come from the character table of
-``weingarten``.  The Wishart moments are sums over the characters of S_L
-too, so this route never calls the Wick oracle it is checked against.
+diagnostics; each coefficient is reduced once, from numerators over the
+shared denominator of a ``weingarten`` table.  Wishart moments are character
+sums over S_L, so this route never calls the Wick oracle it is checked against.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .algebra import (
     _cycle_type,
     _cycles,
     _hook_product,
+    _poly_divmod,
     catalan,
     partitions_of,
 )
@@ -41,7 +42,7 @@ from .bubbles import (
     chain_decomposition,
     chain_obstruction,
 )
-from .weingarten import weingarten_exact
+from .weingarten import _weingarten_table
 
 WISHART_L_MAX = 9
 # The angular route sums over S_m x S_m: m!^2 pairs (518,400 at m = 6).
@@ -154,15 +155,15 @@ def effective_observable(b: Bubble, split: ColorSplit) -> PowerSumExpansion:
         exp = sum(f_rows)
         cell[exp] = cell.get(exp, 0) + 1
 
-    dim = LaurentPoly.monomial(row_power)
+    # m <= ANGULAR_M_MAX and row_power >= 1 pass weingarten_exact's checks.
+    wg_nums, wg_den = _weingarten_table(decomp.m, LaurentPoly.monomial(row_power))
     terms: dict[tuple[int, ...], RationalFunc] = {}
     for powers, by_class in weights.items():
-        coeff = RationalFunc.zero()
+        num = LaurentPoly.zero()
         for wg_class, exps in by_class.items():
-            wg = weingarten_exact(Partition(wg_class), dim)
-            coeff = coeff + RationalFunc(LaurentPoly(exps)) * wg
-        if coeff:
-            terms[powers] = coeff
+            num = num + LaurentPoly(exps) * wg_nums[Partition(wg_class)]
+        if num:
+            terms[powers] = RationalFunc(num, wg_den)
     return PowerSumExpansion(terms=terms, row_power=row_power)
 
 
@@ -216,15 +217,14 @@ def wishart_moment_leading(l: int, balance: str) -> int:
 def laguerre_reconstruct(
     e: PowerSumExpansion, row_dim: LaurentPoly, col_dim: LaurentPoly
 ) -> LaurentPoly:
-    """Recompute <B> through the angular route: sum of coefficients times
-    Wishart moments.  The rational functions must collapse to a polynomial."""
-    total = RationalFunc.zero()
+    """Recompute <B> through the angular route: coefficients times Wishart
+    moments over their denominators' product; the sum must be a polynomial."""
+    den = math.prod({coeff.den for coeff in e.terms.values()}, start=LaurentPoly.one())
+    num = LaurentPoly.zero()
     for powers, coeff in e.terms.items():
-        moment = wishart_moment_exact(powers, row_dim, col_dim)
-        if not isinstance(moment, LaurentPoly):
-            moment = LaurentPoly.constant(moment)
-        total = total + coeff * RationalFunc(moment)
-    return total.as_poly()
+        cofactor, _ = _poly_divmod(den, coeff.den)
+        num = num + coeff.num * cofactor * wishart_moment_exact(powers, row_dim, col_dim)
+    return RationalFunc(num, den).as_poly()
 
 
 def scaling_diagnostics(b: Bubble, split: ColorSplit) -> list[ScalingDiagnostics]:

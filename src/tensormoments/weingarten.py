@@ -1,10 +1,10 @@
 """Exact and asymptotic Weingarten functions for the unitary group.
 
 Values come from one cached table per (n, dimension), built from the
-characters of S_n (Collins & Sniady 2006): over rational functions of N for
-a dimension N^k, over exact rationals for an integer.  ``gram_matrix`` (the
-function dim^{#cycles} over the symmetric group) is the system those values
-solve; the tests check the table against it.
+characters of S_n (Collins & Sniady 2006): a numerator per class over one
+shared denominator, in N for a dimension N^k, exact rationals for an integer;
+``weingarten_exact`` alone reduces a value.  ``gram_matrix`` (dim^{#cycles}
+over the symmetric group) is the system the values solve; the tests check it.
 """
 from __future__ import annotations
 
@@ -104,16 +104,16 @@ def gram_matrix(n: int, dim: Dim = None) -> list[list[LaurentPoly]]:
 
 
 @lru_cache(maxsize=None)
-def _weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, Fraction]]:
-    """Weingarten values per class of S_n at ``dim``: exact Fractions for an
-    integer, RationalFunc in N for a Laurent polynomial such as N^k.  By
-    characters,
+def _weingarten_table(n: int, dim: Dim) -> tuple[dict, Union[LaurentPoly, Fraction]]:
+    """Weingarten values of S_n at ``dim`` as (numerator per class, shared
+    denominator): Laurent polynomials in N for a dimension such as N^k,
+    exact Fractions for an integer.  By characters,
 
         Wg(mu) = (1/n!) sum_{lam |- n} f^lam chi^lam(mu) / prod_{box in lam} (dim + c(box)),
 
     with every term over the common denominator prod_c (dim + c)^{k_c} (k_c
-    the most boxes of content c in any lam), so each class costs one
-    RationalFunc construction.  The values solve gram_matrix(n, dim) x = delta.
+    the most boxes of content c in any lam).  Nothing is reduced here.  The
+    values solve gram_matrix(n, dim) x = delta.
     """
     if isinstance(dim, int):
         dim = Fraction(dim)
@@ -126,11 +126,11 @@ def _weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, F
         Fraction(1, _hook_product(lam)) * math.prod((dim + c) ** (k - m[c]) for c, k in top.items())
         for lam, m in zip(lams, mults)
     ]
-    table = {}
-    for cls in conjugacy_classes(n).classes:
-        num = sum((_character(lam, cls.parts) * w for lam, w in zip(lams, weights)), dim * 0)
-        table[cls] = num / den if isinstance(dim, Fraction) else RationalFunc(num, den)
-    return table
+    nums = {
+        cls: sum((_character(lam, cls.parts) * w for lam, w in zip(lams, weights)), dim * 0)
+        for cls in conjugacy_classes(n).classes
+    }
+    return nums, den
 
 
 def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
@@ -150,7 +150,8 @@ def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
             )
     elif list(dim.terms.values()) != [1] or dim.max_exp < 1:
         raise Refused(f"symbolic dimension must be N^k with k >= 1, got {dim}")
-    return _weingarten_table(n, dim)[cls]
+    nums, den = _weingarten_table(n, dim)
+    return nums[cls] / den if isinstance(dim, int) else RationalFunc(nums[cls], den)
 
 
 def weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, Fraction]]:

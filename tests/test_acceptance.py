@@ -30,8 +30,8 @@ from tensormoments.montecarlo import SampleSpec, estimate_expectation
 from tensormoments.oracle import expectation, gaussian_expectation, per_color_dimensions
 from tensormoments.weingarten import (
     _gram_counts,
-    _weingarten_table,
     weingarten_exact,
+    weingarten_table,
 )
 from tensormoments.trees import (
     CornerLabeledTree,
@@ -102,7 +102,7 @@ def run_orthogonality(threads=1):
     for n in (1, 2, 3, 4):
         for dim in (7, 11):
             classes, counts = _gram_counts(n)
-            wg = _weingarten_table(n, dim)
+            wg = weingarten_table(n, dim)
             m = len(classes)
             gram = [
                 [

@@ -118,6 +118,21 @@ class TestChainDecomposition:
         assert d.chain_lengths == (5,)
         assert d.chains[0][0] == 1
 
+    def test_open_chain_beside_a_cycle(self, split24):
+        # Links 1 -> 4 -> 1 (a cycle), 3 -> 2 and 5 -> 6 (open chains; the
+        # first starts above its smallest white); the row colours disagree
+        # at blacks 2 and 6, so those chains end there.
+        ident = Permutation.identity(6)
+        b = Bubble(
+            4,
+            6,
+            (Permutation([4, 3, 2, 1, 6, 5]), ident, Permutation([4, 3, 6, 1, 2, 5]), ident),
+        )
+        d = chain_decomposition(b, split24)
+        assert d.chains == ((1, 4), (3, 2), (5, 6))
+        assert d.chain_lengths == (2, 2, 2)
+        assert d.endpoint_maps == {1: Permutation([1, 2, 3]), 3: Permutation([1, 3, 2])}
+
 
 def _all_chain_expressible(n):
     """All d=4 bubbles with equal colors 2 and 4, up to the stated labeling."""

@@ -291,6 +291,23 @@ def test_out_of_range_arguments_refused(case, capsys):
     assert_refused(main(list(REFUSED_ARGV[case])), capsys)
 
 
+@pytest.mark.parametrize(
+    "target", ["missing/report.json", "."], ids=["no_directory", "a_directory"]
+)
+def test_unwritable_out_refused_before_any_work(target, capsys, tmp_path, monkeypatch):
+    _forbid(monkeypatch, oracle, "wick_histogram")
+    out = tmp_path / target
+    argv = ["effective", str(GOLDEN / "chains_3-3-2.json"), "--split", "2,4", "--out", str(out)]
+    assert_refused(main(argv), capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_command_leaves_no_out_file(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert_refused(main(["weingarten", "9", "--out", str(out)]), capsys)
+    assert not out.exists()
+
+
 # The command-line functions that turn a constructor's ValueError (or a
 # failed read) into a refusal; every other refusal is raised where its
 # bound lives and reaches ``main`` as it was raised.

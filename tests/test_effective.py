@@ -2,6 +2,7 @@
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +237,43 @@ class TestLaguerreReconstruct:
             gaussian_expectation(b)
         e = effective_observable(b, SPLIT)
         assert laguerre_reconstruct(e, N2, N2) == expected
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# Four single-box chains whose coefficients reduce to two different
+# denominators.
+TWO_DENOMINATORS = Bubble(
+    4,
+    4,
+    (
+        Permutation([1, 3, 4, 2]),
+        Permutation.identity(4),
+        Permutation([4, 2, 3, 1]),
+        Permutation.identity(4),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["chains_1-1-1-1", "chains_2-1-1-1", "chains_3-3-2", "two_denominators"]
+)
+def test_angular_route_does_no_rational_function_arithmetic(name, monkeypatch):
+    # Coefficients are summed over the Weingarten table's shared denominator
+    # and reduced once each; the reconstruction puts every term over the
+    # product of the distinct denominators and reduces once.
+    b = TWO_DENOMINATORS if name == "two_denominators" else Bubble.load(GOLDEN / f"{name}.json")
+
+    def forbidden(*args):
+        raise AssertionError("rational-function arithmetic on the angular route")
+
+    with monkeypatch.context() as patch:
+        for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__"):
+            patch.setattr(RationalFunc, op, forbidden)
+        e = effective_observable(b, SPLIT)
+        reconstructed = laguerre_reconstruct(e, N2, N2)
+    if b is TWO_DENOMINATORS:
+        assert len({coeff.den for coeff in e.terms.values()}) == 2
+    assert reconstructed == gaussian_expectation(b)
 
 
 class TestScalingDiagnostics:

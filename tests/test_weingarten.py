@@ -16,7 +16,6 @@ from tensormoments.algebra import (
 )
 from tensormoments.weingarten import (
     _gram_counts,
-    _weingarten_table,
     class_representative,
     class_size,
     conjugacy_classes,
@@ -124,7 +123,7 @@ class TestExactValues:
         # every sigma (not only class representatives): Wg is a class function.
         for n in (2, 3, 4):
             dim = 7
-            wg = _weingarten_table(n, dim)
+            wg = weingarten_table(n, dim)
             for sigma in symmetric_group(n):
                 total = sum(
                     Fraction(dim) ** compose(sigma, tau.inverse()).cycle_count()
@@ -139,7 +138,7 @@ class TestOrthogonality:
     @pytest.mark.parametrize("dim", [7, 11, 13])
     def test_gram_times_weingarten_is_identity(self, n, dim):
         classes, counts = _gram_counts(n)
-        wg = _weingarten_table(n, dim)
+        wg = weingarten_table(n, dim)
         m = len(classes)
         gram = [
             [
@@ -160,7 +159,7 @@ class TestOrthogonality:
 
     @pytest.mark.parametrize("n,dim", [(6, 6), (6, 11), (7, 7), (7, 11), (8, 8), (8, 11)])
     def test_gram_matrix_times_weingarten_is_identity(self, n, dim):
-        wg = _weingarten_table(n, dim)
+        wg = weingarten_table(n, dim)
         size = len(wg)
         identity = [[int(a == c) for c in range(size)] for a in range(size)]
         assert gram_times_class_function(n, dim, wg) == identity
@@ -169,7 +168,7 @@ class TestOrthogonality:
     def test_symbolic_gram_matrix_times_weingarten_is_identity(self, n):
         # Clear the denominators: den * Wg is a Laurent polynomial per class,
         # and gram * (den * Wg) must be den times the identity.
-        wg = _weingarten_table(n, N)
+        wg = weingarten_table(n, N)
         den = LaurentPoly.one()
         for value in wg.values():
             den, _ = _poly_divmod(den * value.den, poly_gcd(den, value.den))
