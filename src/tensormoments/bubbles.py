@@ -14,6 +14,13 @@ from typing import Mapping, Optional, Sequence
 from .algebra import Permutation, Refused, compose
 
 
+def json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer; a bool, float or string is refused."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 @dataclass(frozen=True)
 class Bubble:
     """d colors, n white vertices, one white-to-black permutation per color."""
@@ -46,8 +53,9 @@ class Bubble:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Bubble":
-        d, n = int(data["d"]), int(data["n"])
-        maps = tuple(Permutation(data["colors"][str(c)]) for c in range(1, d + 1))
+        d, n = json_int(data["d"], "d"), json_int(data["n"], "n")
+        colors = (data["colors"][str(c)] for c in range(1, d + 1))
+        maps = tuple(Permutation([json_int(x, "color map entry") for x in cm]) for cm in colors)
         return cls(d, n, maps)
 
     def save(self, path) -> None:
@@ -159,7 +167,6 @@ class ChainDecomposition:
     chain_lengths: tuple[int, ...]
     endpoint_maps: dict[int, Permutation] = field(compare=False)
     chains: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
-    split: Optional[ColorSplit] = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
@@ -234,7 +241,6 @@ def chain_decomposition(b: Bubble, split: ColorSplit) -> Optional[ChainDecomposi
         chain_lengths=tuple(len(ch) for ch in chains),
         endpoint_maps=endpoint_maps,
         chains=tuple(chains),
-        split=split,
     )
 
 

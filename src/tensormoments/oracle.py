@@ -6,9 +6,7 @@ is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
 serial walk over S_n in Heap's order (Heap 1963), where consecutive pairings
 differ by one transposition, moves each per-color cycle count by +-1 per
 step and builds a histogram of them; symbolic results, per-color numeric
-dimensions and dominant-contraction counts are all reductions of it.  The
-``threads`` keyword of the public functions is accepted for compatibility
-and does not change the work.
+dimensions and dominant-contraction counts are all reductions of it.
 """
 from __future__ import annotations
 
@@ -60,14 +58,12 @@ def check_size(n: int, d: int) -> None:
         raise BubbleTooLarge(n, d)
 
 
-def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
+def wick_histogram(b: Bubble) -> dict[tuple[int, ...], int]:
     """Map (cycles of tau_c pi, per color) -> number of pairings pi realizing it.
 
     pi walks S_n in Heap's order, where each step is pi -> pi (i j), so each
     sigma_c = tau_c pi swaps its images of i and j: that splits the cycle
-    through i and j (+1) or merges the two cycles holding them (-1).  The
-    enumeration is serial; ``threads`` is accepted for compatibility and does
-    not change the work or the result.
+    through i and j (+1) or merges the two cycles holding them (-1).
     """
     taus = [b.tau(c) for c in range(1, b.d + 1)]
     sigmas = [[img - 1 for img in tau.images] for tau in taus]
@@ -94,10 +90,10 @@ def wick_histogram(b: Bubble, threads: int = 1) -> dict[tuple[int, ...], int]:
     return hist
 
 
-def gaussian_expectation(b: Bubble, threads: int = 1) -> LaurentPoly:
+def gaussian_expectation(b: Bubble) -> LaurentPoly:
     """Exact unit-covariance expectation of the bubble polynomial."""
     check_size(b.n, b.d)
-    hist = wick_histogram(b, threads=threads)
+    hist = wick_histogram(b)
     terms: dict[int, int] = {}
     for key, cnt in hist.items():
         e = sum(key)
@@ -105,31 +101,27 @@ def gaussian_expectation(b: Bubble, threads: int = 1) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def expectation(b: Bubble, alpha: int = 0, threads: int = 1) -> ExpectationResult:
+def expectation(b: Bubble, alpha: int = 0) -> ExpectationResult:
     """Expectation with covariance N^{-alpha} (applied as N^{-alpha n})."""
-    return ExpectationResult(
-        raw=gaussian_expectation(b, threads=threads),
-        alpha=alpha,
-        n=b.n,
-    )
+    return ExpectationResult(raw=gaussian_expectation(b), alpha=alpha, n=b.n)
 
 
-def dominant_contractions(b: Bubble, threads: int = 1) -> tuple[int, int]:
+def dominant_contractions(b: Bubble) -> tuple[int, int]:
     """(leading exponent, number of pairings achieving it)."""
-    poly = gaussian_expectation(b, threads=threads)
+    poly = gaussian_expectation(b)
     exp, coeff = poly.leading_term()
     assert coeff.denominator == 1
     return exp, coeff.numerator
 
 
-def per_color_dimensions(b: Bubble, dims: Sequence[int], threads: int = 1) -> int:
+def per_color_dimensions(b: Bubble, dims: Sequence[int]) -> int:
     """Exact expectation with a separate numeric dimension per color."""
     if len(dims) != b.d:
         raise ValueError(f"need {b.d} dimensions, got {len(dims)}")
     if any(x < 1 for x in dims):
         raise ValueError("dimensions must be positive")
     check_size(b.n, b.d)
-    hist = wick_histogram(b, threads=threads)
+    hist = wick_histogram(b)
     total = 0
     for key, cnt in hist.items():
         prod = cnt

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import Permutation, Refused, catalan
-from .bubbles import Bubble
+from .bubbles import Bubble, json_int
 
 ROW_COLORS = (1, 3)
 COLUMN_COLORS = (2, 4)
@@ -85,8 +85,8 @@ class CornerLabeledTree:
     @classmethod
     def from_json(cls, data: Mapping) -> "CornerLabeledTree":
         return cls(
-            color=int(data["color"]),
-            labels=tuple(data["labels"]),
+            color=json_int(data["color"], "color"),
+            labels=tuple(json_int(x, "corner label") for x in data["labels"]),
             children=tuple(cls.from_json(c) for c in data.get("children", ())),
         )
 

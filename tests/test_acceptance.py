@@ -1,9 +1,8 @@
 """Acceptance suite: one test per release criterion, one PASS/FAIL line each.
 
 Each criterion is implemented as a function returning a canonical output
-string; the determinism criterion reruns the others with different worker
-thread counts (and the Monte Carlo criterion with the same seed) and
-requires byte-identical output.
+string; the determinism criterion reruns the others once (the Monte Carlo
+criterion with the same seed) and requires byte-identical output.
 """
 import functools
 import json
@@ -76,10 +75,10 @@ def criterion(num, name, limit_s):
 
 # ---------------------------------------------------------------------------
 # criterion bodies; each returns a canonical string used by the determinism
-# check, and each accepts `threads` where worker threads are involved
+# check
 
 
-def run_weingarten_n2(threads=1):
+def run_weingarten_n2():
     m2 = N * N
     pairs = [
         (Partition([1, 1]), RationalFunc(1, m2 - 1)),
@@ -95,7 +94,7 @@ def run_weingarten_n2(threads=1):
     return "\n".join(lines)
 
 
-def run_orthogonality(threads=1):
+def run_orthogonality():
     from fractions import Fraction
 
     lines = []
@@ -123,7 +122,7 @@ def run_orthogonality(threads=1):
     return "\n".join(lines)
 
 
-def run_effective_coefficients(threads=1):
+def run_effective_coefficients():
     coeff = RationalFunc(N, N2 + 1)
     lines = []
     for k, l in [(1, 1), (2, 1), (2, 2), (3, 1)]:
@@ -148,7 +147,7 @@ def consistency_suite():
     return bubbles
 
 
-def run_two_path_consistency(threads=1):
+def run_two_path_consistency():
     suite = consistency_suite()
     assert len(suite) >= 10
     lines = []
@@ -156,36 +155,36 @@ def run_two_path_consistency(threads=1):
         assert b.n <= 7
         e = effective_observable(b, SPLIT)
         reconstructed = laguerre_reconstruct(e, N2, N2)
-        oracle = gaussian_expectation(b, threads=threads)
+        oracle = gaussian_expectation(b)
         assert reconstructed == oracle, b.to_json()
         lines.append(f"n={b.n}: {oracle}")
     return "\n".join(lines)
 
 
-def run_scaled_leading(threads=1):
+def run_scaled_leading():
     lines = []
     for k in range(1, 5):
         for l in range(1, 5):
             if k + l > 5:
                 continue
-            result = expectation(edge_tree_bubble(k, l), alpha=2, threads=threads)
+            result = expectation(edge_tree_bubble(k, l), alpha=2)
             lead = result.scaled.leading_term()
             assert lead == (3, catalan(k) * catalan(l)), (k, l, lead)
             lines.append(f"({k},{l}): leading {lead}")
     return "\n".join(lines)
 
 
-def run_catalan_product_law(threads=1):
+def run_catalan_product_law():
     lines = []
     for t in enumerate_trees(3, 5):
         b = tree_to_bubble(t)
-        _, coeff = gaussian_expectation(b, threads=threads).leading_term()
+        _, coeff = gaussian_expectation(b).leading_term()
         assert coeff == catalan_product(t), t.to_json()
         lines.append(f"{json.dumps(t.to_json())}: {coeff}")
     return "\n".join(lines)
 
 
-def run_wishart_leading(threads=1):
+def run_wishart_leading():
     lines = []
     for l in range(1, 6):
         _, coeff = wishart_moment_exact((l,), N, N).leading_term()
@@ -198,7 +197,7 @@ def run_wishart_leading(threads=1):
     return "\n".join(lines)
 
 
-def run_dominance(threads=1):
+def run_dominance():
     lines = []
     checked = 0
     for t in enumerate_trees(3, 4):
@@ -261,7 +260,7 @@ def run_monte_carlo(seed=MC_SEED):
 # ---------------------------------------------------------------------------
 # the tests
 
-THREADED_CRITERIA = [
+CRITERIA = [
     (1, "Weingarten n=2 exact", 1.0, run_weingarten_n2),
     (2, "Gram x Wg orthogonality", 10.0, run_orthogonality),
     (3, "effective observable coefficients", 5.0, run_effective_coefficients),
@@ -277,12 +276,12 @@ _first_outputs = {}
 
 @pytest.mark.parametrize(
     "num,name,limit,fn",
-    THREADED_CRITERIA,
-    ids=[f"criterion_{n}" for n, _, _, _ in THREADED_CRITERIA],
+    CRITERIA,
+    ids=[f"criterion_{n}" for n, _, _, _ in CRITERIA],
 )
 def test_criteria_1_to_8(num, name, limit, fn):
     wrapped = criterion(num, name, limit)(fn)
-    _first_outputs[num] = wrapped(threads=1)
+    _first_outputs[num] = wrapped()
 
 
 def test_criterion_9_monte_carlo():
@@ -293,10 +292,9 @@ def test_criterion_9_monte_carlo():
 def test_criterion_10_determinism():
     @criterion(10, "determinism", 600.0)
     def run():
-        for num, _, _, fn in THREADED_CRITERIA:
-            baseline = _first_outputs.get(num) or fn(threads=1)
-            for threads in (2, 8):
-                assert fn(threads=threads) == baseline, (num, threads)
+        for num, _, _, fn in CRITERIA:
+            baseline = _first_outputs.get(num) or fn()
+            assert fn() == baseline, num
         mc_baseline = _first_outputs.get(9) or run_monte_carlo(seed=MC_SEED)
         assert run_monte_carlo(seed=MC_SEED) == mc_baseline
         return "byte-identical"

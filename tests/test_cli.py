@@ -176,6 +176,17 @@ class TestMonteCarlo:
         assert code == 0
         assert first_json(out)["samples"] == 100_000
 
+    def test_exact_value_only_up_to_n7(self, capsys, bubble_file, monkeypatch):
+        args = ("--numeric-N", "2", "--samples", "1000", "--seed", "1")
+        code, out = run(capsys, "mc", bubble_file(necklace(4, SPLIT, 7)), *args)
+        assert code == 0 and first_json(out)["within_5_sigma"] == "PASS"
+        # Past n = 7 the report is the estimate alone, and no Wick pairing is walked.
+        _forbid(monkeypatch, oracle, "wick_histogram")
+        code, out = run(capsys, "mc", bubble_file(necklace(4, SPLIT, 8)), *args)
+        report = first_json(out)
+        assert code == 0 and report["samples"] == 1000
+        assert "exact" not in report and "within_5_sigma" not in report
+
     def test_reruns_byte_identical(self, capsys, bubble_file):
         path = bubble_file(necklace(4, SPLIT, 2))
         args = ("mc", path, "--numeric-N", "2", "--samples", "2000", "--seed", "3")
@@ -220,6 +231,18 @@ MALFORMED = {
     "effective_seven_chains": ("effective", single_box_chains(7), ()),
     "effective_not_chain_expressible": ("effective", NOT_CHAIN_EXPRESSIBLE, ()),
     "effective_over_oracle_bound": ("effective", json.dumps(necklace(4, SPLIT, 10).to_json()), ()),
+    # Every number in bubble or tree JSON is a JSON integer: no bool, float or string.
+    "bubble_float_entry": (
+        "expect",
+        '{"d": 4, "n": 2, "colors": {"1": [1.5, 2], "2": [1, 2], "3": [1, 2], "4": [2, 1]}}',
+        (),
+    ),
+    "bubble_string_entries": ("expect", '{"d": 1, "n": 2, "colors": {"1": ["1", "2"]}}', ()),
+    "bubble_string_d": ("expect", '{"d": "1", "n": 1, "colors": {"1": [1]}}', ()),
+    "bubble_bool_n": ("expect", '{"d": 1, "n": true, "colors": {"1": [1]}}', ()),
+    "tree_float_label": ("tree", '{"color": 1, "labels": [1.7]}', ()),
+    "tree_bool_label": ("tree", '{"color": 1, "labels": [true]}', ()),
+    "tree_float_color": ("tree", '{"color": 1.0, "labels": [1]}', ()),
     # One 512-sample chunk of N^4 entries at N = 64 would be ~137 GB.
     "mc_over_memory_budget": (
         "mc", json.dumps(necklace(4, SPLIT, 2).to_json()), ("--numeric-N", "64")
@@ -406,6 +429,23 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert options == CLI_OPTIONS
+
+
+# --threads is accepted where existing command lines pass it, and read by no code.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expect", "chains_3-3-2.json", "--alpha", "2", "--numeric-N", "3"),
+        ("effective", "chains_2-1-1-1.json"),
+        ("tree", "--enumerate", "2", "3"),
+    ],
+    ids=["expect", "effective", "tree"],
+)
+def test_threads_flag_changes_nothing(argv, capsys):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert (code, out) == run(capsys, *argv, "--threads", "2")
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize(

@@ -117,16 +117,13 @@ class TestPerColorDimensions:
 
 
 class TestParallelDeterminism:
-    @pytest.mark.parametrize("threads", [2, 4, 8])
-    def test_histogram_independent_of_thread_count(self, threads):
-        b = edge_tree_bubble(2, 2)
-        assert wick_histogram(b, threads=threads) == wick_histogram(b, threads=1)
+    """Reruns of the one serial walk: equal values, equal records."""
 
     def test_polynomial_bit_identical(self):
         b = necklace(4, SPLIT, 5)
-        polys = [gaussian_expectation(b, threads=t) for t in (1, 2, 8)]
-        assert polys[0] == polys[1] == polys[2]
-        assert polys[0].to_records() == polys[1].to_records() == polys[2].to_records()
+        first, rerun = gaussian_expectation(b), gaussian_expectation(b)
+        assert first == rerun
+        assert first.to_records() == rerun.to_records()
 
     @pytest.mark.parametrize(
         "b", [edge_tree_bubble(2, 2), necklace(4, SPLIT, 5)], ids=["edge_tree_2_2", "necklace_5"]
