@@ -21,6 +21,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_keys(data: Mapping, allowed, what: str) -> None:
+    """Refuse ``data`` when it holds a key outside ``allowed``, naming each one."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} must be a JSON object")
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {', '.join(map(json.dumps, unknown))}")
+
+
 @dataclass(frozen=True)
 class Bubble:
     """d colors, n white vertices, one white-to-black permutation per color."""
@@ -53,9 +62,12 @@ class Bubble:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Bubble":
+        json_keys(data, ("d", "n", "colors"), "bubble")
         d, n = json_int(data["d"], "d"), json_int(data["n"], "n")
         colors = (data["colors"][str(c)] for c in range(1, d + 1))
         maps = tuple(Permutation([json_int(x, "color map entry") for x in cm]) for cm in colors)
+        # Every colour 1..d was found, so d is at most the number of keys.
+        json_keys(data["colors"], {str(c) for c in range(1, d + 1)}, "colors")
         return cls(d, n, maps)
 
     def save(self, path) -> None:

@@ -9,9 +9,13 @@ bubble and before any sample is drawn, and ``_contract`` runs each pair as
 one two-operand ``np.einsum`` with its labels renumbered from 0.  So
 numpy's 52 einsum letters do not limit d*n, and no intermediate cap drops
 the rest of a contraction into one nested loop, as numpy's greedy path
-does.  The one bound is memory: a plan whose largest array in a chunk, the
-sampled batch included, exceeds ``INTERMEDIATE_MAX`` elements is refused
-with its size and FLOP count.
+does.  A pair product equal to one already held is computed once: every
+white tensor is the one sampled batch and every black one its one
+conjugate, so two steps on equal inputs with the same subscripts give
+bitwise-equal arrays, and the second step takes the first one's.  The one
+bound is memory: a plan whose largest array in a chunk, the sampled batch
+included, exceeds ``INTERMEDIATE_MAX`` elements is refused with its size
+and FLOP count.
 Exactness lives elsewhere; this module is double precision by design.
 """
 from __future__ import annotations
@@ -75,9 +79,10 @@ def sample_batch(spec: SampleSpec, index: int, count: int) -> np.ndarray:
     rng = _rng(spec.seed, index)
     shape = (count,) + (spec.N,) * spec.d
     scale = math.sqrt(spec.variance / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    out = np.empty(shape, complex)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
 
 
 def _labels(b: Bubble) -> list[tuple[int, ...]]:
@@ -112,11 +117,21 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     the rule of opt_einsum's greedy (Smith & Gray 2018), with ties to the
     smallest (i, j); the product goes to the end of the list, as in numpy's
     paths.  No intermediate is capped.  Every size scales with ``batch``, so
-    the order does not depend on it.  Returns (steps, FLOPs per chunk as
-    ``np.einsum_path`` counts them, largest array in elements), where a step
-    is (i, j, subscripts of a, b and the product, renumbered from 0) and the
-    largest array includes the sampled batch.  A plan whose largest array
-    exceeds ``INTERMEDIATE_MAX`` raises ``Refused``.
+    the order does not depend on it.
+
+    Each term has a key: "T" for a white, "C" for a black, and (key of a,
+    key of b, the step's subscripts) for a product.  Equal keys mean the
+    same einsum on the same arrays, as every white is the one sampled batch
+    and every black its one conjugate, so the results are bitwise equal.  A
+    step whose product's key a live term already holds is not computed.
+
+    Returns (steps, FLOPs per chunk as ``np.einsum_path`` counts them,
+    largest array in elements), where a step is (i, j, subscripts of a, b
+    and the product, renumbered from 0, same): ``same`` is the index, once
+    the pair is removed, of the live term equal to the product, else None.
+    FLOPs and the largest array count computed steps only, and the largest
+    array includes the sampled batch.  A plan whose largest array exceeds
+    ``INTERMEDIATE_MAX`` raises ``Refused``.
     """
     def size(labels, dim=N):  # every term carries the sample label 0
         return batch * dim ** (len(labels) - 1)
@@ -125,6 +140,7 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     # each step's label count small (numpy's einsum has 52 letters).
     rank_dim = max(N, 2)
     terms = _labels(b)
+    keys = ["T"] * b.n + ["C"] * b.n
     holders = Counter(x for term in terms for x in term)
     holders[0] += 1  # the output holds the sample label
     steps, flops, largest = [], 0, batch * N**b.d
@@ -138,13 +154,18 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
         _, i, j, out = best
         a, c = terms[i], terms[j]
         local = {x: k for k, x in enumerate(dict.fromkeys(a + c))}
-        steps.append((i, j, tuple([local[x] for x in t] for t in (a, c, out))))
-        flops += size(local) * (2 if len(out) < len(local) else 1)
-        largest = max(largest, size(out))
+        subscripts = tuple([local[x] for x in t] for t in (a, c, out))
+        key = (keys[i], keys[j], subscripts)
+        del terms[j], terms[i], keys[j], keys[i]
+        same = keys.index(key) if key in keys else None
+        steps.append((i, j, subscripts, same))
+        if same is None:
+            flops += size(local) * (2 if len(out) < len(local) else 1)
+            largest = max(largest, size(out))
         holders.subtract(a + c)
         holders.update(out)
-        del terms[j], terms[i]
         terms.append(out)
+        keys.append(key)
     if largest > INTERMEDIATE_MAX:
         raise Refused(
             f"d={b.d}, n={b.n} at N={N}: the largest array of a {batch}-sample "
@@ -155,15 +176,17 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
 
 
 def _contract(batch: np.ndarray, n: int, steps: list) -> np.ndarray:
-    """The bubble's value on each tensor of ``batch``, one einsum per step."""
+    """The bubble's value on each tensor of ``batch``: one einsum per step,
+    none for a step whose product a live operand already holds."""
     operands = [batch] * n + [np.conj(batch)] * n
-    for i, j, (sub_a, sub_b, sub_out) in steps:
-        # An explicit one-pair path sends the pair to numpy's batched matmul.
-        product = np.einsum(
-            operands[i], sub_a, operands[j], sub_b, sub_out, optimize=["einsum_path", (0, 1)]
-        )
+    for i, j, (sub_a, sub_b, sub_out), same in steps:
+        if same is None:
+            # An explicit one-pair path sends the pair to numpy's batched matmul.
+            product = np.einsum(
+                operands[i], sub_a, operands[j], sub_b, sub_out, optimize=["einsum_path", (0, 1)]
+            )
         del operands[j], operands[i]
-        operands.append(product)
+        operands.append(product if same is None else operands[same])
     return operands[0] if n else np.ones(len(batch), dtype=complex)
 
 

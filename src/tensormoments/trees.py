@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import Permutation, Refused, catalan
-from .bubbles import Bubble, json_int
+from .bubbles import Bubble, json_int, json_keys
 
 ROW_COLORS = (1, 3)
 COLUMN_COLORS = (2, 4)
@@ -84,6 +84,7 @@ class CornerLabeledTree:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CornerLabeledTree":
+        json_keys(data, ("color", "labels", "children"), "tree vertex")
         return cls(
             color=json_int(data["color"], "color"),
             labels=tuple(json_int(x, "corner label") for x in data["labels"]),

@@ -243,6 +243,11 @@ MALFORMED = {
     "tree_float_label": ("tree", '{"color": 1, "labels": [1.7]}', ()),
     "tree_bool_label": ("tree", '{"color": 1, "labels": [true]}', ()),
     "tree_float_color": ("tree", '{"color": 1.0, "labels": [1]}', ()),
+    # An unknown key is refused, not dropped.
+    "tree_unknown_key": (
+        "tree", '{"color": 1, "labels": [1], "childs": [{"color": 3, "labels": [1]}]}', ()
+    ),
+    "bubble_unknown_color": ("expect", '{"d": 1, "n": 1, "colors": {"1": [1], "5": [1]}}', ()),
     # One 512-sample chunk of N^4 entries at N = 64 would be ~137 GB.
     "mc_over_memory_budget": (
         "mc", json.dumps(necklace(4, SPLIT, 2).to_json()), ("--numeric-N", "64")

@@ -40,6 +40,19 @@ GREEDY_CLIFF_N8 = (
     (7, 3, 4, 6, 1, 8, 5, 2),
 )
 
+# A d = 4, n = 8 bubble drawn at random once and written out; its plan
+# reuses two pair products.
+RANDOM_N8 = (
+    (6, 4, 5, 2, 3, 7, 8, 1),
+    (6, 4, 3, 1, 7, 2, 8, 5),
+    (1, 2, 8, 3, 5, 4, 6, 7),
+    (6, 8, 2, 4, 3, 7, 1, 5),
+)
+
+
+def from_images(rows):
+    return Bubble(len(rows), len(rows[0]), tuple(Permutation(list(r)) for r in rows))
+
 
 def dipole(d=4):
     return Bubble(d, 1, tuple(Permutation.identity(1) for _ in range(d)))
@@ -66,6 +79,16 @@ class TestSampling:
         batch = sample_batch(spec, 0, 2000)
         var = float(np.mean(np.abs(batch) ** 2))
         assert abs(var - 2.0) < 0.05
+
+    def test_batch_is_scaled_real_then_imaginary_draws(self):
+        # Reference: the two draws combined as complex temporaries.
+        for N, d, variance in [(2, 4, 0.3), (3, 3, 1.0), (6, 4, 2.5)]:
+            spec = SampleSpec(N=N, d=d, samples=2, seed=19, variance=variance)
+            rng = montecarlo._rng(spec.seed, 5)
+            shape = (7,) + (N,) * d
+            re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+            expected = np.sqrt(variance / 2) * (re + 1j * im)
+            assert sample_batch(spec, 5, 7).tobytes() == expected.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -143,7 +166,7 @@ class TestEvaluateBubble:
         [
             necklace(4, SPLIT, 13),
             necklace(4, SPLIT, 16),
-            Bubble(4, 14, tuple(Permutation(list(images)) for images in RANDOM_N14)),
+            from_images(RANDOM_N14),
         ],
         ids=["necklace13", "necklace16", "random14"],
     )
@@ -232,7 +255,7 @@ class TestEstimate:
 
 class TestPlan:
     def test_greedy_cliff_bubble_in_seconds(self):
-        b = Bubble(4, 8, tuple(Permutation(list(images)) for images in GREEDY_CLIFF_N8))
+        b = from_images(GREEDY_CLIFF_N8)
         spec = SampleSpec(N=2, d=4, samples=2000, seed=0)
         start = time.perf_counter()
         est = estimate_expectation(b, spec)
@@ -241,11 +264,14 @@ class TestPlan:
         assert abs(est.mean - exact) <= 5 * est.stderr
 
     def test_plan_counts_flops_like_numpy(self):
-        # The plan's FLOPs per chunk are np.einsum_path's count of each step.
+        # The plan's FLOPs per chunk are np.einsum_path's count of each
+        # computed step; a reused product costs none.
         b = necklace(4, SPLIT, 3)
         steps, flops, largest = _plan(b, 3, DEFAULT_CHUNK)
         counted = []
-        for _, _, (sub_a, sub_b, sub_out) in steps:
+        for _, _, (sub_a, sub_b, sub_out), same in steps:
+            if same is not None:
+                continue
             a = np.empty((DEFAULT_CHUNK,) + (3,) * (len(sub_a) - 1))
             c = np.empty((DEFAULT_CHUNK,) + (3,) * (len(sub_b) - 1))
             _, report = np.einsum_path(
@@ -254,6 +280,38 @@ class TestPlan:
             counted.append(float(report.split("Optimized FLOP count:")[1].split()[0]))
         assert flops == pytest.approx(sum(counted), rel=1e-3)
         assert largest == DEFAULT_CHUNK * 3**4
+
+    def test_necklace_computes_three_of_five_steps(self):
+        # T·T̄ is the first product and the next two: 9.7e7 FLOPs per chunk
+        # at N = 6, where computing every step costs 1.9e8.
+        steps, flops, _ = _plan(necklace(4, SPLIT, 3), 6, DEFAULT_CHUNK)
+        assert len(steps) == 5
+        assert sum(same is not None for *_, same in steps) == 2
+        assert flops == pytest.approx(9.69e7, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "b, N",
+        [
+            (necklace(4, SPLIT, 3), 3),
+            (edge_tree_bubble(1, 1), 3),
+            (from_images(GREEDY_CLIFF_N8), 2),
+            (from_images(RANDOM_N8), 2),
+        ],
+        ids=["necklace3", "edge_tree", "greedy_cliff_n8", "random_n8"],
+    )
+    def test_reuse_is_bitwise_equal_to_computing_every_step(self, b, N):
+        spec = SampleSpec(N=N, d=4, samples=2, seed=31)
+        batch = sample_batch(spec, 0, 64)
+        steps, _, _ = _plan(b, N, len(batch))
+        assert any(same is not None for *_, same in steps)
+        operands = [batch] * b.n + [np.conj(batch)] * b.n
+        for i, j, (sub_a, sub_b, sub_out), _ in steps:
+            product = np.einsum(
+                operands[i], sub_a, operands[j], sub_b, sub_out, optimize=["einsum_path", (0, 1)]
+            )
+            del operands[j], operands[i]
+            operands.append(product)
+        assert montecarlo._contract(batch, b.n, steps).tobytes() == operands[0].tobytes()
 
     def test_over_memory_budget_refused_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
