@@ -124,8 +124,10 @@ def _tree_rows(trees):
 
 
 # Wick pairings (sum of n! over the trees) one ``tree --enumerate`` may
-# cost: about 2-4 s on one core of a 2-vCPU Xeon VM (`1 9`, 4.1e5 pairings in
-# 9 trees: 0.8-1.0 s; `5 5`, 4.8e5 pairings in 4341 trees: 1.6-1.7 s).
+# cost.  On one core of a 2-vCPU Xeon VM, `1 9` (4.1e5 pairings in 9 trees)
+# takes 0.15 s and `5 5` (4.8e5 pairings in 4341 trees) 1.1 s, a third of it
+# writing the 2.4 MB report; many small trees cost more per pairing than few
+# large ones.
 TREE_PAIRINGS_MAX = 10**6
 
 
@@ -193,8 +195,10 @@ def cmd_wishart(args) -> int:
     return 0
 
 
-# Largest n whose ``mc`` report adds the oracle's exact value: its n! walk takes 0.01 s
-# at n = 7, but 0.09 s at n = 8 and 0.7 s at n = 9 (one core of a 2-vCPU Xeon VM).
+# Largest n whose ``mc`` report adds the oracle's exact value.  The oracle's
+# walk takes 0.002 s at n = 7, 0.015-0.02 s at n = 8 and 0.13-0.14 s at n = 9
+# (d = 4, one core of a 2-vCPU Xeon VM); the bound fixes which reports carry
+# ``exact`` and ``within_5_sigma``.
 MC_EXACT_N_MAX = 7
 
 

@@ -1,12 +1,19 @@
 """Wick-enumeration oracle: exact expectations, dominant contractions."""
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tensormoments
 
 from tensormoments.algebra import LaurentPoly, Permutation, compose, symmetric_group
 from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.oracle import (
+    K,
     BubbleTooLarge,
     dominant_contractions,
     expectation,
@@ -133,16 +140,26 @@ class TestParallelDeterminism:
 
 
 class TestTranspositionWalk:
-    """The Heap's-order kernel against the recount over every pi in S_n."""
+    """The coset kernel against the recount over every pi in S_n.
 
-    @pytest.mark.parametrize("n", range(7))
+    (The class keeps the name of the walk it was written for, so that its
+    test ids stay stable.)
+    """
+
+    @pytest.mark.parametrize("n", range(K + 3))
     @pytest.mark.parametrize("d", range(1, 6))
     def test_random_bubbles(self, d, n):
-        # n = 0 and 1 take no step, n = 2 takes one swap.
+        # n < K and n = K are one coset, all of S_n; n = K + 1 and K + 2 have
+        # n!/K! cosets, whose walks pass through positions K..n-1.
         rng = random.Random(f"{d}:{n}")
         for _ in range(3):
             b = random_bubble(rng, d, n)
             assert wick_histogram(b) == histogram_brute_force(b)
+
+    def test_no_colors(self):
+        for n in range(K + 3):
+            b = Bubble(0, n, ())
+            assert wick_histogram(b) == histogram_brute_force(b) == {(): math.factorial(n)}
 
     def test_every_tree_bubble(self):
         for t in enumerate_trees(3, 4):
@@ -152,3 +169,26 @@ class TestTranspositionWalk:
     def test_counts_every_pairing_once(self):
         b = random_bubble(random.Random(8), 4, 8)
         assert sum(wick_histogram(b).values()) == math.factorial(8)
+
+    def test_n8_bubble(self):
+        b = random_bubble(random.Random("4:8"), 4, 8)
+        assert wick_histogram(b) == histogram_brute_force(b)
+
+    def test_table_built_on_first_use_not_at_import(self):
+        # A fresh interpreter: importing the package (what a command pays
+        # before any work) builds no row of the table; one histogram does.
+        code = (
+            "import tensormoments.cli\n"
+            "from tensormoments import oracle\n"
+            "from tensormoments.bubbles import ColorSplit, necklace\n"
+            "print(oracle._row.cache_info().currsize)\n"
+            "oracle.wick_histogram(necklace(4, ColorSplit(4, [2, 4]), 7))\n"
+            "print(oracle._row.cache_info().currsize)\n"
+        )
+        src = str(Path(tensormoments.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split("\n")
+        assert int(out[0]) == 0
+        assert int(out[1]) > 0
