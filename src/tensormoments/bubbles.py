@@ -2,8 +2,9 @@
 
 A bubble on n white / n black vertices carries one permutation per color;
 color c joins white vertex i to black vertex ``color_maps[c](i)``.  This
-module provides validation, the necklace constructor, the chain
-decomposition with respect to a color split, and bicolored cycle counts.
+module provides validation, isomorphism-class keys, the necklace
+constructor, the chain decomposition with respect to a color split, and
+bicolored cycle counts.
 """
 from __future__ import annotations
 
@@ -146,6 +147,40 @@ def validate(b: Bubble) -> Diagnostics:
             listing = "; ".join(str(sorted(v)) for v in comps.values())
             problems.append(f"disconnected: white components {listing}")
     return Diagnostics(ok=not problems, problems=tuple(problems))
+
+
+def canonical_key(b: Bubble):
+    """A hashable key equal for two bubbles exactly when they are isomorphic.
+
+    Relabelling whites by alpha and blacks by beta conjugates every
+    g_c = tau_1^{-1} tau_c (c = 2..d) by alpha, and simultaneously conjugate
+    tuples (g_2..g_d) give isomorphic bubbles.  From each start white, the
+    whites are renumbered in breadth-first order, colours in order; the key
+    is (d, n, the smallest renumbered tuple).  A disconnected (or empty)
+    bubble is its own key, so it is equal only to itself.  O(n^2 d).
+    """
+    n = b.n
+    base_inv = [0] * n  # 0-indexed: black -> white along colour 1
+    for white, black in enumerate(b.tau(1).images):
+        base_inv[black - 1] = white
+    gs = [[base_inv[black - 1] for black in b.tau(c).images] for c in range(2, b.d + 1)]
+    best = None
+    for start in range(n):
+        label = [-1] * n
+        label[start] = 0
+        order = [start]
+        for v in order:  # ``order`` grows while it is walked
+            for g in gs:
+                w = g[v]
+                if label[w] < 0:
+                    label[w] = len(order)
+                    order.append(w)
+        if len(order) < n:
+            return b
+        relabelled = tuple([label[g[v]] for g in gs for v in order])
+        if best is None or relabelled < best:
+            best = relabelled
+    return b if best is None else (b.d, n, best)
 
 
 def necklace(d: int, split: ColorSplit, k: int) -> Bubble:

@@ -1,20 +1,22 @@
 """Bubble validation, necklaces, chain decomposition, bicolored cycles."""
+import random
 from itertools import permutations as perm_tuples
 
 import pytest
 
-from tensormoments.algebra import Permutation, symmetric_group
+from tensormoments.algebra import Permutation, compose, symmetric_group
 from tensormoments.bubbles import (
     Bubble,
     ColorSplit,
     bicolored_cycle_count,
     bubble_from_chains,
+    canonical_key,
     chain_decomposition,
     chain_obstruction,
     necklace,
     validate,
 )
-from tensormoments.oracle import per_color_dimensions
+from tensormoments.oracle import per_color_dimensions, wick_histogram
 
 from conftest import edge_tree_bubble
 
@@ -199,3 +201,87 @@ class TestSerialization:
             "n": 2,
             "colors": {"1": [2, 1], "2": [1, 2], "3": [1, 2], "4": [1, 2]},
         }
+
+
+def random_perm(rng: random.Random, n: int) -> Permutation:
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+def random_connected(rng: random.Random, d: int, n: int) -> Bubble:
+    while True:
+        b = Bubble(d, n, tuple(random_perm(rng, n) for _ in range(d)))
+        if validate(b).ok:
+            return b
+
+
+def relabelled(b: Bubble, alpha: Permutation, beta: Permutation) -> Bubble:
+    """Whites renamed by alpha, blacks by beta: tau_c -> beta tau_c alpha^{-1}."""
+    a_inv = alpha.inverse()
+    return Bubble(b.d, b.n, tuple(compose(beta, compose(t, a_inv)) for t in b.color_maps))
+
+
+def isomorphic(a: Bubble, b: Bubble) -> bool:
+    """Brute force: some renaming of the whites conjugates every tau_1^{-1} tau_c
+    of ``a`` into that of ``b``."""
+    if (a.d, a.n) != (b.d, b.n):
+        return False
+    ga = [compose(a.tau(1).inverse(), a.tau(c)) for c in range(2, a.d + 1)]
+    gb = [compose(b.tau(1).inverse(), b.tau(c)) for c in range(2, b.d + 1)]
+    return any(
+        all(compose(alpha, compose(g, alpha.inverse())) == h for g, h in zip(ga, gb))
+        for alpha in symmetric_group(a.n)
+    )
+
+
+class TestCanonicalKey:
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_relabelled_copies_share_a_key(self, d, n):
+        rng = random.Random(100 * d + n)
+        for _ in range(10):
+            b = random_connected(rng, d, n)
+            copy = relabelled(b, random_perm(rng, n), random_perm(rng, n))
+            assert canonical_key(copy) == canonical_key(b)
+
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (3, 4), (4, 3)])
+    def test_equal_keys_exactly_when_isomorphic(self, d, n):
+        rng = random.Random(d * n)
+        bubbles = [random_connected(rng, d, n) for _ in range(12)]
+        bubbles += [relabelled(b, random_perm(rng, n), random_perm(rng, n)) for b in bubbles[:4]]
+        merged = 0
+        for i, a in enumerate(bubbles):
+            for b in bubbles[:i]:
+                same = canonical_key(a) == canonical_key(b)
+                assert same == isomorphic(a, b)
+                merged += same
+        assert merged >= 4
+
+    @pytest.mark.parametrize("d, n", [(3, 3), (4, 4), (4, 6)])
+    def test_equal_keys_give_equal_histograms(self, d, n):
+        rng = random.Random(7 * d + n)
+        bubbles = [random_connected(rng, d, n) for _ in range(30)]
+        bubbles += [relabelled(b, random_perm(rng, n), random_perm(rng, n)) for b in bubbles[:5]]
+        first: dict = {}
+        for b in bubbles:
+            first.setdefault(canonical_key(b), b)
+        assert len(first) < len(bubbles)
+        for b in bubbles:
+            assert wick_histogram(b) == wick_histogram(first[canonical_key(b)])
+
+    def test_disconnected_bubble_is_its_own_key(self):
+        two_dipoles = Bubble(4, 2, (Permutation.identity(2),) * 4)
+        swapped = relabelled(two_dipoles, Permutation([2, 1]), Permutation.identity(2))
+        assert canonical_key(two_dipoles) is two_dipoles
+        assert canonical_key(swapped) == swapped != two_dipoles
+        empty = Bubble(4, 0, (Permutation.identity(0),) * 4)
+        assert canonical_key(empty) is empty
+
+    def test_colours_are_not_interchanged(self):
+        # Colours 2 and 3 swapped: isomorphic as uncoloured graphs only.
+        b = edge_tree_bubble(2, 1)
+        t = b.color_maps
+        swapped = Bubble(4, b.n, (t[0], t[2], t[1], t[3]))
+        assert not isomorphic(b, swapped)
+        assert canonical_key(b) != canonical_key(swapped)

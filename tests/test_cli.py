@@ -1,17 +1,22 @@
 """Command-line interface: verdicts, exit codes, output determinism."""
 import argparse
+import hashlib
 import json
+import math
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from tensormoments import effective, montecarlo, oracle
+from tensormoments import cli, effective, montecarlo, oracle
 from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc, Refused
-from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
+from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, canonical_key, necklace
 from tensormoments.cli import build_parser, main
-from tensormoments.trees import CornerLabeledTree
+from tensormoments.trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from tensormoments.weingarten import _weingarten_table
 
 from conftest import edge_tree_bubble
@@ -394,6 +399,9 @@ GOLDEN_ARGV = {
     "effective_2-1-1-1": ("effective", "chains_2-1-1-1.json", "--split", "2,4"),
     "effective_3-3-2": ("effective", "chains_3-3-2.json", "--split", "2,4"),
     "wishart_3-2-1": ("wishart", "3", "2", "1", "--rows", "N", "--cols", "N^2"),
+    "tree_enumerate_2_4": ("tree", "--enumerate", "2", "4"),
+    "expect_d4_n5": ("expect", "bubble_d4_n5.json", "--alpha", "2", "--numeric-N", "3"),
+    "mc_d4_n5": ("mc", "bubble_d4_n5.json", "--numeric-N", "2", "--samples", "1024", "--seed", "7"),
 }
 
 
@@ -403,6 +411,96 @@ def test_stdout_matches_golden_file(case, capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{case}.out").read_text()
+
+
+def test_large_tree_report_is_pinned(capsys):
+    # The ~1 MB report of ``tree --enumerate 4 5``, pinned by its digest.
+    code, out = run(capsys, "tree", "--enumerate", "4", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "881badfcbf6df53700f01a3fbad3ce9db5821ef24d7dfc39c4e809ccfb686cd1"
+    )
+
+
+# JSON values, with the corners json.dumps must get right; and the same with
+# values it refuses (a Fraction, a set, bytes, a tuple key) mixed in.
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x20))
+)
+_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+
+
+def _nested(leaves, keys):
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(keys, inner, max_size=4),
+        max_leaves=20,
+    )
+
+
+_unserialisable = st.sampled_from([Fraction(1, 2), {1, 2}, b"x", 1j, object()])
+_bad_key_dict = st.builds(lambda v: {(1, 2): v}, _scalars)
+
+
+@given(_nested(_scalars, _keys))
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": ()})
+@example([-0.0, math.nan, math.inf, -math.inf, 2**100, -(2**70), True, False, None])
+@example({"\x00\x1f\"\\": "é☃\U0001d11e\u2028", 1: 1.0, 2.5: None, None: True, False: [[]]})
+def test_writer_equals_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=1)
+
+
+@given(_nested(_scalars | _unserialisable | _bad_key_dict, _keys))
+@example(Fraction(1, 2))
+@example({"a": [1, {2, 3}]})
+def test_writer_refuses_what_json_dumps_refuses(value):
+    try:
+        expected = json.dumps(value, indent=1)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._json(value)
+    else:
+        assert cli._json(value) == expected
+
+
+def test_tree_rows_equal_the_oracle_tree_by_tree():
+    trees = list(enumerate_trees(3, 5))
+    assert len(trees) == 493
+    for t, row in zip(trees, cli._tree_rows(trees), strict=True):
+        bubble = tree_to_bubble(t)
+        _, coeff = oracle.gaussian_expectation(bubble).leading_term()
+        assert row == {
+            "tree": t.to_json(),
+            "n": bubble.n,
+            "predicted": catalan_product(t),
+            "oracle_leading_coeff": int(coeff),
+            "verdict": "PASS" if coeff == catalan_product(t) else "FAIL",
+        }
+
+
+def test_tree_enumerate_runs_the_oracle_once_per_class(capsys, monkeypatch):
+    keys = []
+    original = cli.gaussian_expectation
+
+    def counted(bubble):
+        keys.append(canonical_key(bubble))
+        return original(bubble)
+
+    monkeypatch.setattr(cli, "gaussian_expectation", counted)
+    code, out = run(capsys, "tree", "--enumerate", "3", "6")
+    assert code == 0 and len(first_json(out)["trees"]) == 1134
+    classes = {canonical_key(tree_to_bubble(t)) for t in enumerate_trees(3, 6)}
+    assert len(keys) == len(set(keys)) == len(classes) == 93
 
 
 @pytest.mark.parametrize("argv", [("tree", "TREE", "--csv"), ("weingarten", "2", "--csv")])
