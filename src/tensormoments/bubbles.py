@@ -40,6 +40,8 @@ class Bubble:
     color_maps: tuple[Permutation, ...]
 
     def __post_init__(self):
+        if self.d < 0 or self.n < 0:
+            raise ValueError(f"d and n must be non-negative, got d={self.d}, n={self.n}")
         if len(self.color_maps) != self.d:
             raise ValueError(f"expected {self.d} color maps, got {len(self.color_maps)}")
         for c, p in enumerate(self.color_maps, start=1):
@@ -113,6 +115,35 @@ class Diagnostics:
     problems: tuple[str, ...] = ()
 
 
+def _white_maps(b: Bubble) -> list[list[int]]:
+    """g_c = tau_1^{-1} tau_c on the whites, 0-indexed, for c = 2..d.
+
+    Whites i and g_c(i) share the black tau_c(i), so the orbits of the g_c
+    are the connected components of the bubble.
+    """
+    base_inv = [0] * b.n  # black -> white along colour 1
+    for white, black in enumerate(b.tau(1).images):
+        base_inv[black - 1] = white
+    return [[base_inv[black - 1] for black in b.tau(c).images] for c in range(2, b.d + 1)]
+
+
+def _walk(gs: list[list[int]], start: int, label: list[int]) -> list[int]:
+    """Breadth-first walk from ``start``, colours in order.
+
+    Sets ``label[w]`` to w's place in the walk for every white reached (each
+    must be negative on entry) and returns the whites in walk order.
+    """
+    label[start] = 0
+    order = [start]
+    for v in order:  # ``order`` grows while it is walked
+        for g in gs:
+            w = g[v]
+            if label[w] < 0:
+                label[w] = len(order)
+                order.append(w)
+    return order
+
+
 def validate(b: Bubble) -> Diagnostics:
     """Check bijectivity of every color map and connectivity of the graph."""
     problems = []
@@ -121,30 +152,11 @@ def validate(b: Bubble) -> Diagnostics:
         if sorted(b.tau(c).images) != list(range(1, b.n + 1)):
             problems.append(f"color {c} is not a bijection")
     if not problems and b.n > 0:
-        # Union-of-colors graph on whites: i ~ j when some black is shared.
-        parent = list(range(b.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        base_inv = b.tau(1).inverse()
-        for c in range(1, b.d + 1):
-            tau = b.tau(c)
-            for i in range(1, b.n + 1):
-                # white i and white base^{-1}(tau(i)) share black tau(i)
-                j = base_inv(tau(i))
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        roots = {find(i) for i in range(1, b.n + 1)}
-        if len(roots) > 1:
-            comps = {}
-            for i in range(1, b.n + 1):
-                comps.setdefault(find(i), []).append(i)
-            listing = "; ".join(str(sorted(v)) for v in comps.values())
+        gs = _white_maps(b)
+        label = [-1] * b.n  # each walk marks the whites it reaches
+        components = [_walk(gs, w, label) for w in range(b.n) if label[w] < 0]
+        if len(components) > 1:
+            listing = "; ".join(str(sorted(w + 1 for w in comp)) for comp in components)
             problems.append(f"disconnected: white components {listing}")
     return Diagnostics(ok=not problems, problems=tuple(problems))
 
@@ -160,21 +172,11 @@ def canonical_key(b: Bubble):
     bubble is its own key, so it is equal only to itself.  O(n^2 d).
     """
     n = b.n
-    base_inv = [0] * n  # 0-indexed: black -> white along colour 1
-    for white, black in enumerate(b.tau(1).images):
-        base_inv[black - 1] = white
-    gs = [[base_inv[black - 1] for black in b.tau(c).images] for c in range(2, b.d + 1)]
+    gs = _white_maps(b)
     best = None
     for start in range(n):
         label = [-1] * n
-        label[start] = 0
-        order = [start]
-        for v in order:  # ``order`` grows while it is walked
-            for g in gs:
-                w = g[v]
-                if label[w] < 0:
-                    label[w] = len(order)
-                    order.append(w)
+        order = _walk(gs, start, label)
         if len(order) < n:
             return b
         relabelled = tuple([label[g[v]] for g in gs for v in order])
@@ -186,20 +188,16 @@ def canonical_key(b: Bubble):
 def necklace(d: int, split: ColorSplit, k: int) -> Bubble:
     """The bubble of tr (M M^dagger)^k with respect to ``split``.
 
-    Column colors are the identity; each row color is the k-cycle i -> i-1
-    (mod k).  This orientation is fixed so that chain_decomposition returns
-    a single chain of length k with trivial endpoint maps.
+    One chain of length k closed on itself: column colors are the identity
+    and each row color is the k-cycle i -> i-1 (mod k), so
+    chain_decomposition returns that chain with trivial endpoint maps.
     """
     if k < 1:
         raise ValueError("necklace length must be >= 1")
     if split.d != d:
         raise ValueError(f"split is for d={split.d}, bubble has d={d}")
-    down = Permutation([k if i == 1 else i - 1 for i in range(1, k + 1)])
-    ident = Permutation.identity(k)
-    maps = tuple(
-        ident if c in split.column_colors else down for c in range(1, d + 1)
-    )
-    return Bubble(d, k, maps)
+    ends = {c: Permutation.identity(1) for c in split.row_colors}
+    return bubble_from_chains(d, split, (k,), ends)
 
 
 @dataclass(frozen=True)

@@ -224,13 +224,17 @@ def cmd_tree(args) -> int:
     if args.enumerate:
         v, k = args.enumerate
         check_size(k, TREE_D)
-        trees = list(enumerate_trees(v, k))
-        pairings = sum(math.factorial(t.total_label) for t in trees)
-        if pairings > TREE_PAIRINGS_MAX:
-            raise Refused(
-                f"--enumerate {v} {k}: {len(trees)} trees need ~{pairings:.1e} Wick "
-                f"pairings, over the budget {TREE_PAIRINGS_MAX:.0e}"
-            )
+        # The sum only grows, so it is checked as the trees come: a refused
+        # enumeration stops at the tree that passes the budget.
+        trees, pairings = [], 0
+        for t in enumerate_trees(v, k):
+            trees.append(t)
+            pairings += math.factorial(t.total_label)
+            if pairings > TREE_PAIRINGS_MAX:
+                raise Refused(
+                    f"--enumerate {v} {k}: the first {len(trees)} trees already need "
+                    f"~{pairings:.1e} Wick pairings, over the budget {TREE_PAIRINGS_MAX:.0e}"
+                )
     elif args.tree is None:
         raise Refused("provide a tree file or --enumerate V K")
     else:

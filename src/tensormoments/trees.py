@@ -3,9 +3,11 @@
 Each tree vertex stands for a necklace whose length is the sum of the
 corner labels around it; children are inserted on edges of color 1 or 3 by
 cutting open necklaces into the parent, with the labels giving the number
-of color-2 edges between consecutive insertion points.  The large-N
-expectation of the resulting observable is the product of Catalan numbers
-of the per-vertex lengths.
+of color-2 edges between consecutive insertion points.  With each row
+colour stored as a black-to-white list, one insertion (cut the parent's
+edge and the child's open edge, then cross-connect them) is a swap of two
+entries.  The large-N expectation of the resulting observable is the
+product of Catalan numbers of the per-vertex lengths.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .algebra import Permutation, Refused, catalan
 from .bubbles import Bubble, json_int, json_keys
@@ -102,87 +104,57 @@ class CornerLabeledTree:
             return cls.from_json(json.load(fh))
 
 
-class _Builder:
-    """Mutable edge store used while gluing necklaces together."""
+def _glue(
+    node: CornerLabeledTree, white_of: dict[int, list[int]], spans: list[tuple[int, int]]
+) -> int:
+    """Append the necklace of ``node`` and everything below it, 0-indexed.
 
-    def __init__(self):
-        self.colors: dict[int, dict[int, int]] = {c: {} for c in range(1, D + 1)}
-        self.count = 0
-        self.spans: list[tuple[int, int]] = []  # (first white, last white) per vertex
-
-    def add_necklace(self, k: int) -> list[int]:
-        """Closed necklace of length k; returns its white labels in order."""
-        base = self.count
-        whites = list(range(base + 1, base + k + 1))
-        self.count += k
-        self.spans.append((whites[0], whites[-1]))
-        for c in COLUMN_COLORS:
-            for w in whites:
-                self.colors[c][w] = w
-        for c in ROW_COLORS:
-            for j, w in enumerate(whites):
-                # edge from black j to white j+1 (cyclic)
-                self.colors[c][whites[(j + 1) % k]] = w
-        return whites
-
-
-def _build(node: CornerLabeledTree, builder: _Builder) -> tuple[int, int]:
-    """Build the necklace of ``node`` and everything below it.
-
-    Returns (first_white, last_black) -- the endpoints of the open edge of
-    ``node.color`` at this necklace (the edge that gets cut on insertion
-    into a parent).
+    ``white_of[c][black]`` is the white that the row-colour-c edge at
+    ``black`` joins (column colours are the identity).  The necklace of
+    length k starts at ``base``, black j joining white j + 1 (mod k), so
+    the edge at black base + s - 1 is row slot s and slot k is the open
+    edge.  ``spans`` gets each vertex's (first, last) white, 1-indexed, in
+    preorder.  Returns the last black, whose edge of ``node.color`` is the
+    open edge.
     """
     k = node.k
-    whites = builder.add_necklace(k)
-    # Row slot s (1..k) holds the color-1 and color-3 edges between black
-    # whites[s-1] and white whites[s % k]; slot k is the parent/open slot.
-    active: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def slot_edge(s: int, color: int) -> tuple[int, int]:
-        if (s, color) in active:
-            return active[(s, color)]
-        return whites[s - 1], whites[s % k]  # (black, white)
-
-    cum = 0
+    base = len(white_of[1])
+    for row in white_of.values():
+        row.extend(base + (j + 1) % k for j in range(k))
+    spans.append((base + 1, base + k))
+    s = 0
     for child, gap in zip(node.children, node.labels):
-        cum += gap
-        s = cum % k or k
-        black_p, white_p = slot_edge(s, child.color)
-        cw, cb = _build(child, builder)
-        cmap = builder.colors[child.color]
-        # cut the parent edge and the child's open edge, then cross-connect
-        assert cmap[white_p] == black_p and cmap[cw] == cb
-        cmap[cw] = black_p
-        cmap[white_p] = cb
-        # later insertions at this slot land between the parent black and
-        # the child's white start (the child-side new edge is frozen)
-        active[(s, child.color)] = (black_p, cw)
-
-    # The open edge may have been subdivided by a same-color child at slot k.
-    black_o, white_o = slot_edge(k, node.color)
-    return white_o, black_o
+        s += gap
+        end = _glue(child, white_of, spans)
+        # Cut the slot's edge and the child's open edge and cross-connect
+        # them: one swap.  A later child at this slot reads the new entry.
+        row, slot = white_of[child.color], base + (s - 1) % k
+        row[slot], row[end] = row[end], row[slot]
+    return base + k - 1
 
 
 def tree_to_bubble(t: CornerLabeledTree) -> Bubble:
     """The d=4 bubble obtained by recursive open-necklace insertion."""
     if t.color != 1:
         raise Refused(f"root insertion color must be 1, got {t.color}")
-    builder = _Builder()
-    _build(t, builder)
-    n = builder.count
-    maps = tuple(
-        Permutation([builder.colors[c][w] for w in range(1, n + 1)])
-        for c in range(1, D + 1)
-    )
-    return Bubble(D, n, maps)
+    white_of: dict[int, list[int]] = {c: [] for c in ROW_COLORS}
+    _glue(t, white_of, [])
+    n = len(white_of[1])
+    rows = []
+    for c in ROW_COLORS:
+        images = [0] * n
+        for black, white in enumerate(white_of[c], start=1):
+            images[white] = black
+        rows.append(Permutation(images))
+    column = Permutation.identity(n)
+    return Bubble(D, n, (rows[0], column, rows[1], column))
 
 
 def tree_vertex_spans(t: CornerLabeledTree) -> list[tuple[CornerLabeledTree, tuple[int, int]]]:
     """Pair each tree vertex with its (first, last) white labels in the bubble."""
-    builder = _Builder()
-    _build(t, builder)
-    return list(zip(t.vertices(), builder.spans))
+    spans: list[tuple[int, int]] = []
+    _glue(t, {c: [] for c in ROW_COLORS}, spans)
+    return list(zip(t.vertices(), spans))
 
 
 def catalan_product(t: CornerLabeledTree) -> int:
@@ -203,16 +175,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _trees_exact(color: int, v: int, s: int) -> tuple[CornerLabeledTree, ...]:
     """All trees with exactly v vertices and total label s, given root color."""
@@ -222,10 +184,11 @@ def _trees_exact(color: int, v: int, s: int) -> tuple[CornerLabeledTree, ...]:
         return (CornerLabeledTree(color, (s,)),)
     out = []
     for nch in range(1, v):
-        for vsplit in _positive_compositions(v - 1, nch):
+        for spare in _compositions(v - 1 - nch, nch):
+            vsplit = [1 + x for x in spare]  # positive, summing to v - 1
             # root keeps k_root >= 1; each child subtree needs s_i >= v_i
-            for k_root in range(1, s - sum(vsplit) + 1):
-                for ssplit in _compositions(s - k_root - sum(vsplit), nch):
+            for k_root in range(1, s - v + 2):
+                for ssplit in _compositions(s - k_root - v + 1, nch):
                     sizes = [vs + extra for vs, extra in zip(vsplit, ssplit)]
                     pools = [
                         [

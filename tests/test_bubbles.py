@@ -1,5 +1,6 @@
 """Bubble validation, necklaces, chain decomposition, bicolored cycles."""
 import random
+from itertools import combinations
 from itertools import permutations as perm_tuples
 
 import pytest
@@ -39,6 +40,15 @@ class TestValidate:
     def test_edge_tree_bubble_ok(self):
         assert validate(edge_tree_bubble(2, 3)).ok
 
+    def test_three_interleaved_components_listed(self):
+        b = Bubble(2, 6, (Permutation([4, 2, 6, 1, 5, 3]), Permutation([1, 5, 3, 4, 2, 6])))
+        assert validate(b).problems == ("disconnected: white components [1, 4]; [2, 5]; [3, 6]",)
+
+    @pytest.mark.parametrize("d, n", [(0, -1), (-1, 0)])
+    def test_negative_size_rejected(self, d, n):
+        with pytest.raises(ValueError):
+            Bubble(d, n, ())
+
     def test_wrong_map_count(self):
         with pytest.raises(ValueError):
             Bubble(4, 1, (Permutation.identity(1),) * 3)
@@ -69,6 +79,19 @@ class TestNecklace:
     def test_invalid_length(self, split24):
         with pytest.raises(ValueError):
             necklace(4, split24, 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_closed_chain(self, d):
+        for r in range(1, d):
+            for columns in combinations(range(1, d + 1), r):
+                split = ColorSplit(d, columns)
+                ends = {c: Permutation.identity(1) for c in split.row_colors}
+                for k in range(1, 8):
+                    b = necklace(d, split, k)
+                    assert b == bubble_from_chains(d, split, (k,), ends)
+                    down = (k, *range(1, k))  # i -> i-1 (mod k)
+                    assert [b.tau(c).images for c in split.row_colors] == [down] * (d - r)
+                    assert all(b.tau(c).is_identity() for c in columns)
 
 
 class TestColorSplit:

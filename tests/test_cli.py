@@ -253,6 +253,10 @@ MALFORMED = {
         "tree", '{"color": 1, "labels": [1], "childs": [{"color": 3, "labels": [1]}]}', ()
     ),
     "bubble_unknown_color": ("expect", '{"d": 1, "n": 1, "colors": {"1": [1], "5": [1]}}', ()),
+    # A negative size is refused when the bubble is built, not left to fail
+    # in n! or in an index.
+    "bubble_negative_n": ("expect", '{"d": 0, "n": -1, "colors": {}}', ()),
+    "mc_negative_n": ("mc", '{"d": 0, "n": -1, "colors": {}}', ("--numeric-N", "2")),
     # One 512-sample chunk of N^4 entries at N = 64 would be ~137 GB.
     "mc_over_memory_budget": (
         "mc", json.dumps(necklace(4, SPLIT, 2).to_json()), ("--numeric-N", "64")
@@ -316,12 +320,21 @@ REFUSED_ARGV = {
     "tree_enumerate_over_oracle_bound": ("tree", "--enumerate", "1", "10"),
     "tree_no_input": ("tree",),
     "tree_enumerate_over_pairing_budget": ("tree", "--enumerate", "4", "9"),
+    # Millions of trees: refused at the tree that passes the budget.
+    "tree_enumerate_9_9": ("tree", "--enumerate", "9", "9"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_ARGV))
 def test_out_of_range_arguments_refused(case, capsys):
     assert_refused(main(list(REFUSED_ARGV[case])), capsys)
+
+
+def test_enumeration_budget_checked_while_enumerating(capsys, monkeypatch):
+    _forbid(monkeypatch, oracle, "wick_histogram")
+    start = time.perf_counter()
+    assert_refused(main(["tree", "--enumerate", "9", "9"]), capsys)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 """Corner-labeled trees, necklace insertion, Catalan products, enumeration."""
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -107,6 +109,17 @@ class TestTreeToBubble:
         spans = tree_vertex_spans(t)
         whites = sorted(w for _, (a, b) in spans for w in range(a, b + 1))
         assert whites == list(range(1, tree_to_bubble(t).n + 1))
+
+    def test_bubbles_and_spans_of_4_5_pinned(self):
+        # The labelling, not just the isomorphism class: every white of every
+        # bubble of the 2053 trees of enumerate_trees(4, 5), and every span.
+        rows = [
+            [tree_to_bubble(t).to_json(), [span for _, span in tree_vertex_spans(t)]]
+            for t in enumerate_trees(4, 5)
+        ]
+        assert len(rows) == 2053
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "635a80d84fd5711cde5b6b4095b3ffaac329dc86fa5e65d3a8dbbb5692f95da2"
 
 
 class TestCatalanProduct:
