@@ -1,10 +1,10 @@
 """Exact combinatorial and symbolic arithmetic shared by every other module.
 
 Permutations and partitions of the symmetric group, its irreducible
-characters (with the contents and hook lengths of Young diagrams), Catalan
-numbers, and Laurent polynomials / rational functions in the single symbol
-N with arbitrary-precision rational coefficients.  No floating point
-anywhere.  Also ``Refused``, the one exception a size bound or range check
+characters (with the contents, hook lengths and integer content polynomials
+of Young diagrams), Catalan numbers, and Laurent polynomials / rational
+functions in the single symbol N with arbitrary-precision rational
+coefficients.  No floating point anywhere.  Also ``Refused``, the one exception a size bound or range check
 raises.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _sym_group
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -220,6 +220,53 @@ def _hook_product(lam: Sequence[int]) -> int:
     """Product of the hook lengths of lam; f^lam = n! / _hook_product(lam)."""
     cols = [sum(1 for row in lam if row > j) for j in range(lam[0])] if lam else []
     return math.prod(row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+
+
+def _content_polynomial(contents: Iterable[int]) -> list[int]:
+    """Integer coefficients, constant term first, of prod_{c in contents} (x + c).
+
+    With the contents of lam's boxes this is lam's content polynomial
+    prod_{box in lam} (x + c(box)).
+    """
+    coeffs = [1]
+    for c in contents:
+        coeffs = [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _terms_at(coeffs: Sequence[Rational], x) -> dict[int, Rational]:
+    """sum_k coeffs[k] x^k as {exponent of N: coefficient}, for x an int, a
+    Fraction or a LaurentPoly (a number is the constant term).
+
+    Whole coefficients stay ints, so integer polynomials are summed and
+    multiplied without a Fraction; ``_times`` multiplies two such maps.
+    """
+    if isinstance(x, LaurentPoly):
+        x = {e: c.numerator if c.denominator == 1 else c for e, c in x.terms.items()}
+    else:
+        x = {0: x}
+    out: dict[int, Rational] = {}
+    for c in reversed(coeffs):  # Horner
+        out = _times(out, x)
+        out[0] = out.get(0, 0) + c
+    return out
+
+
+def _times(a: Mapping[int, Rational], b: Mapping[int, Rational]) -> dict[int, Rational]:
+    """The product of two {exponent of N: coefficient} maps."""
+    out: dict[int, Rational] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def _divided(terms: Mapping[int, Rational], den: int, symbolic: bool):
+    """``terms`` / den: a LaurentPoly when ``symbolic``, else the constant
+    term as a Fraction."""
+    if symbolic:
+        return LaurentPoly({e: Fraction(c, den) for e, c in terms.items()})
+    return Fraction(terms.get(0, 0), den)
 
 
 def catalan(l: int) -> int:

@@ -119,8 +119,11 @@ def _white_maps(b: Bubble) -> list[list[int]]:
     """g_c = tau_1^{-1} tau_c on the whites, 0-indexed, for c = 2..d.
 
     Whites i and g_c(i) share the black tau_c(i), so the orbits of the g_c
-    are the connected components of the bubble.
+    are the connected components of the bubble.  With d < 2 there is no g_c:
+    each white is a component of its own (with its black when d = 1).
     """
+    if b.d < 2:
+        return []
     base_inv = [0] * b.n  # black -> white along colour 1
     for white, black in enumerate(b.tau(1).images):
         base_inv[black - 1] = white

@@ -4,15 +4,19 @@ For a chain-expressible bubble the unitary average at fixed singular
 values is a combination of power sums p_l = sum_i lambda_i^{2l}; summing
 the Weingarten-weighted permutation pairs yields the expansion, and the
 complex Wishart (Laguerre) moments close the loop back to the exact
-Gaussian expectation.  One generator walks the pairs (sigma, tau) of
-S_m x S_m as 0-indexed tuples for both the expansion and the scaling
-diagnostics; each coefficient is reduced once, from numerators over the
-shared denominator of a ``weingarten`` table.  Wishart moments are character
-sums over S_L, so this route never calls the Wick oracle it is checked against.
+Gaussian expectation.  The expansion counts the pairs (sigma, tau) of
+S_m x S_m by sigma-orbits: one walk over sigma, then one walk over tau per
+orbit under conjugation by the length-keeping permutations.  Each
+coefficient is reduced once, from numerators over the shared denominator of
+a ``weingarten`` table.  Wishart moments are character sums over S_L in
+integer content polynomials, so this route never calls the Wick oracle it
+is checked against; the reconstruction is one exact polynomial division.
+The scaling diagnostics alone walk every pair, one generator yielding them.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,16 +27,22 @@ from .algebra import (
     LaurentPoly,
     Partition,
     Permutation,
+    Rational,
     RationalFunc,
     Refused,
     _character,
+    _content_polynomial,
     _contents,
     _cycle_type,
     _cycles,
+    _divided,
     _hook_product,
     _poly_divmod,
+    _terms_at,
+    _times,
     catalan,
     partitions_of,
+    poly_gcd,
 )
 from .bubbles import (
     Bubble,
@@ -45,7 +55,9 @@ from .bubbles import (
 from .weingarten import _weingarten_table
 
 WISHART_L_MAX = 9
-# The angular route sums over S_m x S_m: m!^2 pairs (518,400 at m = 6).
+# The expansion walks m! sigmas, then m! taus per sigma-orbit: at most m!^2
+# steps (m! = 720 at m = 6, with 11 orbits for single-box chains); the
+# scaling diagnostics walk all m!^2 pairs (518,400 at m = 6).
 ANGULAR_M_MAX = 6
 
 
@@ -105,7 +117,8 @@ def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
     if decomp.m > ANGULAR_M_MAX:
         raise Refused(
             f"{decomp.m} chains exceed the angular bound {ANGULAR_M_MAX}: "
-            f"~{math.factorial(decomp.m) ** 2:.1e} (sigma, tau) pairs"
+            f"{math.factorial(decomp.m)} sigma steps plus {math.factorial(decomp.m)} tau steps "
+            f"per sigma-orbit, up to ~{math.factorial(decomp.m) ** 2:.1e}"
         )
     return decomp
 
@@ -136,25 +149,62 @@ def _angular_terms(decomp: ChainDecomposition, rows: Sequence[int]):
             yield sigma, f_rows, tau, powers, _cycle_type([sigma[i] for i in tau_inv])
 
 
+def _orbit_weights(decomp: ChainDecomposition, rows: Sequence[int]) -> dict:
+    """weights[powers][Wg class][row exponent] = #{(sigma, tau) in S_m x S_m :
+    powers of tau, cycle type of sigma tau^{-1}, sum_c F_c(sigma)}.
+
+    Conjugating sigma and tau by a permutation that keeps chain lengths keeps
+    the powers of tau and the class of sigma tau^{-1}, so the tau counts of a
+    sigma depend only on its orbit: the multiset of its cycles, each read as
+    the chain lengths along it up to rotation.  One walk over sigma gives
+    each orbit's histogram of row exponents; then one walk over tau per
+    orbit representative, m! + (#orbits) m! steps in all.
+    """
+    m, lengths = decomp.m, decomp.chain_lengths
+    group = list(permutations(range(m)))
+    cycles = {p: _cycles(p) for p in group}
+    types = {p: tuple(sorted(map(len, cyc), reverse=True)) for p, cyc in cycles.items()}
+    ends = [decomp.endpoint_maps[c]._zero_indexed() for c in rows]
+    orbits: dict[tuple, tuple[tuple[int, ...], dict[int, int]]] = {}
+    for sigma in group:
+        key = []
+        for cyc in cycles[sigma]:
+            labels = [lengths[i] for i in cyc]
+            key.append(min(tuple(labels[i:] + labels[:i]) for i in range(len(labels))))
+        _, exps = orbits.setdefault(tuple(sorted(key)), (sigma, {}))
+        exp = sum(len(types[tuple(map(end.__getitem__, sigma))]) for end in ends)
+        exps[exp] = exps.get(exp, 0) + 1
+    taus = [
+        (
+            tuple(sorted((sum(lengths[j] for j in cyc) for cyc in cycles[tau]), reverse=True)),
+            sorted(range(m), key=tau.__getitem__),  # tau^{-1}
+        )
+        for tau in group
+    ]
+    weights: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
+    for rep, exps in orbits.values():
+        counts = Counter(
+            (powers, types[tuple(map(rep.__getitem__, tau_inv))]) for powers, tau_inv in taus
+        )
+        for (powers, wg_class), count in counts.items():
+            cell = weights.setdefault(powers, {}).setdefault(wg_class, {})
+            for exp, mult in exps.items():
+                cell[exp] = cell.get(exp, 0) + count * mult
+    return weights
+
+
 def effective_observable(b: Bubble, split: ColorSplit) -> PowerSumExpansion:
     """Integrate out the angular degrees of freedom of ``b`` over ``split``.
 
     Sums Wg_{N^q}(sigma tau^{-1}) * prod_rows N^{#cycles(pi_c sigma)} over
-    sigma, tau in S_m, attaching p_{sum of chain lengths} per cycle of tau.
-    A bubble that is not chain-expressible for ``split`` raises
-    ``NotChainExpressible`` and more than ``ANGULAR_M_MAX`` chains raise
-    ``Refused``, both before any pair is walked.
+    sigma, tau in S_m, attaching p_{sum of chain lengths} per cycle of tau;
+    the pairs are counted by ``_orbit_weights``.  A bubble that is not
+    chain-expressible for ``split`` raises ``NotChainExpressible`` and more
+    than ``ANGULAR_M_MAX`` chains raise ``Refused``, both before any walk.
     """
     decomp = _decompose(b, split)
     row_power = split.d - len(split.column_colors)
-
-    # weights[powers][Wg class][row exponent] = multiplicity
-    weights: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
-    for _, f_rows, _, powers, wg_class in _angular_terms(decomp, split.row_colors):
-        cell = weights.setdefault(powers, {}).setdefault(wg_class, {})
-        exp = sum(f_rows)
-        cell[exp] = cell.get(exp, 0) + 1
-
+    weights = _orbit_weights(decomp, split.row_colors)
     # m <= ANGULAR_M_MAX and row_power >= 1 pass weingarten_exact's checks.
     wg_nums, wg_den = _weingarten_table(decomp.m, LaurentPoly.monomial(row_power))
     terms: dict[tuple[int, ...], RationalFunc] = {}
@@ -178,9 +228,11 @@ def wishart_moment_exact(
     W = M M^dagger with M of size row_dim x col_dim.  Dimensions may be
     exact numbers or Laurent polynomials in N; the result is symbolic as
     soon as either one is.  By characters (Hanlon, Stanley & Stembridge
-    1992), with L = sum(lengths):
+    1992), with L = sum(lengths) and P_lam(x) = prod_{box in lam} (x + c):
 
-        sum_{lam |- L} chi^lam(lengths) prod_{box in lam} (row + c)(col + c) / H_lam.
+        sum_{lam |- L} chi^lam(lengths) P_lam(row) P_lam(col) / H_lam,
+
+    summed in integers over H = lcm_lam H_lam and divided by H once.
     """
     lens = tuple(sorted((int(l) for l in lengths), reverse=True))
     if any(l < 1 for l in lens):
@@ -188,18 +240,30 @@ def wishart_moment_exact(
     L = sum(lens)
     if L > WISHART_L_MAX:
         raise Refused(f"total degree {L} exceeds the bound {WISHART_L_MAX}")
-    row, col = (Fraction(x) if isinstance(x, int) else x for x in (row_dim, col_dim))
-    return sum(_character(lam, lens) * w for lam, w in _wishart_weights(L, row, col))
+    H, weights = _wishart_weights(L, row_dim, col_dim)
+    total: dict[int, Rational] = {}
+    for lam, w in weights:
+        chi = _character(lam, lens)
+        for e, c in w.items():
+            total[e] = total.get(e, 0) + chi * c
+    symbolic = isinstance(row_dim, LaurentPoly) or isinstance(col_dim, LaurentPoly)
+    return _divided(total, H, symbolic)
 
 
 @lru_cache(maxsize=None)
 def _wishart_weights(L: int, row: DimLike, col: DimLike) -> tuple:
-    """(lam, prod_{box in lam} (row + c)(col + c) / H_lam) for every lam |- L."""
+    """(H, ((lam, (H / H_lam) P_lam(row) P_lam(col)) for every lam |- L)),
+    with H the lcm of the hook products and each weight as
+    {exponent of N: coefficient}: integers for integer or N^k dimensions."""
+    lams = [p.parts for p in partitions_of(L)]
+    hooks = [_hook_product(lam) for lam in lams]
+    H = math.lcm(*hooks)
     out = []
-    for lam in (p.parts for p in partitions_of(L)):
-        boxes = math.prod((row + c) * (col + c) for c in _contents(lam))
-        out.append((lam, Fraction(1, _hook_product(lam)) * boxes))
-    return tuple(out)
+    for lam, h in zip(lams, hooks):
+        content = _content_polynomial(_contents(lam))
+        w = _times(_terms_at(content, row), _terms_at(content, col))
+        out.append((lam, {e: H // h * c for e, c in w.items()}))
+    return H, tuple(out)
 
 
 def wishart_moment_leading(l: int, balance: str) -> int:
@@ -218,13 +282,19 @@ def laguerre_reconstruct(
     e: PowerSumExpansion, row_dim: LaurentPoly, col_dim: LaurentPoly
 ) -> LaurentPoly:
     """Recompute <B> through the angular route: coefficients times Wishart
-    moments over their denominators' product; the sum must be a polynomial."""
-    den = math.prod({coeff.den for coeff in e.terms.values()}, start=LaurentPoly.one())
+    moments over the lcm of their denominators, then one exact division."""
+    den = LaurentPoly.one()
+    for d in {coeff.den for coeff in e.terms.values()}:
+        den, _ = _poly_divmod(den * d, poly_gcd(den, d))
     num = LaurentPoly.zero()
     for powers, coeff in e.terms.items():
         cofactor, _ = _poly_divmod(den, coeff.den)
         num = num + coeff.num * cofactor * wishart_moment_exact(powers, row_dim, col_dim)
-    return RationalFunc(num, den).as_poly()
+    low = min(0, min(num.terms, default=0))  # a net power of N lives in the numerators
+    quo, rem = _poly_divmod(num.shift(-low), den)
+    if rem:
+        raise ValueError(f"not a polynomial: ({num}) / ({den})")
+    return quo.shift(low)
 
 
 def scaling_diagnostics(b: Bubble, split: ColorSplit) -> list[ScalingDiagnostics]:

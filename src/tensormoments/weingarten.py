@@ -1,10 +1,11 @@
 """Exact and asymptotic Weingarten functions for the unitary group.
 
 Values come from one cached table per (n, dimension), built from the
-characters of S_n (Collins & Sniady 2006): a numerator per class over one
-shared denominator, in N for a dimension N^k, exact rationals for an integer;
-``weingarten_exact`` alone reduces a value.  ``gram_matrix`` (dim^{#cycles}
-over the symmetric group) is the system the values solve; the tests check it.
+characters of S_n (Collins & Sniady 2006) in integer content polynomials: a
+numerator per class over one shared denominator, in N for a dimension N^k,
+exact rationals for an integer; ``weingarten_exact`` alone reduces a value.
+``gram_matrix`` (dim^{#cycles} over the symmetric group) is the system the
+values solve; the tests check it.
 """
 from __future__ import annotations
 
@@ -24,9 +25,12 @@ from .algebra import (
     RationalFunc,
     Refused,
     _character,
+    _content_polynomial,
     _contents,
     _cycle_type,
+    _divided,
     _hook_product,
+    _terms_at,
     catalan,
     partitions_of,
 )
@@ -112,25 +116,31 @@ def _weingarten_table(n: int, dim: Dim) -> tuple[dict, Union[LaurentPoly, Fracti
         Wg(mu) = (1/n!) sum_{lam |- n} f^lam chi^lam(mu) / prod_{box in lam} (dim + c(box)),
 
     with every term over the common denominator prod_c (dim + c)^{k_c} (k_c
-    the most boxes of content c in any lam).  Nothing is reduced here.  The
-    values solve gram_matrix(n, dim) x = delta.
+    the most boxes of content c in any lam).  f^lam / n! = 1 / H_lam, so with
+    H the lcm of the hook products each numerator is an integer polynomial
+    in dim, sum_lam chi^lam(mu) (H / H_lam) * cofactor_lam, divided by H once
+    when dim is put in.  Nothing is reduced here.  The values solve
+    gram_matrix(n, dim) x = delta.
     """
-    if isinstance(dim, int):
-        dim = Fraction(dim)
+    symbolic = isinstance(dim, LaurentPoly)
     lams = [lam.parts for lam in partitions_of(n)]
     mults = [Counter(_contents(lam)) for lam in lams]
-    top = {c: max(m[c] for m in mults) for c in set().union(*mults)}
-    den = math.prod((dim + c) ** k for c, k in top.items())
-    # f^lam / n! = 1 / H_lam, times the cofactor of lam's content product.
+    top = Counter({c: max(m[c] for m in mults) for c in set().union(*mults)})
+    hooks = [_hook_product(lam) for lam in lams]
+    H = math.lcm(*hooks)
+    # (H / H_lam) times the cofactor prod_c (x + c)^{k_c - m_c} of lam's content product.
     weights = [
-        Fraction(1, _hook_product(lam)) * math.prod((dim + c) ** (k - m[c]) for c, k in top.items())
-        for lam, m in zip(lams, mults)
+        [H // h * a for a in _content_polynomial((top - m).elements())]
+        for m, h in zip(mults, hooks)
     ]
-    nums = {
-        cls: sum((_character(lam, cls.parts) * w for lam, w in zip(lams, weights)), dim * 0)
-        for cls in conjugacy_classes(n).classes
-    }
-    return nums, den
+    nums = {}
+    for cls in conjugacy_classes(n).classes:
+        coeffs = [0] * len(weights[0])
+        for lam, w in zip(lams, weights):
+            chi = _character(lam, cls.parts)
+            coeffs = [s + chi * a for s, a in zip(coeffs, w)]
+        nums[cls] = _divided(_terms_at(coeffs, dim), H, symbolic)
+    return nums, _divided(_terms_at(_content_polynomial(top.elements()), dim), 1, symbolic)
 
 
 def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:

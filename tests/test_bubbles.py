@@ -44,6 +44,13 @@ class TestValidate:
         b = Bubble(2, 6, (Permutation([4, 2, 6, 1, 5, 3]), Permutation([1, 5, 3, 4, 2, 6])))
         assert validate(b).problems == ("disconnected: white components [1, 4]; [2, 5]; [3, 6]",)
 
+    def test_no_colours_gives_one_component_per_pair(self):
+        # d = 0: n isolated white-black pairs, and no colour 1 to read.
+        assert validate(Bubble(0, 3, ())).problems == (
+            "disconnected: white components [1]; [2]; [3]",
+        )
+        assert validate(Bubble(0, 1, ())).ok
+
     @pytest.mark.parametrize("d, n", [(0, -1), (-1, 0)])
     def test_negative_size_rejected(self, d, n):
         with pytest.raises(ValueError):
@@ -300,6 +307,11 @@ class TestCanonicalKey:
         assert canonical_key(swapped) == swapped != two_dipoles
         empty = Bubble(4, 0, (Permutation.identity(0),) * 4)
         assert canonical_key(empty) is empty
+
+    def test_no_colours_is_disconnected(self):
+        pairs = Bubble(0, 2, ())
+        assert canonical_key(pairs) is pairs
+        assert canonical_key(Bubble(0, 1, ())) == (0, 1, ())
 
     def test_colours_are_not_interchanged(self):
         # Colours 2 and 3 swapped: isomorphic as uncoloured graphs only.

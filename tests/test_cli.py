@@ -377,7 +377,7 @@ def _inject_fault(*args, **kwargs):
     "module, name, argv",
     [
         (montecarlo, "_contract", ("mc", "--numeric-N", "2", "--samples", "10")),
-        (effective, "_angular_terms", ("effective",)),
+        (effective, "_orbit_weights", ("effective",)),
     ],
     ids=["mc_contraction", "effective_pair_walk"],
 )
@@ -411,7 +411,10 @@ GOLDEN_ARGV = {
     "effective_1-1-1-1": ("effective", "chains_1-1-1-1.json", "--split", "2,4"),
     "effective_2-1-1-1": ("effective", "chains_2-1-1-1.json", "--split", "2,4"),
     "effective_3-3-2": ("effective", "chains_3-3-2.json", "--split", "2,4"),
+    "effective_1-1-1-1-1": ("effective", "chains_1-1-1-1-1.json", "--split", "2,4"),
+    "effective_2-2-1-1-1": ("effective", "chains_2-2-1-1-1.json", "--split", "2,4"),
     "wishart_3-2-1": ("wishart", "3", "2", "1", "--rows", "N", "--cols", "N^2"),
+    "wishart_4-3-2": ("wishart", "4", "3", "2", "--rows", "N^3", "--cols", "N"),
     "tree_enumerate_2_4": ("tree", "--enumerate", "2", "4"),
     "expect_d4_n5": ("expect", "bubble_d4_n5.json", "--alpha", "2", "--numeric-N", "3"),
     "mc_d4_n5": ("mc", "bubble_d4_n5.json", "--numeric-N", "2", "--samples", "1024", "--seed", "7"),

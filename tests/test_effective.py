@@ -1,7 +1,10 @@
 """Effective observables, Wishart moments, reconstruction, scaling counts."""
+import math
+import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,9 @@ from tensormoments.algebra import (
     LaurentPoly,
     Permutation,
     RationalFunc,
+    _character,
+    _contents,
+    _hook_product,
     catalan,
     compose,
     partitions_of,
@@ -24,6 +30,8 @@ from tensormoments.bubbles import (
     necklace,
 )
 from tensormoments.effective import (
+    _angular_terms,
+    _orbit_weights,
     effective_observable,
     laguerre_reconstruct,
     scaling_diagnostics,
@@ -154,12 +162,42 @@ class TestWishartMoments:
                 lengths, row, col
             )
 
+    @pytest.mark.parametrize(
+        "row, col",
+        [(N2, N2), (N, N2), (N**3, N), (3, 5), (Fraction(7, 2), 4)],
+        ids=["N2-N2", "N-N2", "N3-N", "3-5", "7/2-4"],
+    )
+    def test_equals_the_fraction_formula(self, row, col):
+        for lengths in (p.parts for L in range(1, 10) for p in partitions_of(L)):
+            got = wishart_moment_exact(lengths, row, col)
+            expected = wishart_reference(lengths, row, col)
+            assert (got, type(got)) == (expected, type(expected)), lengths
+
     def test_catalan_limit_numeric(self):
         # <tr W^l> / m^{l+1} -> Cat_l for square m x m
         for l in (2, 3):
             value = wishart_moment_exact((l,), 10**4, 10**4)
             ratio = Fraction(value) / Fraction(10 ** (4 * (l + 1)))
             assert abs(ratio - catalan(l)) < Fraction(catalan(l), 100)
+
+
+@lru_cache(maxsize=None)
+def _reference_weights(L, row, col):
+    """(lam, prod_{box in lam} (row + c)(col + c) / H_lam) for every lam |- L,
+    in Fraction arithmetic."""
+    out = []
+    for lam in (p.parts for p in partitions_of(L)):
+        boxes = math.prod((row + c) * (col + c) for c in _contents(lam))
+        out.append((lam, Fraction(1, _hook_product(lam)) * boxes))
+    return tuple(out)
+
+
+def wishart_reference(lengths, row, col):
+    """sum_lam chi^lam(lengths) prod_{box} (row + c)(col + c) / H_lam, one
+    Fraction-coefficient product per box: the reference for the integer sums."""
+    row, col = (Fraction(x) if isinstance(x, int) else x for x in (row, col))
+    lens = tuple(sorted(lengths, reverse=True))
+    return sum(_character(lam, lens) * w for lam, w in _reference_weights(sum(lens), row, col))
 
 
 class TestLaguerreReconstruct:
@@ -260,7 +298,7 @@ TWO_DENOMINATORS = Bubble(
 def test_angular_route_does_no_rational_function_arithmetic(name, monkeypatch):
     # Coefficients are summed over the Weingarten table's shared denominator
     # and reduced once each; the reconstruction puts every term over the
-    # product of the distinct denominators and reduces once.
+    # lcm of the distinct denominators and divides once, exactly.
     b = TWO_DENOMINATORS if name == "two_denominators" else Bubble.load(GOLDEN / f"{name}.json")
 
     def forbidden(*args):
@@ -365,3 +403,50 @@ class TestAngularBruteForce:
             expected[powers] = expected.get(powers, RationalFunc.zero()) + term
         expected = {p: c for p, c in expected.items() if c}
         assert effective_observable(UNEQUAL, SPLIT).terms == expected
+
+
+def pair_walk_weights(decomp, rows):
+    """weights[powers][Wg class][row exponent] tallied pair by pair from
+    ``_angular_terms``: the reference for ``_orbit_weights``."""
+    weights = {}
+    for _, f_rows, _, powers, wg_class in _angular_terms(decomp, rows):
+        cell = weights.setdefault(powers, {}).setdefault(wg_class, {})
+        cell[sum(f_rows)] = cell.get(sum(f_rows), 0) + 1
+    return weights
+
+
+def length_shapes(m_max):
+    """One tuple of chain lengths per pattern of equal lengths with m <= m_max:
+    the partition (2, 2) of m = 4 gives (2, 2, 1, 1), (2, 1, 1) gives (3, 3, 2, 1)."""
+    for m in range(1, m_max + 1):
+        for p in partitions_of(m):
+            k = p.num_parts
+            yield tuple(k - i for i, mult in enumerate(p.parts) for _ in range(mult))
+
+
+def random_chain_decomposition(rng, split, lengths):
+    """The decomposition of a random bubble with chains of exactly ``lengths``."""
+    m = len(lengths)
+    while True:
+        maps = {}
+        for c in split.row_colors:
+            images = list(range(1, m + 1))
+            rng.shuffle(images)
+            maps[c] = Permutation(images)
+        decomp = chain_decomposition(bubble_from_chains(split.d, split, lengths, maps), split)
+        if sorted(decomp.chain_lengths) == sorted(lengths):
+            return decomp
+
+
+ORBIT_SHAPES = [*length_shapes(5), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("split", [SPLIT, ColorSplit(4, [4])], ids=["2,4", "4"])
+@pytest.mark.parametrize("lengths", ORBIT_SHAPES, ids=lambda l: "-".join(map(str, l)))
+def test_orbit_weights_equal_the_pair_walk(lengths, split):
+    rng = random.Random(f"{lengths} {split.columns}")
+    for _ in range(2):
+        decomp = random_chain_decomposition(rng, split, lengths)
+        assert _orbit_weights(decomp, split.row_colors) == pair_walk_weights(
+            decomp, split.row_colors
+        )

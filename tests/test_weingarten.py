@@ -1,5 +1,6 @@
 """Gram inversion, exact Weingarten values, asymptotics, orthogonality."""
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from tensormoments.algebra import (
     LaurentPoly,
     Partition,
     RationalFunc,
+    _character,
+    _contents,
+    _hook_product,
     _poly_divmod,
     compose,
     partitions_of,
@@ -223,3 +227,31 @@ class TestTableDump:
         assert set(table) == set(partitions_of(3))
         for value in table.values():
             assert isinstance(value, RationalFunc)
+
+
+def weingarten_reference(n, dim):
+    """All Weingarten values of S_n by the Fraction formula: every character
+    term 1 / (H_lam prod_{box in lam} (dim + c)) put over prod_c (dim + c)^{k_c}
+    by its cofactor in Fraction arithmetic, each value reduced once."""
+    if isinstance(dim, int):
+        dim = Fraction(dim)
+    lams = [lam.parts for lam in partitions_of(n)]
+    mults = [Counter(_contents(lam)) for lam in lams]
+    top = {c: max(m[c] for m in mults) for c in set().union(*mults)}
+    den = math.prod((dim + c) ** k for c, k in top.items())
+    weights = [
+        Fraction(1, _hook_product(lam)) * math.prod((dim + c) ** (k - m[c]) for c, k in top.items())
+        for lam, m in zip(lams, mults)
+    ]
+    out = {}
+    for cls in partitions_of(n):
+        num = sum((_character(lam, cls.parts) * w for lam, w in zip(lams, weights)), dim * 0)
+        out[cls] = num / den if isinstance(num, Fraction) else RationalFunc(num, den)
+    return out
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_table_equals_the_fraction_formula(n):
+    # Integer content polynomials over lcm H_lam give the same table.
+    for dim in (N, N**2, max(n, 1), n + 3):
+        assert weingarten_table(n, dim) == weingarten_reference(n, dim), dim
