@@ -38,7 +38,7 @@ from .effective import (
     wishart_moment_exact,
     wishart_moment_leading,
 )
-from .montecarlo import Estimate, SampleSpec, estimate_expectation, evaluate_bubble, sample_tensor
+from .montecarlo import Estimate, SampleSpec, estimate_expectation, evaluate_bubble
 from .oracle import (
     BubbleTooLarge,
     ExpectationResult,

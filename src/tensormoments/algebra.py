@@ -611,9 +611,6 @@ class RationalFunc:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other) -> "RationalFunc":
-        return self._coerce(other) / self
-
     def substitute_power(self, k: int) -> "RationalFunc":
         """Replace N by N^k in numerator and denominator."""
         return RationalFunc(self.num.substitute_power(k), self.den.substitute_power(k))

@@ -16,11 +16,21 @@ bitwise-equal arrays, and the second step takes the first one's.  The one
 bound is memory: a plan whose largest array in a chunk, the sampled batch
 included, exceeds ``INTERMEDIATE_MAX`` elements is refused with its size
 and FLOP count.
+
+``estimate_expectation`` draws chunk k + 1 on one thread while the calling
+thread contracts chunk k, in two halves.  So two sampled batches are alive,
+plus the conjugate and the intermediates of half a chunk.  The budget is
+still counted on one whole ``DEFAULT_CHUNK``-sample chunk; where the batch
+is the largest array, peak memory is 2 to 2.6 batches, as the two threads'
+timing falls, against 2 when each chunk was drawn after the last one was
+contracted.
+
 Exactness lives elsewhere; this module is double precision by design.
 """
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -34,6 +44,8 @@ DEFAULT_CHUNK = 512
 # Elements in the largest array of one chunk, the sampled batch included:
 # 2**25 complex doubles are 512 MiB.
 INTERMEDIATE_MAX = 2**25
+# Normal draws per standard_normal call in sample_batch: a 512 KiB buffer.
+_DRAWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -70,18 +82,25 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_tensor(spec: SampleSpec, index: int = 0) -> np.ndarray:
-    """One complex Gaussian tensor; entries have variance ``spec.variance``."""
-    return sample_batch(spec, index, 1)[0]
-
 def sample_batch(spec: SampleSpec, index: int, count: int) -> np.ndarray:
-    """``count`` i.i.d. tensors drawn from the stream keyed (seed, index)."""
+    """``count`` i.i.d. tensors drawn from the stream keyed (seed, index).
+
+    The stream gives every real part, then every imaginary part.  They are
+    drawn ``_DRAWS`` at a time through one small buffer, which gives the
+    values of one call, so no float array of half the batch's size is
+    allocated beside it.
+    """
     rng = _rng(spec.seed, index)
     shape = (count,) + (spec.N,) * spec.d
     scale = math.sqrt(spec.variance / 2.0)
     out = np.empty(shape, complex)
-    np.multiply(rng.standard_normal(shape), scale, out=out.real)
-    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    flat = out.reshape(-1).view(np.float64)  # re, im, re, im, ...
+    draws = np.empty(min(out.size, _DRAWS))
+    for part in (flat[0::2], flat[1::2]):
+        for start in range(0, part.size, _DRAWS):
+            piece = draws[: min(_DRAWS, part.size - start)]
+            rng.standard_normal(out=piece)
+            np.multiply(piece, scale, out=part[start : start + len(piece)])
     return out
 
 
@@ -210,25 +229,59 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     Chunks of ``DEFAULT_CHUNK`` draws are keyed by their index, so the result
     is byte-identical for a fixed seed however the chunks are scheduled. The
     contraction is planned once, before the first chunk is drawn, so a plan
-    over the memory budget is refused before any sampling.
+    over the memory budget is refused before any sampling.  While chunk k is
+    contracted, one thread draws chunk k + 1, and the chunks are merged in
+    index order.  The thread is joined before this returns or raises; a
+    fault in it is raised here.
     """
     if spec.d != b.d:
         raise ValueError(f"spec has d={spec.d}, bubble has d={b.d}")
     steps, _, _ = _plan(b, spec.N, DEFAULT_CHUNK)
-    mean, m2, max_rel_imag = 0.0, 0.0, 0.0
-    for index, done in enumerate(range(0, spec.samples, DEFAULT_CHUNK)):
-        take = min(DEFAULT_CHUNK, spec.samples - done)
-        values = _contract(sample_batch(spec, index, take), b.n, steps)
-        scale = np.abs(values)
-        rel = np.divide(np.abs(values.imag), scale, out=np.zeros(take), where=scale > 0)
-        max_rel_imag = max(max_rel_imag, float(np.max(rel)))
-        # Merge this chunk's (count, mean, M2) into the running one in
-        # chunk-index order (Chan, Golub & LeVeque 1979): no cancellation.
-        re = values.real
-        chunk_mean = float(np.mean(re))
-        delta = chunk_mean - mean
-        mean += delta * take / (done + take)
-        m2 += float(np.sum((re - chunk_mean) ** 2)) + delta * delta * done * take / (done + take)
+    takes = [
+        min(DEFAULT_CHUNK, spec.samples - done) for done in range(0, spec.samples, DEFAULT_CHUNK)
+    ]
+    drawn = {}
+
+    def draw(index):
+        try:
+            drawn[index] = sample_batch(spec, index, takes[index])
+        except Exception as error:
+            drawn[index] = error
+
+    mean, m2, max_rel_imag, done = 0.0, 0.0, 0.0, 0
+    sampler = None
+    draw(0)
+    try:
+        for index, take in enumerate(takes):
+            if sampler is not None:
+                sampler.join()
+            batch = drawn.pop(index)
+            if isinstance(batch, Exception):
+                raise batch
+            if index + 1 < len(takes):
+                sampler = threading.Thread(target=draw, args=(index + 1,))
+                sampler.start()
+            # In two halves: with the next batch drawn meanwhile, memory holds
+            # two batches but the intermediates of half a chunk.  Every step
+            # is per sample, so the values equal those of the whole chunk.
+            half = take // 2
+            values = np.concatenate(
+                [_contract(batch[:half], b.n, steps), _contract(batch[half:], b.n, steps)]
+            )
+            scale = np.abs(values)
+            rel = np.divide(np.abs(values.imag), scale, out=np.zeros(take), where=scale > 0)
+            max_rel_imag = max(max_rel_imag, float(np.max(rel)))
+            # Merge this chunk's (count, mean, M2) into the running one in
+            # chunk-index order (Chan, Golub & LeVeque 1979): no cancellation.
+            re = values.real
+            chunk_mean = float(np.mean(re))
+            delta = chunk_mean - mean
+            mean += delta * take / (done + take)
+            m2 += float(np.sum((re - chunk_mean) ** 2)) + delta * delta * done * take / (done + take)
+            done += take
+    finally:
+        if sampler is not None:
+            sampler.join()
     n = spec.samples
     return Estimate(
         mean=mean,

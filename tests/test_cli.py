@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -373,20 +374,37 @@ def _inject_fault(*args, **kwargs):
     raise ValueError("injected fault")
 
 
+def _fault_after_first_chunk(spec, index, count, sample_batch=montecarlo.sample_batch):
+    # Chunk 0 is drawn before the loop; chunk 1 is drawn on the sampler
+    # thread while chunk 0 is contracted.
+    if index == 0:
+        return sample_batch(spec, index, count)
+    raise ValueError("injected fault")
+
+
 @pytest.mark.parametrize(
-    "module, name, argv",
+    "module, name, fault, argv",
     [
-        (montecarlo, "_contract", ("mc", "--numeric-N", "2", "--samples", "10")),
-        (effective, "_orbit_weights", ("effective",)),
+        (montecarlo, "_contract", _inject_fault, ("mc", "--numeric-N", "2", "--samples", "1000")),
+        (
+            montecarlo,
+            "sample_batch",
+            _fault_after_first_chunk,
+            ("mc", "--numeric-N", "2", "--samples", "1000"),
+        ),
+        (effective, "_orbit_weights", _inject_fault, ("effective",)),
     ],
-    ids=["mc_contraction", "effective_pair_walk"],
+    ids=["mc_contraction", "mc_sampling", "effective_pair_walk"],
 )
-def test_fault_is_not_a_refusal(module, name, argv, monkeypatch, capsys, bubble_file):
-    monkeypatch.setattr(module, name, _inject_fault)
+def test_fault_is_not_a_refusal(module, name, fault, argv, monkeypatch, capsys, bubble_file):
+    monkeypatch.setattr(module, name, fault)
     command, *extra = argv
+    threads = threading.active_count()
     with pytest.raises(ValueError, match="injected fault"):
         main([command, bubble_file(edge_tree_bubble(1, 1)), *extra])
     assert "refused: " not in capsys.readouterr().err
+    # No sampler thread outlives the call.
+    assert threading.active_count() == threads
 
 
 EMPTY = '{"d": 4, "n": 0, "colors": {"1": [], "2": [], "3": [], "4": []}}'

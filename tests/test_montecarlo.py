@@ -1,4 +1,6 @@
 """Monte Carlo sampling: reproducibility, invariances, statistical accuracy."""
+import math
+import sys
 import time
 
 import numpy as np
@@ -16,7 +18,6 @@ from tensormoments.montecarlo import (
     estimate_expectation,
     evaluate_bubble,
     sample_batch,
-    sample_tensor,
 )
 from tensormoments.oracle import per_color_dimensions
 
@@ -49,6 +50,14 @@ RANDOM_N8 = (
     (6, 8, 2, 4, 3, 7, 1, 5),
 )
 
+# A d = 4, n = 5 bubble drawn at random once and written out.
+RANDOM_N5 = (
+    (1, 2, 3, 4, 5),
+    (1, 2, 4, 3, 5),
+    (3, 4, 2, 1, 5),
+    (3, 4, 5, 2, 1),
+)
+
 
 def from_images(rows):
     return Bubble(len(rows), len(rows[0]), tuple(Permutation(list(r)) for r in rows))
@@ -66,8 +75,8 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = sample_tensor(SampleSpec(N=3, d=4, samples=2, seed=1))
-        b = sample_tensor(SampleSpec(N=3, d=4, samples=2, seed=2))
+        a = sample_batch(SampleSpec(N=3, d=4, samples=2, seed=1), 0, 1)
+        b = sample_batch(SampleSpec(N=3, d=4, samples=2, seed=2), 0, 1)
         assert not np.array_equal(a, b)
 
     def test_chunks_are_independent_streams(self):
@@ -81,14 +90,17 @@ class TestSampling:
         assert abs(var - 2.0) < 0.05
 
     def test_batch_is_scaled_real_then_imaginary_draws(self):
-        # Reference: the two draws combined as complex temporaries.
-        for N, d, variance in [(2, 4, 0.3), (3, 3, 1.0), (6, 4, 2.5)]:
+        # Reference: the two draws combined as complex temporaries.  The last
+        # input's 33 * 8**4 draws per part cross two of sample_batch's buffers.
+        assert 2 * montecarlo._DRAWS < 33 * 8**4 < 3 * montecarlo._DRAWS
+        cases = [(2, 4, 0.3, 7), (3, 3, 1.0, 7), (6, 4, 2.5, 7), (8, 4, 0.7, 33)]
+        for N, d, variance, count in cases:
             spec = SampleSpec(N=N, d=d, samples=2, seed=19, variance=variance)
             rng = montecarlo._rng(spec.seed, 5)
-            shape = (7,) + (N,) * d
+            shape = (count,) + (N,) * d
             re, im = rng.standard_normal(shape), rng.standard_normal(shape)
             expected = np.sqrt(variance / 2) * (re + 1j * im)
-            assert sample_batch(spec, 5, 7).tobytes() == expected.tobytes()
+            assert sample_batch(spec, 5, count).tobytes() == expected.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -251,6 +263,59 @@ class TestEstimate:
         assert est.samples == n
         assert est.mean == pytest.approx(np.mean(values), rel=1e-12)
         assert est.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(n), rel=1e-12)
+
+
+def serial_estimate(b, spec):
+    """Reference: draw each chunk, contract it whole, merge in index order."""
+    steps, _, _ = _plan(b, spec.N, DEFAULT_CHUNK)
+    mean, m2, max_rel_imag = 0.0, 0.0, 0.0
+    for index, done in enumerate(range(0, spec.samples, DEFAULT_CHUNK)):
+        take = min(DEFAULT_CHUNK, spec.samples - done)
+        values = montecarlo._contract(sample_batch(spec, index, take), b.n, steps)
+        scale = np.abs(values)
+        rel = np.divide(np.abs(values.imag), scale, out=np.zeros(take), where=scale > 0)
+        max_rel_imag = max(max_rel_imag, float(np.max(rel)))
+        re = values.real
+        chunk_mean = float(np.mean(re))
+        delta = chunk_mean - mean
+        mean += delta * take / (done + take)
+        m2 += float(np.sum((re - chunk_mean) ** 2)) + delta * delta * done * take / (done + take)
+    n = spec.samples
+    return Estimate(mean, math.sqrt(m2 / (n - 1) / n), n, spec.seed, max_rel_imag)
+
+
+@pytest.mark.parametrize("samples", [2, 513, 1000, 1536])
+@pytest.mark.parametrize(
+    "b, N",
+    [
+        (necklace(4, SPLIT, 3), 3),
+        (edge_tree_bubble(1, 1), 3),
+        (from_images(RANDOM_N5), 3),
+        (Bubble(4, 0, (Permutation.identity(0),) * 4), 2),
+    ],
+    ids=["necklace3", "edge_tree", "random_n5", "empty"],
+)
+def test_estimate_is_bitwise_the_serial_reference(b, N, samples):
+    # 513 draws leave one in the last chunk, so one of its halves is empty.
+    spec = SampleSpec(N=N, d=4, samples=samples, seed=37)
+    est, ref = estimate_expectation(b, spec), serial_estimate(b, spec)
+    for field in ("mean", "stderr", "samples", "seed", "max_rel_imag"):
+        assert getattr(est, field) == getattr(ref, field), field
+
+
+def test_sampler_thread_under_frequent_switches():
+    # Each batch is handed over from the sampler thread through a shared dict;
+    # switching threads every microsecond makes a lost or misordered hand-over
+    # show as a changed estimate.
+    b = edge_tree_bubble(1, 1)
+    spec = SampleSpec(N=2, d=4, samples=8 * DEFAULT_CHUNK + 3, seed=41)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = estimate_expectation(b, spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert est == serial_estimate(b, spec)
 
 
 class TestPlan:
