@@ -49,8 +49,6 @@ from .oracle import (
 )
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from .weingarten import (
-    ConjugacyClassTable,
-    conjugacy_classes,
     gram_matrix,
     weingarten_asymptotic,
     weingarten_exact,

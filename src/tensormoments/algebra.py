@@ -4,8 +4,10 @@ Permutations and partitions of the symmetric group, its irreducible
 characters (with the contents, hook lengths and integer content polynomials
 of Young diagrams), Catalan numbers, and Laurent polynomials / rational
 functions in the single symbol N with arbitrary-precision rational
-coefficients.  No floating point anywhere.  Also ``Refused``, the one exception a size bound or range check
-raises.
+coefficients.  Division with remainder and the gcd that reduces a rational
+function run on dense coefficient lists, in ints and Fractions, each result
+wrapped once as a LaurentPoly.  No floating point anywhere.  Also
+``Refused``, the one exception a size bound or range check raises.
 """
 from __future__ import annotations
 
@@ -468,32 +470,61 @@ class LaurentPoly:
 N = LaurentPoly.monomial(1)
 
 
-def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division with remainder for ordinary polynomials (exponents >= 0)."""
+def _whole(c: Rational) -> Rational:
+    """``c`` as an int when it is whole, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _coefficient_lists(a: LaurentPoly, b: LaurentPoly) -> tuple[list, list]:
+    """Dense coefficients of ``a`` and ``b``, constant term first, whole ones
+    as ints; a zero ``b`` or a negative exponent is refused."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if (a.terms and a.min_exp < 0) or b.min_exp < 0:
         raise ValueError("divmod requires non-negative exponents")
-    quo = LaurentPoly.zero()
-    rem = a
-    db, cb = b.leading_term()
-    while rem.terms and rem.max_exp >= db:
-        dr, cr = rem.leading_term()
-        t = LaurentPoly.monomial(dr - db, cr / cb)
-        quo = quo + t
-        rem = rem - t * b
+    lists = []
+    for p in (a, b):
+        coeffs = [0] * (max(p.terms, default=-1) + 1)
+        for e, c in p.terms.items():
+            coeffs[e] = _whole(c)
+        lists.append(coeffs)
+    return lists[0], lists[1]
+
+
+def _divmod_lists(a: list, b: list) -> tuple[list, list]:
+    """Long division of coefficient lists (constant term first, ``b``'s last
+    entry nonzero); the remainder has no trailing zeros."""
+    db = len(b) - 1
+    inv = 1 / Fraction(b[-1])  # a Fraction, so no quotient term is a float
+    rem = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    for k in reversed(range(len(quo))):
+        t = rem[k + db] * inv
+        if t:
+            t = quo[k] = _whole(t)
+            rem[k : k + db] = [r - t * c for r, c in zip(rem[k : k + db], b)]
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
     return quo, rem
 
 
+def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Division with remainder for ordinary polynomials (exponents >= 0)."""
+    quo, rem = _divmod_lists(*_coefficient_lists(a, b))
+    return LaurentPoly(dict(enumerate(quo))), LaurentPoly(dict(enumerate(rem)))
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic GCD of ordinary polynomials over the rationals."""
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    _, lc = a.leading_term()
-    return a * (1 / lc)
+    """Monic GCD of ordinary polynomials over the rationals, by Euclid's
+    remainder sequence on coefficient lists."""
+    if b.is_zero():
+        return a * (1 / a.leading_term()[1]) if a else a
+    x, y = _coefficient_lists(a, b)
+    while y:
+        x, y = y, _divmod_lists(x, y)[1]
+    inv = 1 / Fraction(x[-1])
+    return LaurentPoly({e: c * inv for e, c in enumerate(x)})
 
 
 class RationalFunc:

@@ -8,9 +8,11 @@ Gaussian expectation.  The expansion counts the pairs (sigma, tau) of
 S_m x S_m by sigma-orbits: one walk over sigma, then one walk over tau per
 orbit under conjugation by the length-keeping permutations.  Each
 coefficient is reduced once, from numerators over the shared denominator of
-a ``weingarten`` table.  Wishart moments are character sums over S_L in
-integer content polynomials, so this route never calls the Wick oracle it
-is checked against; the reconstruction is one exact polynomial division.
+a ``weingarten`` table, by a gcd on coefficient lists (``algebra.poly_gcd``).
+Wishart moments are character sums over S_L in integer content polynomials,
+so this route never calls the Wick oracle it is checked against; the
+reconstruction takes the lcm of the coefficients' denominators and ends in
+one exact polynomial division, its gcds and divisions on coefficient lists.
 The scaling diagnostics alone walk every pair, one generator yielding them.
 """
 from __future__ import annotations
@@ -282,7 +284,8 @@ def laguerre_reconstruct(
     e: PowerSumExpansion, row_dim: LaurentPoly, col_dim: LaurentPoly
 ) -> LaurentPoly:
     """Recompute <B> through the angular route: coefficients times Wishart
-    moments over the lcm of their denominators, then one exact division."""
+    moments over the lcm of their denominators, then one exact division.
+    The lcm, the cofactors and the division run on coefficient lists."""
     den = LaurentPoly.one()
     for d in {coeff.den for coeff in e.terms.values()}:
         den, _ = _poly_divmod(den * d, poly_gcd(den, d))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -38,13 +37,6 @@ from .algebra import (
 DEFAULT_N_MAX = 8
 
 
-@dataclass(frozen=True)
-class ConjugacyClassTable:
-    n: int
-    classes: tuple[Partition, ...]
-    class_sizes: tuple[int, ...]
-
-
 def class_representative(p: Partition) -> Permutation:
     """The permutation with cycles (1..a_1)(a_1+1..a_1+a_2)..."""
     cycles = []
@@ -64,15 +56,9 @@ def class_size(p: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def conjugacy_classes(n: int) -> ConjugacyClassTable:
-    classes = tuple(partitions_of(n))
-    return ConjugacyClassTable(n, classes, tuple(class_size(p) for p in classes))
-
-
-@lru_cache(maxsize=None)
 def _gram_counts(n: int) -> tuple[tuple[Partition, ...], list[list[dict[Partition, int]]]]:
     """counts[a][b][type] = #{tau in class b : cycle_type(sigma_a tau^{-1}) = type}."""
-    classes = conjugacy_classes(n).classes
+    classes = tuple(partitions_of(n))
     index = {p.parts: i for i, p in enumerate(classes)}
     reps = [class_representative(p)._zero_indexed() for p in classes]
     counts: list[list[dict[Partition, int]]] = [[{} for _ in classes] for _ in classes]
@@ -90,7 +76,7 @@ Dim = Union[int, LaurentPoly]
 
 def gram_matrix(n: int, dim: Dim = None) -> list[list[LaurentPoly]]:
     """Class-algebra Gram matrix of dim^{#cycles}, indexed by the classes
-    of conjugacy_classes(n).
+    of S_n in the order of partitions_of(n).
 
     Entry (a, b) sums dim^{#cycles(sigma_a tau^{-1})} over all tau in class
     b, with sigma_a a fixed representative of class a.  ``dim`` defaults to
@@ -134,7 +120,7 @@ def _weingarten_table(n: int, dim: Dim) -> tuple[dict, Union[LaurentPoly, Fracti
         for m, h in zip(mults, hooks)
     ]
     nums = {}
-    for cls in conjugacy_classes(n).classes:
+    for cls in partitions_of(n):
         coeffs = [0] * len(weights[0])
         for lam, w in zip(lams, weights):
             chi = _character(lam, cls.parts)

@@ -16,10 +16,12 @@ from tensormoments.algebra import (
     _character,
     _contents,
     _hook_product,
+    _poly_divmod,
     catalan,
     compose,
     cycle_type,
     partitions_of,
+    poly_gcd,
     symmetric_group,
 )
 from tensormoments.weingarten import class_size
@@ -235,6 +237,108 @@ class TestLaurentPoly:
         recs = p.to_records()
         assert recs[0] == {"exp": 4, "coeff": "2/3"}
         assert LaurentPoly.from_records(recs) == p
+
+
+def _reference_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Long division one LaurentPoly quotient term at a time: the reference
+    for the coefficient-list kernel ``_poly_divmod``."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if (a.terms and a.min_exp < 0) or b.min_exp < 0:
+        raise ValueError("divmod requires non-negative exponents")
+    quo = LaurentPoly.zero()
+    rem = a
+    db, cb = b.leading_term()
+    while rem.terms and rem.max_exp >= db:
+        dr, cr = rem.leading_term()
+        t = LaurentPoly.monomial(dr - db, cr / cb)
+        quo = quo + t
+        rem = rem - t * b
+    return quo, rem
+
+
+def _reference_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Euclid on LaurentPolys: the reference for ``poly_gcd``."""
+    while not b.is_zero():
+        _, r = _reference_divmod(a, b)
+        a, b = b, r
+    if a.is_zero():
+        return a
+    _, lc = a.leading_term()
+    return a * (1 / lc)
+
+
+def _random_poly(rng: random.Random, degree: int, whole: bool) -> LaurentPoly:
+    """An ordinary polynomial of exactly this degree, with int coefficients
+    when ``whole``, else Fractions; the leading one is never 1."""
+    coeffs = {
+        e: rng.randint(-9, 9) if whole else Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        for e in range(degree)
+    }
+    coeffs[degree] = rng.choice([-3, -1, 2, 5, Fraction(-2, 7), Fraction(9, 4)])
+    return LaurentPoly(coeffs)
+
+
+def _division_cases():
+    """(a, b) pairs: random, deg a < deg b, zero dividends, constant divisors,
+    exact multiples, coprime pairs and pairs with a common factor."""
+    rng = random.Random(18)
+    cases = []
+    for whole in (True, False):
+
+        def poly(lo, hi):
+            return _random_poly(rng, rng.randint(lo, hi), whole)
+
+        for _ in range(12):
+            cases.append((poly(0, 7), poly(0, 5)))  # either degree order
+            cases.append((poly(0, 2), poly(3, 5)))  # deg a < deg b
+            cases.append((LaurentPoly.zero(), poly(0, 4)))
+            cases.append((poly(0, 6), poly(0, 0)))  # constant divisor
+            b = poly(1, 3)
+            cases.append((b * poly(0, 4), b))  # exact multiple
+            g = poly(1, 3)
+            cases.append((g * poly(0, 3), g * poly(0, 3)))  # common factor
+        for _ in range(6):
+            roots = rng.sample(range(-8, 9), 5)
+            lin = [LaurentPoly({1: 1, 0: -r}) * rng.choice([1, Fraction(3, 2), -2]) for r in roots]
+            cases.append((lin[0] * lin[1] * lin[2], lin[3] * lin[4]))  # coprime
+    return cases
+
+
+def _clean(p: LaurentPoly) -> bool:
+    """Only Fraction coefficients (no float, no int), none of them zero."""
+    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+class TestDivisionKernels:
+    def test_divmod_and_gcd_equal_the_references(self):
+        for a, b in _division_cases():
+            quo, rem = _poly_divmod(a, b)
+            assert (quo, rem) == _reference_divmod(a, b)
+            assert quo * b + rem == a
+            g = poly_gcd(a, b)
+            assert g == _reference_gcd(a, b)
+            assert g.leading_term()[1] == 1
+            assert all(_clean(p) for p in (quo, rem, g))
+
+    def test_gcd_with_a_zero_operand(self):
+        a = LaurentPoly({3: Fraction(2, 3), -1: 4})
+        for x, y in ((a, LaurentPoly.zero()), (LaurentPoly.zero(), LaurentPoly.zero())):
+            assert poly_gcd(x, y) == _reference_gcd(x, y)
+            assert _clean(poly_gcd(x, y))
+        b = LaurentPoly({2: 3, 0: 1})
+        assert poly_gcd(LaurentPoly.zero(), b) == _reference_gcd(LaurentPoly.zero(), b)
+
+    def test_exceptions_unchanged(self):
+        a = LaurentPoly({2: 1, 0: 1})
+        negative = LaurentPoly({1: 1, -1: 2})
+        for f in (_poly_divmod, _reference_divmod):
+            with pytest.raises(ZeroDivisionError):
+                f(a, LaurentPoly.zero())
+        for f in (_poly_divmod, _reference_divmod, poly_gcd, _reference_gcd):
+            for x, y in ((negative, a), (a, negative)):
+                with pytest.raises(ValueError):
+                    f(x, y)
 
 
 class TestRationalFunc:

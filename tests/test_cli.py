@@ -431,6 +431,10 @@ GOLDEN_ARGV = {
     "effective_3-3-2": ("effective", "chains_3-3-2.json", "--split", "2,4"),
     "effective_1-1-1-1-1": ("effective", "chains_1-1-1-1-1.json", "--split", "2,4"),
     "effective_2-2-1-1-1": ("effective", "chains_2-2-1-1-1.json", "--split", "2,4"),
+    # Row power q = 3 (four chains) and q = 1 (one chain: a single row colour
+    # links every white, so a connected bubble is one chain at this split).
+    "effective_split2_1-1-1-1": ("effective", "chains_split2_1-1-1-1.json", "--split", "2"),
+    "effective_split234_4": ("effective", "chains_split234_4.json", "--split", "2,3,4"),
     "wishart_3-2-1": ("wishart", "3", "2", "1", "--rows", "N", "--cols", "N^2"),
     "wishart_4-3-2": ("wishart", "4", "3", "2", "--rows", "N^3", "--cols", "N"),
     "tree_enumerate_2_4": ("tree", "--enumerate", "2", "4"),
