@@ -13,16 +13,13 @@ from .algebra import (
     Refused,
     catalan,
     compose,
-    cycle_type,
     partitions_of,
-    symmetric_group,
 )
 from .bubbles import (
     Bubble,
     ChainDecomposition,
     ColorSplit,
     NotChainExpressible,
-    bicolored_cycle_count,
     bubble_from_chains,
     chain_decomposition,
     chain_obstruction,
@@ -38,11 +35,10 @@ from .effective import (
     wishart_moment_exact,
     wishart_moment_leading,
 )
-from .montecarlo import Estimate, SampleSpec, estimate_expectation, evaluate_bubble
+from .montecarlo import Estimate, SampleSpec, estimate_expectation
 from .oracle import (
     BubbleTooLarge,
     ExpectationResult,
-    dominant_contractions,
     expectation,
     gaussian_expectation,
     per_color_dimensions,

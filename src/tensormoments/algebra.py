@@ -2,11 +2,12 @@
 
 Permutations and partitions of the symmetric group, its irreducible
 characters (with the contents, hook lengths and integer content polynomials
-of Young diagrams), Catalan numbers, and Laurent polynomials / rational
-functions in the single symbol N with arbitrary-precision rational
-coefficients.  Division with remainder and the gcd that reduces a rational
-function run on dense coefficient lists, in ints and Fractions, each result
-wrapped once as a LaurentPoly.  No floating point anywhere.  Also
+of Young diagrams), Catalan numbers, and Laurent polynomials in the single
+symbol N with arbitrary-precision rational coefficients.  Exact arithmetic
+runs in ``LaurentPoly`` and integer lists; a ``RationalFunc`` holds one
+reduced value and has no arithmetic.  Division with remainder and the gcd
+that reduces it run on dense coefficient lists, in ints and Fractions, each
+result wrapped once as a LaurentPoly.  No floating point anywhere.  Also
 ``Refused``, the one exception a size bound or range check raises.
 """
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _sym_group
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -68,9 +68,6 @@ class Permutation:
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
         return Permutation(inv)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition; each cycle starts at its smallest element."""
@@ -126,16 +123,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.n != q.n:
         raise ValueError(f"length mismatch: {p.n} vs {q.n}")
     return Permutation(tuple(p.images[qi - 1] for qi in q.images))
-
-
-def cycle_type(p: Permutation) -> "Partition":
-    return p.cycle_type()
-
-
-def symmetric_group(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic image order."""
-    for images in _sym_group(range(1, n + 1)):
-        yield Permutation(images)
 
 
 @dataclass(frozen=True)
@@ -339,9 +326,6 @@ class LaurentPoly:
         e = self.max_exp
         return e, self.terms[e]
 
-    def coeff(self, exp: int) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -390,7 +374,7 @@ class LaurentPoly:
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
-            raise ValueError("use RationalFunc for negative powers")
+            raise ValueError("negative powers are not polynomials")
         result = LaurentPoly.one()
         base = self
         while k:
@@ -461,10 +445,6 @@ class LaurentPoly:
             for e in sorted(self.terms, reverse=True)
         ]
 
-    @classmethod
-    def from_records(cls, records: Sequence[Mapping]) -> "LaurentPoly":
-        return cls({int(r["exp"]): Fraction(r["coeff"]) for r in records})
-
 
 #: The symbol N itself.
 N = LaurentPoly.monomial(1)
@@ -528,11 +508,13 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 class RationalFunc:
-    """Ratio of Laurent polynomials in N, kept in canonical form.
+    """One reduced ratio of Laurent polynomials in N, with no arithmetic.
 
-    Canonical form: the denominator is an ordinary polynomial (minimal
-    exponent 0) that is monic, and shares no polynomial factor with the
-    numerator's polynomial part; any net power of N lives in the numerator.
+    The constructor puts it in canonical form: the denominator is an
+    ordinary polynomial (minimal exponent 0) that is monic, and shares no
+    polynomial factor with the numerator's polynomial part; any net power of
+    N lives in the numerator.  Sums and products are formed in
+    ``LaurentPoly`` before the one value is built.
     """
 
     __slots__ = ("num", "den")
@@ -568,95 +550,15 @@ class RationalFunc:
         de = de * inv
         return nu.shift(a - b), de
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "RationalFunc":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "RationalFunc":
-        return cls(1)
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def is_polynomial(self) -> bool:
         return self.den == LaurentPoly.one()
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
-    # -- arithmetic --------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x) -> "RationalFunc":
-        if isinstance(x, RationalFunc):
-            return x
-        if isinstance(x, (int, Fraction, LaurentPoly)):
-            return RationalFunc(x)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "RationalFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunc":
-        return RationalFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunc":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RationalFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunc(self.num * other.den, self.den * other.num)
 
     def substitute_power(self, k: int) -> "RationalFunc":
         """Replace N by N^k in numerator and denominator."""
         return RationalFunc(self.num.substitute_power(k), self.den.substitute_power(k))
 
-    def evaluate(self, x: Rational) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at N = {x}")
-        return self.num.evaluate(x) / d
-
-    # -- equality / display ------------------------------------------------
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -673,9 +575,3 @@ class RationalFunc:
 
     def to_records(self) -> dict:
         return {"num": self.num.to_records(), "den": self.den.to_records()}
-
-    @classmethod
-    def from_records(cls, rec: Mapping) -> "RationalFunc":
-        return cls(
-            LaurentPoly.from_records(rec["num"]), LaurentPoly.from_records(rec["den"])
-        )

@@ -3,8 +3,8 @@
 A bubble on n white / n black vertices carries one permutation per color;
 color c joins white vertex i to black vertex ``color_maps[c](i)``.  This
 module provides validation, isomorphism-class keys, the necklace
-constructor, the chain decomposition with respect to a color split, and
-bicolored cycle counts.
+constructor, and the chain decomposition with respect to a color split and
+its inverse.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Permutation, Refused, compose
+from .algebra import Permutation, Refused
 
 
 def json_int(value, what: str) -> int:
@@ -330,10 +330,3 @@ def bubble_from_chains(
             images[offsets[tgt]] = off + l
         maps.append(Permutation(images))
     return Bubble(d, n, tuple(maps))
-
-
-def bicolored_cycle_count(b: Bubble, c1: int, c2: int) -> int:
-    """Number of cycles of tau_{c1}^{-1} tau_{c2} (faces of the 2-color subgraph)."""
-    if c1 == c2:
-        raise ValueError("colors must differ")
-    return compose(b.tau(c1).inverse(), b.tau(c2)).cycle_count()

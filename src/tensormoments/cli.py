@@ -221,6 +221,8 @@ TREE_PAIRINGS_MAX = 10**6
 def cmd_tree(args) -> int:
     # A tree's bubble has n = its total label: the oracle's bound is checked
     # before any tree is enumerated.
+    if args.enumerate and args.tree is not None:
+        raise Refused("provide a tree file or --enumerate V K, not both")
     if args.enumerate:
         v, k = args.enumerate
         check_size(k, TREE_D)

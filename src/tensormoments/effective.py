@@ -102,14 +102,6 @@ class ScalingDiagnostics:
     f0: int
     exponent: int
 
-    @property
-    def f1(self) -> int:
-        return self.f_rows.get(1, 0)
-
-    @property
-    def f3(self) -> int:
-        return self.f_rows.get(3, 0)
-
 
 def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
     """The chain decomposition of ``b``, refused over the angular bound."""
@@ -125,17 +117,16 @@ def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
     return decomp
 
 
-def _angular_terms(decomp: ChainDecomposition, rows: Sequence[int]):
-    """Every (sigma, tau) in S_m x S_m as 0-indexed image tuples, sigma outer.
+def _tau_tables(decomp: ChainDecomposition, rows: Sequence[int]):
+    """What both (sigma, tau) walks read, over S_m as 0-indexed image tuples.
 
-    Yields (sigma, [F_c(sigma) for c in rows], tau, powers, cycle type of
-    sigma tau^{-1}) with F_c = #cycles(pi_c sigma) for the endpoint map pi_c
-    of row colour c, and powers the chain lengths summed over each cycle of
-    tau, in descending order.  F_c is computed once per sigma and powers
-    once per tau.
+    Returns (S_m, the 0-indexed endpoint map pi_c of each row colour c in
+    ``rows``, and per tau the triple (tau, powers, tau^{-1})), with powers
+    the chain lengths summed over each cycle of tau, in descending order.
     """
     m, lengths = decomp.m, decomp.chain_lengths
     group = list(permutations(range(m)))
+    ends = [decomp.endpoint_maps[c]._zero_indexed() for c in rows]
     taus = [
         (
             tau,
@@ -144,7 +135,18 @@ def _angular_terms(decomp: ChainDecomposition, rows: Sequence[int]):
         )
         for tau in group
     ]
-    ends = [decomp.endpoint_maps[c]._zero_indexed() for c in rows]
+    return group, ends, taus
+
+
+def _angular_terms(decomp: ChainDecomposition, rows: Sequence[int]):
+    """Every (sigma, tau) in S_m x S_m as 0-indexed image tuples, sigma outer.
+
+    Yields (sigma, [F_c(sigma) for c in rows], tau, powers, cycle type of
+    sigma tau^{-1}) with F_c = #cycles(pi_c sigma) for the endpoint map pi_c
+    of row colour c, and powers as in ``_tau_tables``.  F_c is computed once
+    per sigma and powers once per tau.
+    """
+    group, ends, taus = _tau_tables(decomp, rows)
     for sigma in group:
         f_rows = [len(_cycles([end[i] for i in sigma])) for end in ends]
         for tau, powers, tau_inv in taus:
@@ -162,11 +164,10 @@ def _orbit_weights(decomp: ChainDecomposition, rows: Sequence[int]) -> dict:
     each orbit's histogram of row exponents; then one walk over tau per
     orbit representative, m! + (#orbits) m! steps in all.
     """
-    m, lengths = decomp.m, decomp.chain_lengths
-    group = list(permutations(range(m)))
+    lengths = decomp.chain_lengths
+    group, ends, taus = _tau_tables(decomp, rows)
     cycles = {p: _cycles(p) for p in group}
     types = {p: tuple(sorted(map(len, cyc), reverse=True)) for p, cyc in cycles.items()}
-    ends = [decomp.endpoint_maps[c]._zero_indexed() for c in rows]
     orbits: dict[tuple, tuple[tuple[int, ...], dict[int, int]]] = {}
     for sigma in group:
         key = []
@@ -176,17 +177,10 @@ def _orbit_weights(decomp: ChainDecomposition, rows: Sequence[int]) -> dict:
         _, exps = orbits.setdefault(tuple(sorted(key)), (sigma, {}))
         exp = sum(len(types[tuple(map(end.__getitem__, sigma))]) for end in ends)
         exps[exp] = exps.get(exp, 0) + 1
-    taus = [
-        (
-            tuple(sorted((sum(lengths[j] for j in cyc) for cyc in cycles[tau]), reverse=True)),
-            sorted(range(m), key=tau.__getitem__),  # tau^{-1}
-        )
-        for tau in group
-    ]
     weights: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
     for rep, exps in orbits.values():
         counts = Counter(
-            (powers, types[tuple(map(rep.__getitem__, tau_inv))]) for powers, tau_inv in taus
+            (powers, types[tuple(map(rep.__getitem__, tau_inv))]) for _, powers, tau_inv in taus
         )
         for (powers, wg_class), count in counts.items():
             cell = weights.setdefault(powers, {}).setdefault(wg_class, {})

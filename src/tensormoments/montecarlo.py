@@ -209,20 +209,6 @@ def _contract(batch: np.ndarray, n: int, steps: list) -> np.ndarray:
     return operands[0] if n else np.ones(len(batch), dtype=complex)
 
 
-def evaluate_bubble(b: Bubble, tensor: np.ndarray) -> complex:
-    """Contract the bubble polynomial on one tensor.
-
-    It runs the plan ``estimate_expectation`` runs, with the memory budget
-    applied to a chunk of this one tensor.
-    """
-    if tensor.ndim != b.d or any(s != tensor.shape[0] for s in tensor.shape):
-        raise ValueError(
-            f"tensor shape {tensor.shape} does not match d={b.d} equal dimensions"
-        )
-    steps, _, _ = _plan(b, tensor.shape[0], 1)
-    return complex(_contract(tensor[None], b.n, steps)[0])
-
-
 def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     """Streaming mean and standard error over ``spec.samples`` draws.
 

@@ -6,8 +6,8 @@ is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
 serial walk over S_n, one coset pi S_k at a time (S_k permutes positions
 0..k-1, k = min(n, K)), builds a histogram of the per-color cycle counts:
 one cycle walk per color and coset, then one cached row of cycle counts of
-S_k gives the coset's k! keys.  Symbolic results, per-color numeric
-dimensions and dominant-contraction counts are all reductions of it.
+S_k gives the coset's k! keys.  The symbolic result and the value at
+per-color numeric dimensions are both reductions of it.
 """
 from __future__ import annotations
 
@@ -133,14 +133,6 @@ def gaussian_expectation(b: Bubble) -> LaurentPoly:
 def expectation(b: Bubble, alpha: int = 0) -> ExpectationResult:
     """Expectation with covariance N^{-alpha} (applied as N^{-alpha n})."""
     return ExpectationResult(raw=gaussian_expectation(b), alpha=alpha, n=b.n)
-
-
-def dominant_contractions(b: Bubble) -> tuple[int, int]:
-    """(leading exponent, number of pairings achieving it)."""
-    poly = gaussian_expectation(b)
-    exp, coeff = poly.leading_term()
-    assert coeff.denominator == 1
-    return exp, coeff.numerator
 
 
 def per_color_dimensions(b: Bubble, dims: Sequence[int]) -> int:

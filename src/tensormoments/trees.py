@@ -70,11 +70,6 @@ class CornerLabeledTree:
     def total_label(self) -> int:
         return sum(v.k for v in self.vertices())
 
-    def leaves(self) -> Iterator["CornerLabeledTree"]:
-        for v in self.vertices():
-            if not v.children:
-                yield v
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:

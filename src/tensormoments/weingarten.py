@@ -47,14 +47,6 @@ def class_representative(p: Partition) -> Permutation:
     return Permutation.from_cycles(p.n, cycles)
 
 
-def class_size(p: Partition) -> int:
-    """n! / prod_j j^{p_j} p_j!"""
-    z = 1
-    for j, mult in p.multiplicities().items():
-        z *= j**mult * math.factorial(mult)
-    return math.factorial(p.n) // z
-
-
 @lru_cache(maxsize=None)
 def _gram_counts(n: int) -> tuple[tuple[Partition, ...], list[list[dict[Partition, int]]]]:
     """counts[a][b][type] = #{tau in class b : cycle_type(sigma_a tau^{-1}) = type}."""

@@ -19,12 +19,11 @@ from tensormoments.algebra import (
     _poly_divmod,
     catalan,
     compose,
-    cycle_type,
     partitions_of,
     poly_gcd,
-    symmetric_group,
 )
-from tensormoments.weingarten import class_size
+
+from conftest import class_size, symmetric_group
 
 
 class TestPermutation:
@@ -57,9 +56,9 @@ class TestPermutation:
             Permutation([1, 1, 3])
 
     def test_cycle_type_examples(self):
-        assert cycle_type(Permutation.identity(3)) == Partition([1, 1, 1])
-        assert cycle_type(Permutation([2, 1])) == Partition([2])
-        assert cycle_type(Permutation([2, 3, 1])) == Partition([3])
+        assert Permutation.identity(3).cycle_type() == Partition([1, 1, 1])
+        assert Permutation([2, 1]).cycle_type() == Partition([2])
+        assert Permutation([2, 3, 1]).cycle_type() == Partition([3])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cycle_type_conjugation_invariant_exhaustive(self, n):
@@ -67,14 +66,14 @@ class TestPermutation:
         for p in perms:
             pinv = p.inverse()
             for q in perms:
-                assert cycle_type(compose(compose(p, q), pinv)) == cycle_type(q)
+                assert compose(compose(p, q), pinv).cycle_type() == q.cycle_type()
 
     def test_cycle_type_conjugation_invariant_n6_sampled(self):
         rng = random.Random(7)
         perms = list(symmetric_group(6))
         for _ in range(2000):
             p, q = rng.choice(perms), rng.choice(perms)
-            assert cycle_type(compose(compose(p, q), p.inverse())) == cycle_type(q)
+            assert compose(compose(p, q), p.inverse()).cycle_type() == q.cycle_type()
 
     def test_associativity_sampled(self):
         rng = random.Random(11)
@@ -236,7 +235,12 @@ class TestLaurentPoly:
         p = LaurentPoly({4: Fraction(2, 3), -1: -5})
         recs = p.to_records()
         assert recs[0] == {"exp": 4, "coeff": "2/3"}
-        assert LaurentPoly.from_records(recs) == p
+        assert from_records(recs) == p
+
+
+def from_records(records) -> LaurentPoly:
+    """The LaurentPoly that ``LaurentPoly.to_records`` wrote."""
+    return LaurentPoly({r["exp"]: Fraction(r["coeff"]) for r in records})
 
 
 def _reference_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -371,27 +375,25 @@ class TestRationalFunc:
                 expected = num.evaluate(x) / den.evaluate(x)
             except ZeroDivisionError:
                 continue
-            assert r.evaluate(x) == expected
+            assert r.num.evaluate(x) / r.den.evaluate(x) == expected
             checked += 1
-
-    def test_arithmetic(self):
-        n = LaurentPoly.monomial(1)
-        a = RationalFunc(1, n)  # 1/N
-        b = RationalFunc(n)  # N
-        assert a * b == RationalFunc.one()
-        assert a + a == RationalFunc(2, n)
-        assert (b - b).is_zero()
-        assert b / a == RationalFunc(n * n)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunc(1, 0)
 
-    def test_as_poly(self):
+    def test_equal_only_to_a_rational_func(self):
+        # One reduced value: no coercion of numbers or polynomials.
         n = LaurentPoly.monomial(1)
-        assert RationalFunc(n * n + 1).as_poly() == n * n + 1
-        with pytest.raises(ValueError):
-            RationalFunc(1, n + 1).as_poly()
+        assert RationalFunc(n * n - 1, n - 1) == RationalFunc(n + 1)
+        assert RationalFunc(1) != 1
+        assert RationalFunc(n) != n
+
+    def test_is_polynomial(self):
+        n = LaurentPoly.monomial(1)
+        assert RationalFunc(n * n + 1).is_polynomial()
+        assert RationalFunc(n * n - 1, n - 1).is_polynomial()
+        assert not RationalFunc(1, n + 1).is_polynomial()
 
     def test_substitute_power(self):
         n = LaurentPoly.monomial(1)
@@ -401,4 +403,5 @@ class TestRationalFunc:
     def test_records_round_trip(self):
         n = LaurentPoly.monomial(1)
         r = RationalFunc(n, n * n + 1)
-        assert RationalFunc.from_records(r.to_records()) == r
+        records = r.to_records()
+        assert RationalFunc(from_records(records["num"]), from_records(records["den"])) == r

@@ -1,15 +1,13 @@
-"""Bubble validation, necklaces, chain decomposition, bicolored cycles."""
+"""Bubble validation, necklaces, chain decomposition, isomorphism keys."""
 import random
 from itertools import combinations
-from itertools import permutations as perm_tuples
 
 import pytest
 
-from tensormoments.algebra import Permutation, compose, symmetric_group
+from tensormoments.algebra import Permutation, compose
 from tensormoments.bubbles import (
     Bubble,
     ColorSplit,
-    bicolored_cycle_count,
     bubble_from_chains,
     canonical_key,
     chain_decomposition,
@@ -19,7 +17,7 @@ from tensormoments.bubbles import (
 )
 from tensormoments.oracle import per_color_dimensions, wick_histogram
 
-from conftest import edge_tree_bubble
+from conftest import edge_tree_bubble, symmetric_group
 
 
 def dipole(d: int = 4) -> Bubble:
@@ -193,28 +191,6 @@ class TestReconstruction:
                 assert per_color_dimensions(rebuilt, dims) == per_color_dimensions(b, dims)
             checked += 1
         assert checked == len(list(symmetric_group(n))) ** 3
-
-
-class TestBicoloredCycles:
-    def test_edge_tree_example(self):
-        b = edge_tree_bubble(1, 1)
-        assert bicolored_cycle_count(b, 1, 2) == 1
-        assert bicolored_cycle_count(b, 3, 4) == 2
-
-    def test_identical_maps_give_n_cycles(self):
-        b = edge_tree_bubble(2, 2)
-        assert bicolored_cycle_count(b, 2, 4) == b.n
-
-    def test_symmetric_in_colors(self):
-        b = edge_tree_bubble(2, 3)
-        for c1 in range(1, 5):
-            for c2 in range(1, 5):
-                if c1 != c2:
-                    assert bicolored_cycle_count(b, c1, c2) == bicolored_cycle_count(b, c2, c1)
-
-    def test_equal_colors_rejected(self):
-        with pytest.raises(ValueError):
-            bicolored_cycle_count(dipole(), 2, 2)
 
 
 class TestSerialization:

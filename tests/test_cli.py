@@ -233,6 +233,8 @@ MALFORMED = {
     "mc_inf_variance": ("mc", DIPOLE, ("--numeric-N", "2", "--variance", "inf")),
     "tree_over_oracle_bound": ("tree", '{"color": 1, "labels": [10], "children": []}', ()),
     "tree_root_color_3": ("tree", '{"color": 3, "labels": [1], "children": []}', ()),
+    # A tree file with --enumerate is refused, not ignored.
+    "tree_file_and_enumerate": ("tree", '{"color": 1, "labels": [2]}', ("--enumerate", "1", "1")),
     "effective_nine_chains": ("effective", single_box_chains(9), ()),
     "effective_seven_chains": ("effective", single_box_chains(7), ()),
     "effective_not_chain_expressible": ("effective", NOT_CHAIN_EXPRESSIBLE, ()),

@@ -16,7 +16,6 @@ from tensormoments.montecarlo import (
     SampleSpec,
     _plan,
     estimate_expectation,
-    evaluate_bubble,
     sample_batch,
 )
 from tensormoments.oracle import per_color_dimensions
@@ -122,6 +121,12 @@ def rank_one(N, seed):
     return np.einsum("i,j,k,l->ijkl", *us), np.prod([np.linalg.norm(u) ** 2 for u in us])
 
 
+def evaluate_bubble(b, tensor):
+    """The bubble on one tensor, by the plan and contraction estimate_expectation runs."""
+    steps, _, _ = _plan(b, tensor.shape[0], 1)
+    return complex(montecarlo._contract(tensor[None], b.n, steps)[0])
+
+
 class TestEvaluateBubble:
     def test_rank_one_tensor_gives_one(self):
         # T = e1 x e1 x e1 x e1: every contraction evaluates to 1
@@ -193,12 +198,6 @@ class TestEvaluateBubble:
         b = necklace(4, SPLIT, 2)
         t, norm2 = rank_one(20, 29)
         assert evaluate_bubble(b, t) == pytest.approx(norm2**b.n, rel=1e-10)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_bubble(dipole(), np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            evaluate_bubble(dipole(), np.zeros((2, 2, 2, 3)))
 
 
 class TestEstimate:
