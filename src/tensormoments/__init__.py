@@ -12,7 +12,6 @@ from .algebra import (
     RationalFunc,
     Refused,
     catalan,
-    compose,
     partitions_of,
 )
 from .bubbles import (

@@ -3,12 +3,14 @@
 Permutations and partitions of the symmetric group, its irreducible
 characters (with the contents, hook lengths and integer content polynomials
 of Young diagrams), Catalan numbers, and Laurent polynomials in the single
-symbol N with arbitrary-precision rational coefficients.  Exact arithmetic
-runs in ``LaurentPoly`` and integer lists; a ``RationalFunc`` holds one
-reduced value and has no arithmetic.  Division with remainder and the gcd
-that reduces it run on dense coefficient lists, in ints and Fractions, each
-result wrapped once as a LaurentPoly.  No floating point anywhere.  Also
-``Refused``, the one exception a size bound or range check raises.
+symbol N with exact rational coefficients.  ``LaurentPoly`` is the one exact
+polynomial type: it keeps a whole coefficient as an int and any other as a
+Fraction, and refuses anything else, so integer polynomials (a content
+polynomial at a dimension N^k) are summed and multiplied in ints.  A
+``RationalFunc`` holds one reduced value and has no arithmetic.  Division
+with remainder and the gcd that reduces it run on dense coefficient lists,
+each result wrapped once as a LaurentPoly.  No floating point anywhere.
+Also ``Refused``, the one exception a size bound or range check raises.
 """
 from __future__ import annotations
 
@@ -32,8 +34,7 @@ class Refused(ValueError):
 class Permutation:
     """A permutation of {1..n}, stored as its image sequence.
 
-    ``images[i-1]`` is the image of ``i``.  Composition convention is fixed
-    project-wide: ``compose(p, q)`` applies ``q`` first, then ``p``.
+    ``images[i-1]`` is the image of ``i``.
     """
 
     __slots__ = ("images",)
@@ -69,21 +70,8 @@ class Permutation:
             inv[img - 1] = i
         return Permutation(inv)
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition; each cycle starts at its smallest element."""
-        return [tuple(i + 1 for i in cyc) for cyc in _cycles(self._zero_indexed())]
-
-    def cycle_count(self) -> int:
-        return len(_cycles(self._zero_indexed()))
-
-    def cycle_type(self) -> "Partition":
-        return Partition(_cycle_type(self._zero_indexed()))
-
     def _zero_indexed(self) -> list[int]:
         return [img - 1 for img in self.images]
-
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -116,13 +104,6 @@ def _cycles(images: Sequence[int]) -> list[list[int]]:
 def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     """Cycle lengths of a 0-indexed image table, weakly decreasing."""
     return tuple(sorted(map(len, _cycles(images)), reverse=True))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply ``q`` first, then ``p``."""
-    if p.n != q.n:
-        raise ValueError(f"length mismatch: {p.n} vs {q.n}")
-    return Permutation(tuple(p.images[qi - 1] for qi in q.images))
 
 
 @dataclass(frozen=True)
@@ -223,39 +204,23 @@ def _content_polynomial(contents: Iterable[int]) -> list[int]:
     return coeffs
 
 
-def _terms_at(coeffs: Sequence[Rational], x) -> dict[int, Rational]:
-    """sum_k coeffs[k] x^k as {exponent of N: coefficient}, for x an int, a
-    Fraction or a LaurentPoly (a number is the constant term).
-
-    Whole coefficients stay ints, so integer polynomials are summed and
-    multiplied without a Fraction; ``_times`` multiplies two such maps.
-    """
-    if isinstance(x, LaurentPoly):
-        x = {e: c.numerator if c.denominator == 1 else c for e, c in x.terms.items()}
-    else:
-        x = {0: x}
-    out: dict[int, Rational] = {}
-    for c in reversed(coeffs):  # Horner
-        out = _times(out, x)
-        out[0] = out.get(0, 0) + c
+def _polynomial_at(coeffs: Sequence[Rational], x) -> LaurentPoly:
+    """sum_k coeffs[k] x^k, by Horner, for x an int, a Fraction or a
+    LaurentPoly (a number gives a constant polynomial)."""
+    out = LaurentPoly.zero()
+    for c in reversed(coeffs):
+        out = out * x + c
     return out
 
 
-def _times(a: Mapping[int, Rational], b: Mapping[int, Rational]) -> dict[int, Rational]:
-    """The product of two {exponent of N: coefficient} maps."""
-    out: dict[int, Rational] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return out
-
-
-def _divided(terms: Mapping[int, Rational], den: int, symbolic: bool):
-    """``terms`` / den: a LaurentPoly when ``symbolic``, else the constant
-    term as a Fraction."""
-    if symbolic:
-        return LaurentPoly({e: Fraction(c, den) for e, c in terms.items()})
-    return Fraction(terms.get(0, 0), den)
+def _exact(c: Rational) -> Rational:
+    """``c`` as an int when it is whole, else as a Fraction; anything that is
+    neither an int nor a Fraction (a float, a string) raises TypeError."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def catalan(l: int) -> int:
@@ -268,17 +233,19 @@ def catalan(l: int) -> int:
 class LaurentPoly:
     """Laurent polynomial in the symbol N with exact rational coefficients.
 
-    Exponents may be negative.  Zero coefficients are never stored.
-    Instances are immutable; arithmetic returns new objects.
+    Exponents may be negative.  Zero coefficients are never stored; a whole
+    coefficient is stored as an int, any other as a Fraction, so integer
+    polynomials are summed and multiplied without a Fraction.  Instances are
+    immutable; arithmetic returns new objects.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Rational] | None = None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Rational] = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[int(e)] = c
         self.terms = clean
@@ -321,7 +288,7 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return min(self.terms)
 
-    def leading_term(self) -> tuple[int, Fraction]:
+    def leading_term(self) -> tuple[int, Rational]:
         """(exponent, coefficient) of the term of maximal exponent."""
         e = self.max_exp
         return e, self.terms[e]
@@ -342,7 +309,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -363,11 +330,11 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -412,6 +379,10 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # A constant equals its value, so it hashes like it (the zero
+        # polynomial like 0).
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __str__(self) -> str:
@@ -450,14 +421,9 @@ class LaurentPoly:
 N = LaurentPoly.monomial(1)
 
 
-def _whole(c: Rational) -> Rational:
-    """``c`` as an int when it is whole, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _coefficient_lists(a: LaurentPoly, b: LaurentPoly) -> tuple[list, list]:
-    """Dense coefficients of ``a`` and ``b``, constant term first, whole ones
-    as ints; a zero ``b`` or a negative exponent is refused."""
+    """Dense coefficients of ``a`` and ``b``, constant term first; a zero
+    ``b`` or a negative exponent is refused."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if (a.terms and a.min_exp < 0) or b.min_exp < 0:
@@ -466,7 +432,7 @@ def _coefficient_lists(a: LaurentPoly, b: LaurentPoly) -> tuple[list, list]:
     for p in (a, b):
         coeffs = [0] * (max(p.terms, default=-1) + 1)
         for e, c in p.terms.items():
-            coeffs[e] = _whole(c)
+            coeffs[e] = c
         lists.append(coeffs)
     return lists[0], lists[1]
 
@@ -481,7 +447,7 @@ def _divmod_lists(a: list, b: list) -> tuple[list, list]:
     for k in reversed(range(len(quo))):
         t = rem[k + db] * inv
         if t:
-            t = quo[k] = _whole(t)
+            t = quo[k] = _exact(t)
             rem[k : k + db] = [r - t * c for r, c in zip(rem[k : k + db], b)]
     del rem[db:]
     while rem and not rem[-1]:
@@ -499,7 +465,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic GCD of ordinary polynomials over the rationals, by Euclid's
     remainder sequence on coefficient lists."""
     if b.is_zero():
-        return a * (1 / a.leading_term()[1]) if a else a
+        return a * Fraction(1, a.leading_term()[1]) if a else a
     x, y = _coefficient_lists(a, b)
     while y:
         x, y = y, _divmod_lists(x, y)[1]
@@ -520,19 +486,14 @@ class RationalFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = self._to_poly(num)
-        den = self._to_poly(den)
+        polys = [LaurentPoly._coerce(x) for x in (num, den)]
+        for x, p in zip((num, den), polys):
+            if p is NotImplemented:
+                raise TypeError(f"cannot interpret {x!r} as a polynomial")
+        num, den = polys
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num, self.den = self._canonicalize(num, den)
-
-    @staticmethod
-    def _to_poly(x) -> LaurentPoly:
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LaurentPoly.constant(x)
-        raise TypeError(f"cannot interpret {x!r} as a polynomial")
 
     @staticmethod
     def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -545,7 +506,7 @@ class RationalFunc:
             nu, _ = _poly_divmod(nu, g)
             de, _ = _poly_divmod(de, g)
         _, lc = de.leading_term()
-        inv = 1 / lc
+        inv = Fraction(1, lc)
         nu = nu * inv
         de = de * inv
         return nu.shift(a - b), de

@@ -9,8 +9,9 @@ S_m x S_m by sigma-orbits: one walk over sigma, then one walk over tau per
 orbit under conjugation by the length-keeping permutations.  Each
 coefficient is reduced once, from numerators over the shared denominator of
 a ``weingarten`` table, by a gcd on coefficient lists (``algebra.poly_gcd``).
-Wishart moments are character sums over S_L in integer content polynomials,
-so this route never calls the Wick oracle it is checked against; the
+Wishart moments are character sums over S_L of integer content polynomials
+put in at the dimensions (``LaurentPoly``s, whose whole coefficients are
+ints), so this route never calls the Wick oracle it is checked against; the
 reconstruction takes the lcm of the coefficients' denominators and ends in
 one exact polynomial division, its gcds and divisions on coefficient lists.
 The scaling diagnostics alone walk every pair, one generator yielding them.
@@ -29,7 +30,6 @@ from .algebra import (
     LaurentPoly,
     Partition,
     Permutation,
-    Rational,
     RationalFunc,
     Refused,
     _character,
@@ -37,11 +37,9 @@ from .algebra import (
     _contents,
     _cycle_type,
     _cycles,
-    _divided,
     _hook_product,
     _poly_divmod,
-    _terms_at,
-    _times,
+    _polynomial_at,
     catalan,
     partitions_of,
     poly_gcd,
@@ -237,28 +235,26 @@ def wishart_moment_exact(
     if L > WISHART_L_MAX:
         raise Refused(f"total degree {L} exceeds the bound {WISHART_L_MAX}")
     H, weights = _wishart_weights(L, row_dim, col_dim)
-    total: dict[int, Rational] = {}
+    total = LaurentPoly.zero()
     for lam, w in weights:
-        chi = _character(lam, lens)
-        for e, c in w.items():
-            total[e] = total.get(e, 0) + chi * c
-    symbolic = isinstance(row_dim, LaurentPoly) or isinstance(col_dim, LaurentPoly)
-    return _divided(total, H, symbolic)
+        total = total + _character(lam, lens) * w
+    if isinstance(row_dim, LaurentPoly) or isinstance(col_dim, LaurentPoly):
+        return total * Fraction(1, H)
+    return Fraction(total.terms.get(0, 0), H)
 
 
 @lru_cache(maxsize=None)
 def _wishart_weights(L: int, row: DimLike, col: DimLike) -> tuple:
     """(H, ((lam, (H / H_lam) P_lam(row) P_lam(col)) for every lam |- L)),
-    with H the lcm of the hook products and each weight as
-    {exponent of N: coefficient}: integers for integer or N^k dimensions."""
+    with H the lcm of the hook products and each weight a LaurentPoly:
+    integer coefficients for integer or N^k dimensions."""
     lams = [p.parts for p in partitions_of(L)]
     hooks = [_hook_product(lam) for lam in lams]
     H = math.lcm(*hooks)
     out = []
     for lam, h in zip(lams, hooks):
         content = _content_polynomial(_contents(lam))
-        w = _times(_terms_at(content, row), _terms_at(content, col))
-        out.append((lam, {e: H // h * c for e, c in w.items()}))
+        out.append((lam, _polynomial_at(content, row) * _polynomial_at(content, col) * (H // h)))
     return H, tuple(out)
 
 

@@ -2,8 +2,9 @@
 
 Values come from one cached table per (n, dimension), built from the
 characters of S_n (Collins & Sniady 2006) in integer content polynomials: a
-numerator per class over one shared denominator, in N for a dimension N^k,
-exact rationals for an integer; ``weingarten_exact`` alone reduces a value.
+numerator per class over one shared denominator, each a ``LaurentPoly`` in N
+(a constant for an integer dimension, whose values are returned as
+Fractions); ``weingarten_exact`` alone reduces a value.
 ``gram_matrix`` (dim^{#cycles} over the symmetric group) is the system the
 values solve; the tests check it.
 """
@@ -27,9 +28,8 @@ from .algebra import (
     _content_polynomial,
     _contents,
     _cycle_type,
-    _divided,
     _hook_product,
-    _terms_at,
+    _polynomial_at,
     catalan,
     partitions_of,
 )
@@ -86,10 +86,10 @@ def gram_matrix(n: int, dim: Dim = None) -> list[list[LaurentPoly]]:
 
 
 @lru_cache(maxsize=None)
-def _weingarten_table(n: int, dim: Dim) -> tuple[dict, Union[LaurentPoly, Fraction]]:
+def _weingarten_table(n: int, dim: Dim) -> tuple[dict, LaurentPoly]:
     """Weingarten values of S_n at ``dim`` as (numerator per class, shared
-    denominator): Laurent polynomials in N for a dimension such as N^k,
-    exact Fractions for an integer.  By characters,
+    denominator), Laurent polynomials in N (constants for an integer
+    ``dim``).  By characters,
 
         Wg(mu) = (1/n!) sum_{lam |- n} f^lam chi^lam(mu) / prod_{box in lam} (dim + c(box)),
 
@@ -100,7 +100,6 @@ def _weingarten_table(n: int, dim: Dim) -> tuple[dict, Union[LaurentPoly, Fracti
     when dim is put in.  Nothing is reduced here.  The values solve
     gram_matrix(n, dim) x = delta.
     """
-    symbolic = isinstance(dim, LaurentPoly)
     lams = [lam.parts for lam in partitions_of(n)]
     mults = [Counter(_contents(lam)) for lam in lams]
     top = Counter({c: max(m[c] for m in mults) for c in set().union(*mults)})
@@ -117,8 +116,8 @@ def _weingarten_table(n: int, dim: Dim) -> tuple[dict, Union[LaurentPoly, Fracti
         for lam, w in zip(lams, weights):
             chi = _character(lam, cls.parts)
             coeffs = [s + chi * a for s, a in zip(coeffs, w)]
-        nums[cls] = _divided(_terms_at(coeffs, dim), H, symbolic)
-    return nums, _divided(_terms_at(_content_polynomial(top.elements()), dim), 1, symbolic)
+        nums[cls] = _polynomial_at(coeffs, dim) * Fraction(1, H)
+    return nums, _polynomial_at(_content_polynomial(top.elements()), dim)
 
 
 def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
@@ -139,7 +138,9 @@ def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
     elif list(dim.terms.values()) != [1] or dim.max_exp < 1:
         raise Refused(f"symbolic dimension must be N^k with k >= 1, got {dim}")
     nums, den = _weingarten_table(n, dim)
-    return nums[cls] / den if isinstance(dim, int) else RationalFunc(nums[cls], den)
+    if isinstance(dim, int):
+        return Fraction(nums[cls].terms.get(0, 0), den.terms[0])
+    return RationalFunc(nums[cls], den)
 
 
 def weingarten_table(n: int, dim: Dim) -> dict[Partition, Union[RationalFunc, Fraction]]:

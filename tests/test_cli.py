@@ -462,6 +462,31 @@ def test_large_tree_report_is_pinned(capsys):
     )
 
 
+# Every n = 0..8 Weingarten table at three symbolic and two numeric
+# dimensions, and eight Wishart moments at three row and four column
+# dimensions, pinned by one digest of (argv, exit code, stdout).
+DIGEST_SWEEP = [
+    ("weingarten", str(n), "--dim", dim)
+    for n in range(9)
+    for dim in ("N", "N^2", "N^3", "8", "11")
+] + [
+    ("wishart", *lengths, "--rows", rows, "--cols", cols)
+    for lengths in (
+        ("1",), ("2", "1"), ("3", "3", "2"), ("4", "2", "2"),
+        ("5", "3"), ("9",), ("2", "2", "2", "1", "1"), ("4", "3", "2"),
+    )
+    for rows in ("N", "N^2", "3")
+    for cols in ("N^2", "N^3", "2", "5")
+]
+
+
+def test_weingarten_and_wishart_sweep_is_pinned(capsys):
+    runs = [[list(argv), *run(capsys, *argv)] for argv in DIGEST_SWEEP]
+    assert len(runs) == 45 + 96
+    digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+    assert digest == "50836f58394a824a3117a44b0cc8a7c4ead75e90229eb50b2e13e12aeae35050"
+
+
 # JSON values, with the corners json.dumps must get right; and the same with
 # values it refuses (a Fraction, a set, bytes, a tuple key) mixed in.
 _scalars = (

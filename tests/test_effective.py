@@ -17,7 +17,6 @@ from tensormoments.algebra import (
     _contents,
     _hook_product,
     catalan,
-    compose,
     partitions_of,
 )
 from tensormoments.bubbles import (
@@ -39,10 +38,19 @@ from tensormoments.effective import (
 )
 from tensormoments import oracle
 from tensormoments.oracle import gaussian_expectation
-from tensormoments.weingarten import weingarten_exact
+from tensormoments.weingarten import _weingarten_table, weingarten_exact
 from tensormoments.trees import CornerLabeledTree, enumerate_trees, tree_to_bubble
 
-from conftest import edge_tree_bubble, symmetric_group
+from conftest import (
+    compose,
+    cycle_count,
+    cycle_type,
+    cycles,
+    edge_tree_bubble,
+    exact_coefficients,
+    is_identity,
+    symmetric_group,
+)
 
 SPLIT = ColorSplit(4, [2, 4])
 N = LaurentPoly.monomial(1)
@@ -110,7 +118,7 @@ def wishart_brute_force(lengths, row, col):
     gamma = Permutation(images)
     total = 0
     for pi in symmetric_group(start):
-        total = total + row ** compose(gamma, pi).cycle_count() * col ** pi.cycle_count()
+        total = total + row ** cycle_count(compose(gamma, pi)) * col ** cycle_count(pi)
     return total
 
 
@@ -308,11 +316,29 @@ def test_angular_route_does_no_rational_function_arithmetic(name):
     assert reconstructed == gaussian_expectation(b)
 
 
+def test_route_outputs_hold_exact_coefficients():
+    # Whole coefficients are ints, the others Fractions with denominator > 1:
+    # in the oracle's value, the Weingarten tables, the expansions, the
+    # Wishart moments and the reconstructions.
+    polys = []
+    for n in range(1, 7):
+        nums, den = _weingarten_table(n, N2)
+        polys += [*nums.values(), den]
+    for lengths in ((3, 2, 1), (4, 4), (2, 2, 2, 1, 1)):
+        polys += [wishart_moment_exact(lengths, row, col) for row in (N, N2) for col in (N2, 3)]
+    for name in ("chains_1-1-1-1", "chains_2-1-1-1", "chains_3-3-2"):
+        b = Bubble.load(GOLDEN / f"{name}.json")
+        e = effective_observable(b, SPLIT)
+        polys += [gaussian_expectation(b), laguerre_reconstruct(e, N2, N2)]
+        polys += [p for coeff in e.terms.values() for p in (coeff.num, coeff.den)]
+    assert all(exact_coefficients(p) for p in polys)
+
+
 class TestScalingDiagnostics:
     def test_edge_tree_k1_l1_identity_term(self):
         diags = scaling_diagnostics(edge_tree_bubble(1, 1), SPLIT)
         ident = next(
-            d for d in diags if d.sigma.is_identity() and d.tau.is_identity()
+            d for d in diags if is_identity(d.sigma) and is_identity(d.tau)
         )
         assert (ident.f_rows, ident.f_box, ident.f0) == ({1: 1, 3: 2}, 2, 2)
         assert ident.exponent == 3
@@ -362,20 +388,20 @@ def angular_brute_force(b, split):
     for sigma in symmetric_group(m):
         for tau in symmetric_group(m):
             f_rows = {
-                c: compose(decomp.endpoint_maps[c], sigma).cycle_count()
+                c: cycle_count(compose(decomp.endpoint_maps[c], sigma))
                 for c in split.row_colors
             }
-            f_box = tau.cycle_count()
+            f_box = cycle_count(tau)
             rho = compose(sigma, tau.inverse())
-            f0 = rho.cycle_count()
+            f0 = cycle_count(rho)
             exponent = sum(f_rows.values()) + ncols * f_box + ncols * (f0 - 2 * m)
             powers = tuple(
                 sorted(
-                    (sum(decomp.chain_lengths[j - 1] for j in cyc) for cyc in tau.cycles()),
+                    (sum(decomp.chain_lengths[j - 1] for j in cyc) for cyc in cycles(tau)),
                     reverse=True,
                 )
             )
-            out.append((sigma, tau, f_rows, f_box, f0, exponent, powers, rho.cycle_type()))
+            out.append((sigma, tau, f_rows, f_box, f0, exponent, powers, cycle_type(rho)))
     return out
 
 

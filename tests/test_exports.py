@@ -20,9 +20,6 @@ ALLOWED = {
     "leading-order angular route (ROADMAP item 8) is built on it",
     "gram_matrix": "the linear system the Weingarten values solve, the reference "
     "the Weingarten tests check the tables against",
-    "compose": "fixes the composition convention (q first, then p) that the "
-    "brute-force references in tests/ are written in; the routes walk 0-indexed "
-    "image tables instead",
 }
 
 

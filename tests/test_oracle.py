@@ -10,7 +10,7 @@ import pytest
 
 import tensormoments
 
-from tensormoments.algebra import LaurentPoly, Permutation, compose
+from tensormoments.algebra import LaurentPoly, Permutation
 from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.oracle import (
     K,
@@ -22,7 +22,7 @@ from tensormoments.oracle import (
 )
 from tensormoments.trees import CornerLabeledTree, enumerate_trees, tree_to_bubble
 
-from conftest import edge_tree_bubble, symmetric_group
+from conftest import compose, cycle_count, edge_tree_bubble, symmetric_group
 
 SPLIT = ColorSplit(4, [2, 4])
 
@@ -32,7 +32,7 @@ def histogram_brute_force(b):
     hist = {}
     for pi in symmetric_group(b.n):
         pinv = pi.inverse()
-        key = tuple(compose(b.tau(c), pinv).cycle_count() for c in range(1, b.d + 1))
+        key = tuple(cycle_count(compose(b.tau(c), pinv)) for c in range(1, b.d + 1))
         hist[key] = hist.get(key, 0) + 1
     return hist
 
