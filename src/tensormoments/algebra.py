@@ -362,7 +362,7 @@ class LaurentPoly:
         return LaurentPoly({e * k: c for e, c in self.terms.items()})
 
     def evaluate(self, x: Rational) -> Fraction:
-        x = Fraction(x)
+        x = Fraction(_exact(x))  # a float or a string is refused as a coefficient is
         if x == 0 and self.terms and self.min_exp < 0:
             raise ZeroDivisionError("negative exponent at N = 0")
         total = Fraction(0)

@@ -197,8 +197,6 @@ def necklace(d: int, split: ColorSplit, k: int) -> Bubble:
     """
     if k < 1:
         raise ValueError("necklace length must be >= 1")
-    if split.d != d:
-        raise ValueError(f"split is for d={split.d}, bubble has d={d}")
     ends = {c: Permutation.identity(1) for c in split.row_colors}
     return bubble_from_chains(d, split, (k,), ends)
 
@@ -226,7 +224,9 @@ class NotChainExpressible(Refused):
 
 
 def chain_obstruction(b: Bubble, split: ColorSplit) -> Optional[str]:
-    """Reason the bubble is not chain-expressible, or None if it is."""
+    """Reason the bubble is not chain-expressible (a split for another d is one), or None."""
+    if split.d != b.d:
+        return f"split is for d={split.d}, bubble has d={b.d}"
     cols = split.columns
     rho = b.tau(cols[0])
     for c in cols[1:]:
@@ -241,7 +241,8 @@ def chain_obstruction(b: Bubble, split: ColorSplit) -> Optional[str]:
 def chain_decomposition(b: Bubble, split: ColorSplit) -> Optional[ChainDecomposition]:
     """Decompose ``b`` into maximal MM^dagger chains, or None.
 
-    Succeeds iff all column-color permutations coincide (call it rho).  Factor
+    Succeeds iff the split is for the bubble's d and all column-color
+    permutations coincide (call it rho).  Factor
     i links to factor j when every row color sends black rho(i) to the same
     white j; maximal link runs are the chains, cycles are cut at their
     smallest white label.
@@ -301,8 +302,10 @@ def bubble_from_chains(
     """Rebuild a bubble from chain lengths and endpoint permutations.
 
     Whites are labeled chain by chain; the common column permutation is the
-    identity in this labeling.
+    identity in this labeling.  ``d`` must be the split's.
     """
+    if split.d != d:
+        raise ValueError(f"split is for d={split.d}, bubble has d={d}")
     lengths = tuple(int(l) for l in chain_lengths)
     if any(l < 1 for l in lengths):
         raise ValueError("chain lengths must be positive")

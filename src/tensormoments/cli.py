@@ -168,9 +168,7 @@ def cmd_effective(args) -> int:
     check_size(bubble.n, bubble.d)
     expansion = effective_observable(bubble, split)
     oracle = gaussian_expectation(bubble)
-    row_dim = LaurentPoly.monomial(split.d - len(split.column_colors))
-    col_dim = LaurentPoly.monomial(len(split.column_colors))
-    reconstructed = laguerre_reconstruct(expansion, row_dim, col_dim)
+    reconstructed = laguerre_reconstruct(expansion)
     ok = reconstructed == oracle
     report = {
         "expansion": expansion.to_json(),
@@ -298,11 +296,7 @@ MC_EXACT_N_MAX = 7
 def cmd_mc(args) -> int:
     bubble = _load(Bubble, args.bubble)
     spec = SampleSpec(
-        N=args.numeric_N,
-        d=bubble.d,
-        samples=args.samples,
-        seed=args.seed,
-        variance=args.variance,
+        N=args.numeric_N, samples=args.samples, seed=args.seed, variance=args.variance
     )
     estimate = estimate_expectation(bubble, spec)
     report = estimate.to_json()

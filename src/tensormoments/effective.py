@@ -11,7 +11,9 @@ coefficient is reduced once, from numerators over the shared denominator of
 a ``weingarten`` table, by a gcd on coefficient lists (``algebra.poly_gcd``).
 Wishart moments are character sums over S_L of integer content polynomials
 put in at the dimensions (``LaurentPoly``s, whose whole coefficients are
-ints), so this route never calls the Wick oracle it is checked against; the
+ints), so this route never calls the Wick oracle it is checked against.  The
+expansion records its colour split, which alone gives the Weingarten
+dimension N^q and the N^q x N^{|C|} Wishart matrix (q row colours); the
 reconstruction takes the lcm of the coefficients' denominators and ends in
 one exact polynomial division, its gcds and divisions on coefficient lists.
 The scaling diagnostics alone walk every pair, one generator yielding them.
@@ -66,12 +68,12 @@ class PowerSumExpansion:
     """Linear combination of products of power sums in squared singular values.
 
     ``terms`` maps a descending tuple (l_1..l_k) to the rational-function
-    coefficient of p_{l_1} ... p_{l_k}; ``row_power`` is the exponent q with
-    angular group dimension N^q.
+    coefficient of p_{l_1} ... p_{l_k}; ``split`` is the colour split it was
+    computed over, which fixes M as N^q x N^{|C|} with q = #row colours.
     """
 
     terms: dict[tuple[int, ...], RationalFunc]
-    row_power: int
+    split: ColorSplit
 
     def to_json(self) -> list[dict]:
         return [
@@ -193,14 +195,14 @@ def effective_observable(b: Bubble, split: ColorSplit) -> PowerSumExpansion:
     Sums Wg_{N^q}(sigma tau^{-1}) * prod_rows N^{#cycles(pi_c sigma)} over
     sigma, tau in S_m, attaching p_{sum of chain lengths} per cycle of tau;
     the pairs are counted by ``_orbit_weights``.  A bubble that is not
-    chain-expressible for ``split`` raises ``NotChainExpressible`` and more
-    than ``ANGULAR_M_MAX`` chains raise ``Refused``, both before any walk.
+    chain-expressible for ``split``, or whose d is not the split's, raises
+    ``NotChainExpressible`` and more than ``ANGULAR_M_MAX`` chains raise
+    ``Refused``, both before any walk.  The expansion records ``split``.
     """
     decomp = _decompose(b, split)
-    row_power = split.d - len(split.column_colors)
     weights = _orbit_weights(decomp, split.row_colors)
-    # m <= ANGULAR_M_MAX and row_power >= 1 pass weingarten_exact's checks.
-    wg_nums, wg_den = _weingarten_table(decomp.m, LaurentPoly.monomial(row_power))
+    # m <= ANGULAR_M_MAX and q >= 1 row colours pass weingarten_exact's checks.
+    wg_nums, wg_den = _weingarten_table(decomp.m, LaurentPoly.monomial(len(split.row_colors)))
     terms: dict[tuple[int, ...], RationalFunc] = {}
     for powers, by_class in weights.items():
         num = LaurentPoly.zero()
@@ -208,7 +210,7 @@ def effective_observable(b: Bubble, split: ColorSplit) -> PowerSumExpansion:
             num = num + LaurentPoly(exps) * wg_nums[Partition(wg_class)]
         if num:
             terms[powers] = RationalFunc(num, wg_den)
-    return PowerSumExpansion(terms=terms, row_power=row_power)
+    return PowerSumExpansion(terms=terms, split=split)
 
 
 DimLike = Union[int, Fraction, LaurentPoly]
@@ -270,12 +272,13 @@ def wishart_moment_leading(l: int, balance: str) -> int:
     raise ValueError(f"balance must be 'square' or 'unbalanced', got {balance!r}")
 
 
-def laguerre_reconstruct(
-    e: PowerSumExpansion, row_dim: LaurentPoly, col_dim: LaurentPoly
-) -> LaurentPoly:
+def laguerre_reconstruct(e: PowerSumExpansion) -> LaurentPoly:
     """Recompute <B> through the angular route: coefficients times Wishart
-    moments over the lcm of their denominators, then one exact division.
-    The lcm, the cofactors and the division run on coefficient lists."""
+    moments of the N^q x N^{|C|} matrix of ``e.split``, over the lcm of
+    their denominators, then one exact division.  The lcm, the cofactors
+    and the division run on coefficient lists."""
+    row_dim = LaurentPoly.monomial(len(e.split.row_colors))
+    col_dim = LaurentPoly.monomial(len(e.split.column_colors))
     den = LaurentPoly.one()
     for d in {coeff.den for coeff in e.terms.values()}:
         den, _ = _poly_divmod(den * d, poly_gcd(den, d))

@@ -2,6 +2,8 @@
 
 Sampling uses the counter-based Philox generator keyed by (seed, chunk
 index), so results are reproducible and independent of evaluation order.
+A ``SampleSpec`` holds N, the sample count, the seed and the variance; the
+bubble fixes the tensor's rank d.
 
 The contraction is planned here, not by numpy: ``_plan`` orders the 2n
 tensors pair by pair with a greedy smallest-intermediate rule, once per
@@ -51,7 +53,6 @@ _DRAWS = 2**16
 @dataclass(frozen=True)
 class SampleSpec:
     N: int
-    d: int
     samples: int
     seed: int
     variance: float = 1.0
@@ -82,8 +83,8 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_batch(spec: SampleSpec, index: int, count: int) -> np.ndarray:
-    """``count`` i.i.d. tensors drawn from the stream keyed (seed, index).
+def sample_batch(spec: SampleSpec, d: int, index: int, count: int) -> np.ndarray:
+    """``count`` i.i.d. rank-``d`` tensors drawn from the stream keyed (seed, index).
 
     The stream gives every real part, then every imaginary part.  They are
     drawn ``_DRAWS`` at a time through one small buffer, which gives the
@@ -91,7 +92,7 @@ def sample_batch(spec: SampleSpec, index: int, count: int) -> np.ndarray:
     allocated beside it.
     """
     rng = _rng(spec.seed, index)
-    shape = (count,) + (spec.N,) * spec.d
+    shape = (count,) + (spec.N,) * d
     scale = math.sqrt(spec.variance / 2.0)
     out = np.empty(shape, complex)
     flat = out.reshape(-1).view(np.float64)  # re, im, re, im, ...
@@ -220,8 +221,6 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     index order.  The thread is joined before this returns or raises; a
     fault in it is raised here.
     """
-    if spec.d != b.d:
-        raise ValueError(f"spec has d={spec.d}, bubble has d={b.d}")
     steps, _, _ = _plan(b, spec.N, DEFAULT_CHUNK)
     takes = [
         min(DEFAULT_CHUNK, spec.samples - done) for done in range(0, spec.samples, DEFAULT_CHUNK)
@@ -230,7 +229,7 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
 
     def draw(index):
         try:
-            drawn[index] = sample_batch(spec, index, takes[index])
+            drawn[index] = sample_batch(spec, b.d, index, takes[index])
         except Exception as error:
             drawn[index] = error
 

@@ -154,7 +154,7 @@ def run_two_path_consistency():
     for b in suite:
         assert b.n <= 7
         e = effective_observable(b, SPLIT)
-        reconstructed = laguerre_reconstruct(e, N2, N2)
+        reconstructed = laguerre_reconstruct(e)
         oracle = gaussian_expectation(b)
         assert reconstructed == oracle, b.to_json()
         lines.append(f"n={b.n}: {oracle}")
@@ -249,7 +249,7 @@ def run_monte_carlo(seed=MC_SEED):
     lines = []
     for i, b in enumerate(mc_suite()):
         for dim in (2, 3):
-            spec = SampleSpec(N=dim, d=4, samples=100_000, seed=seed + i)
+            spec = SampleSpec(N=dim, samples=100_000, seed=seed + i)
             est = estimate_expectation(b, spec)
             exact = float(per_color_dimensions(b, (dim,) * 4))
             assert abs(est.mean - exact) <= 5 * est.stderr, (i, dim, est, exact)

@@ -242,6 +242,8 @@ class TestLaurentPoly:
             LaurentPoly({0: coeff})
         with pytest.raises(TypeError):
             LaurentPoly({0: 1}) * LaurentPoly({1: coeff})
+        with pytest.raises(TypeError):
+            LaurentPoly({2: 1, -1: 3}).evaluate(coeff)
 
     @pytest.mark.parametrize("value", [0, 1, -7, Fraction(2, 3)])
     def test_constant_hashes_like_its_value(self, value):

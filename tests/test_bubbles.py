@@ -85,6 +85,13 @@ class TestNecklace:
         with pytest.raises(ValueError):
             necklace(4, split24, 0)
 
+    def test_split_for_another_d_refused(self, split24):
+        ends = {1: Permutation.identity(2), 3: Permutation([2, 1])}
+        with pytest.raises(ValueError, match="split is for d=4, bubble has d=3"):
+            bubble_from_chains(3, split24, (2, 1), ends)
+        with pytest.raises(ValueError, match="split is for d=4, bubble has d=3"):
+            necklace(3, split24, 2)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_one_closed_chain(self, d):
         for r in range(1, d):

@@ -376,11 +376,11 @@ def _inject_fault(*args, **kwargs):
     raise ValueError("injected fault")
 
 
-def _fault_after_first_chunk(spec, index, count, sample_batch=montecarlo.sample_batch):
+def _fault_after_first_chunk(spec, d, index, count, sample_batch=montecarlo.sample_batch):
     # Chunk 0 is drawn before the loop; chunk 1 is drawn on the sampler
     # thread while chunk 0 is contracted.
     if index == 0:
-        return sample_batch(spec, index, count)
+        return sample_batch(spec, d, index, count)
     raise ValueError("injected fault")
 
 

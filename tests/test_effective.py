@@ -3,8 +3,10 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,18 @@ class TestEffectiveObservable:
         )
         with pytest.raises(NotChainExpressible, match="disagree"):
             effective_observable(b, SPLIT)
+
+    @pytest.mark.parametrize("route", [effective_observable, scaling_diagnostics])
+    @pytest.mark.parametrize(
+        "split",
+        [ColorSplit(2, [2]), ColorSplit(3, [2]), ColorSplit(5, [2, 4])],
+        ids=["d2", "d3", "d5"],
+    )
+    def test_split_for_another_d_refused(self, route, split):
+        # Refused where the split meets the bubble, before any colour of the
+        # split is looked up in it.
+        with pytest.raises(NotChainExpressible, match=f"split is for d={split.d}, bubble has d=4"):
+            route(edge_tree_bubble(2, 1), split)
 
     @pytest.mark.parametrize("route", [effective_observable, scaling_diagnostics])
     def test_seven_chains_refused_before_the_pair_sum(self, route):
@@ -210,29 +224,29 @@ def wishart_reference(lengths, row, col):
 class TestLaguerreReconstruct:
     def test_edge_tree_k1_l1(self):
         e = effective_observable(edge_tree_bubble(1, 1), SPLIT)
-        assert laguerre_reconstruct(e, N2, N2) == LaurentPoly({7: 1, 5: 1})
+        assert laguerre_reconstruct(e) == LaurentPoly({7: 1, 5: 1})
 
     def test_necklace_pass_through(self):
         for k in (2, 4):
             e = effective_observable(necklace(4, SPLIT, k), SPLIT)
-            assert laguerre_reconstruct(e, N2, N2) == wishart_moment_exact((k,), N2, N2)
+            assert laguerre_reconstruct(e) == wishart_moment_exact((k,), N2, N2)
 
     def test_dipole(self):
         b = Bubble(4, 1, (Permutation.identity(1),) * 4)
         e = effective_observable(b, SPLIT)
-        assert laguerre_reconstruct(e, N2, N2) == LaurentPoly({4: 1})
+        assert laguerre_reconstruct(e) == LaurentPoly({4: 1})
 
     @pytest.mark.parametrize("k,l", [(2, 1), (2, 2), (3, 2), (4, 3)])
     def test_two_path_consistency_edge_trees(self, k, l):
         b = edge_tree_bubble(k, l)
         e = effective_observable(b, SPLIT)
-        assert laguerre_reconstruct(e, N2, N2) == gaussian_expectation(b)
+        assert laguerre_reconstruct(e) == gaussian_expectation(b)
 
     def test_two_path_consistency_small_trees(self):
         for t in enumerate_trees(3, 4):
             b = tree_to_bubble(t)
             e = effective_observable(b, SPLIT)
-            assert laguerre_reconstruct(e, N2, N2) == gaussian_expectation(b), t.to_json()
+            assert laguerre_reconstruct(e) == gaussian_expectation(b), t.to_json()
 
     def test_two_path_consistency_five_chains(self):
         t = CornerLabeledTree(
@@ -259,7 +273,7 @@ class TestLaguerreReconstruct:
         b = tree_to_bubble(t)
         assert chain_decomposition(b, SPLIT).chain_lengths == (1, 1, 1, 1, 1)
         e = effective_observable(b, SPLIT)
-        assert laguerre_reconstruct(e, N2, N2) == gaussian_expectation(b)
+        assert laguerre_reconstruct(e) == gaussian_expectation(b)
 
 
     def test_angular_route_never_calls_the_wick_oracle(self, monkeypatch):
@@ -281,7 +295,27 @@ class TestLaguerreReconstruct:
         with pytest.raises(AssertionError):
             gaussian_expectation(b)
         e = effective_observable(b, SPLIT)
-        assert laguerre_reconstruct(e, N2, N2) == expected
+        assert laguerre_reconstruct(e) == expected
+
+    def test_two_path_consistency_at_every_split(self):
+        # The expansion's split alone fixes the dimensions the reconstruction
+        # uses, at every split a random d = 4 bubble is chain-expressible for.
+        # The colours are drawn from a pool of 2 to 4 random maps, so that
+        # splits with two and three column colours come up too.
+        rng = random.Random(21)
+        splits = [ColorSplit(4, cols) for r in (1, 2, 3) for cols in combinations(range(1, 5), r)]
+        checked = Counter()
+        for _ in range(24):
+            n = rng.randint(3, 5)
+            pool = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(rng.randint(2, 4))]
+            b = Bubble(4, n, tuple(rng.choices(pool, k=4)))
+            expected = gaussian_expectation(b)
+            for split in splits:
+                if chain_decomposition(b, split) is not None:
+                    e = effective_observable(b, split)
+                    assert laguerre_reconstruct(e) == expected, (b.to_json(), split.columns)
+                    checked[len(split.column_colors)] += 1
+        assert checked[1] == 4 * 24 and checked[2] and checked[3], checked
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -310,7 +344,7 @@ def test_angular_route_does_no_rational_function_arithmetic(name):
     assert not any(hasattr(RationalFunc, op) for op in ("__add__", "__mul__", "__truediv__"))
     b = TWO_DENOMINATORS if name == "two_denominators" else Bubble.load(GOLDEN / f"{name}.json")
     e = effective_observable(b, SPLIT)
-    reconstructed = laguerre_reconstruct(e, N2, N2)
+    reconstructed = laguerre_reconstruct(e)
     if b is TWO_DENOMINATORS:
         assert len({coeff.den for coeff in e.terms.values()}) == 2
     assert reconstructed == gaussian_expectation(b)
@@ -329,7 +363,7 @@ def test_route_outputs_hold_exact_coefficients():
     for name in ("chains_1-1-1-1", "chains_2-1-1-1", "chains_3-3-2"):
         b = Bubble.load(GOLDEN / f"{name}.json")
         e = effective_observable(b, SPLIT)
-        polys += [gaussian_expectation(b), laguerre_reconstruct(e, N2, N2)]
+        polys += [gaussian_expectation(b), laguerre_reconstruct(e)]
         polys += [p for coeff in e.terms.values() for p in (coeff.num, coeff.den)]
     assert all(exact_coefficients(p) for p in polys)
 
@@ -361,7 +395,7 @@ class TestScalingDiagnostics:
             diags = scaling_diagnostics(b, SPLIT)
             mx = max(d.exponent for d in diags)
             e = effective_observable(b, SPLIT)
-            lead, _ = laguerre_reconstruct(e, N2, N2).leading_term()
+            lead, _ = laguerre_reconstruct(e).leading_term()
             assert mx + 2 * b.n == lead
 
     def test_dominance_fixes_leaf_chain(self):

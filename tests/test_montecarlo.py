@@ -68,23 +68,23 @@ def dipole(d=4):
 
 class TestSampling:
     def test_same_seed_same_tensors(self):
-        spec = SampleSpec(N=3, d=4, samples=10, seed=7)
-        a = sample_batch(spec, 0, 4)
-        b = sample_batch(spec, 0, 4)
+        spec = SampleSpec(N=3, samples=10, seed=7)
+        a = sample_batch(spec, 4, 0, 4)
+        b = sample_batch(spec, 4, 0, 4)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = sample_batch(SampleSpec(N=3, d=4, samples=2, seed=1), 0, 1)
-        b = sample_batch(SampleSpec(N=3, d=4, samples=2, seed=2), 0, 1)
+        a = sample_batch(SampleSpec(N=3, samples=2, seed=1), 4, 0, 1)
+        b = sample_batch(SampleSpec(N=3, samples=2, seed=2), 4, 0, 1)
         assert not np.array_equal(a, b)
 
     def test_chunks_are_independent_streams(self):
-        spec = SampleSpec(N=2, d=4, samples=10, seed=0)
-        assert not np.array_equal(sample_batch(spec, 0, 2), sample_batch(spec, 1, 2))
+        spec = SampleSpec(N=2, samples=10, seed=0)
+        assert not np.array_equal(sample_batch(spec, 4, 0, 2), sample_batch(spec, 4, 1, 2))
 
     def test_entry_variance(self):
-        spec = SampleSpec(N=4, d=4, samples=2, seed=11, variance=2.0)
-        batch = sample_batch(spec, 0, 2000)
+        spec = SampleSpec(N=4, samples=2, seed=11, variance=2.0)
+        batch = sample_batch(spec, 4, 0, 2000)
         var = float(np.mean(np.abs(batch) ** 2))
         assert abs(var - 2.0) < 0.05
 
@@ -94,23 +94,23 @@ class TestSampling:
         assert 2 * montecarlo._DRAWS < 33 * 8**4 < 3 * montecarlo._DRAWS
         cases = [(2, 4, 0.3, 7), (3, 3, 1.0, 7), (6, 4, 2.5, 7), (8, 4, 0.7, 33)]
         for N, d, variance, count in cases:
-            spec = SampleSpec(N=N, d=d, samples=2, seed=19, variance=variance)
+            spec = SampleSpec(N=N, samples=2, seed=19, variance=variance)
             rng = montecarlo._rng(spec.seed, 5)
             shape = (count,) + (N,) * d
             re, im = rng.standard_normal(shape), rng.standard_normal(shape)
             expected = np.sqrt(variance / 2) * (re + 1j * im)
-            assert sample_batch(spec, 5, count).tobytes() == expected.tobytes()
+            assert sample_batch(spec, d, 5, count).tobytes() == expected.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SampleSpec(N=0, d=4, samples=10, seed=0)
+            SampleSpec(N=0, samples=10, seed=0)
         with pytest.raises(ValueError):
-            SampleSpec(N=2, d=4, samples=1, seed=0)
+            SampleSpec(N=2, samples=1, seed=0)
         with pytest.raises(ValueError):
-            SampleSpec(N=2, d=4, samples=10, seed=0, variance=0.0)
+            SampleSpec(N=2, samples=10, seed=0, variance=0.0)
         for variance in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                SampleSpec(N=2, d=4, samples=10, seed=0, variance=variance)
+                SampleSpec(N=2, samples=10, seed=0, variance=variance)
 
 
 def rank_one(N, seed):
@@ -203,41 +203,37 @@ class TestEvaluateBubble:
 class TestEstimate:
     def test_deterministic_for_fixed_seed(self):
         b = edge_tree_bubble(1, 1)
-        spec = SampleSpec(N=2, d=4, samples=2000, seed=42)
+        spec = SampleSpec(N=2, samples=2000, seed=42)
         e1 = estimate_expectation(b, spec)
         e2 = estimate_expectation(b, spec)
         assert e1 == e2
 
     def test_chunk_size_does_not_change_result(self):
         b = dipole()
-        spec = SampleSpec(N=2, d=4, samples=1536, seed=3)
+        spec = SampleSpec(N=2, samples=1536, seed=3)
         a = estimate_expectation(b, spec)
         c = estimate_expectation(b, spec)
         assert a == c
 
     def test_dipole_matches_exact(self):
-        spec = SampleSpec(N=3, d=4, samples=40_000, seed=1)
+        spec = SampleSpec(N=3, samples=40_000, seed=1)
         est = estimate_expectation(dipole(), spec)
         exact = float(per_color_dimensions(dipole(), (3,) * 4))
         assert abs(est.mean - exact) <= 5 * est.stderr
         assert est.max_rel_imag < 1e-12
 
     def test_variance_scaling(self):
-        spec = SampleSpec(N=2, d=4, samples=40_000, seed=8, variance=2.0)
+        spec = SampleSpec(N=2, samples=40_000, seed=8, variance=2.0)
         est = estimate_expectation(dipole(), spec)
         exact = 2.0 * float(per_color_dimensions(dipole(), (2,) * 4))
         assert abs(est.mean - exact) <= 5 * est.stderr
 
     def test_edge_tree_matches_exact(self):
         b = edge_tree_bubble(1, 1)
-        spec = SampleSpec(N=2, d=4, samples=60_000, seed=5)
+        spec = SampleSpec(N=2, samples=60_000, seed=5)
         est = estimate_expectation(b, spec)
         exact = float(per_color_dimensions(b, (2,) * 4))
         assert abs(est.mean - exact) <= 5 * est.stderr
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            estimate_expectation(dipole(3), SampleSpec(N=2, d=4, samples=10, seed=0))
 
     def test_json_fields(self):
         e = Estimate(mean=1.0, stderr=0.1, samples=100, seed=9)
@@ -248,14 +244,14 @@ class TestEstimate:
     def test_merged_statistics_match_two_pass(self):
         # 1300 draws: two full chunks and a partial one of 276.
         b = edge_tree_bubble(1, 1)
-        spec = SampleSpec(N=2, d=4, samples=1300, seed=21)
+        spec = SampleSpec(N=2, samples=1300, seed=21)
         est = estimate_expectation(b, spec)
         sizes = [DEFAULT_CHUNK, DEFAULT_CHUNK, spec.samples - 2 * DEFAULT_CHUNK]
         values = np.array(
             [
                 evaluate_bubble(b, t).real
                 for index, size in enumerate(sizes)
-                for t in sample_batch(spec, index, size)
+                for t in sample_batch(spec, b.d, index, size)
             ]
         )
         n = len(values)
@@ -270,7 +266,7 @@ def serial_estimate(b, spec):
     mean, m2, max_rel_imag = 0.0, 0.0, 0.0
     for index, done in enumerate(range(0, spec.samples, DEFAULT_CHUNK)):
         take = min(DEFAULT_CHUNK, spec.samples - done)
-        values = montecarlo._contract(sample_batch(spec, index, take), b.n, steps)
+        values = montecarlo._contract(sample_batch(spec, b.d, index, take), b.n, steps)
         scale = np.abs(values)
         rel = np.divide(np.abs(values.imag), scale, out=np.zeros(take), where=scale > 0)
         max_rel_imag = max(max_rel_imag, float(np.max(rel)))
@@ -296,7 +292,7 @@ def serial_estimate(b, spec):
 )
 def test_estimate_is_bitwise_the_serial_reference(b, N, samples):
     # 513 draws leave one in the last chunk, so one of its halves is empty.
-    spec = SampleSpec(N=N, d=4, samples=samples, seed=37)
+    spec = SampleSpec(N=N, samples=samples, seed=37)
     est, ref = estimate_expectation(b, spec), serial_estimate(b, spec)
     for field in ("mean", "stderr", "samples", "seed", "max_rel_imag"):
         assert getattr(est, field) == getattr(ref, field), field
@@ -307,7 +303,7 @@ def test_sampler_thread_under_frequent_switches():
     # switching threads every microsecond makes a lost or misordered hand-over
     # show as a changed estimate.
     b = edge_tree_bubble(1, 1)
-    spec = SampleSpec(N=2, d=4, samples=8 * DEFAULT_CHUNK + 3, seed=41)
+    spec = SampleSpec(N=2, samples=8 * DEFAULT_CHUNK + 3, seed=41)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -320,7 +316,7 @@ def test_sampler_thread_under_frequent_switches():
 class TestPlan:
     def test_greedy_cliff_bubble_in_seconds(self):
         b = from_images(GREEDY_CLIFF_N8)
-        spec = SampleSpec(N=2, d=4, samples=2000, seed=0)
+        spec = SampleSpec(N=2, samples=2000, seed=0)
         start = time.perf_counter()
         est = estimate_expectation(b, spec)
         assert time.perf_counter() - start < 5.0
@@ -364,8 +360,8 @@ class TestPlan:
         ids=["necklace3", "edge_tree", "greedy_cliff_n8", "random_n8"],
     )
     def test_reuse_is_bitwise_equal_to_computing_every_step(self, b, N):
-        spec = SampleSpec(N=N, d=4, samples=2, seed=31)
-        batch = sample_batch(spec, 0, 64)
+        spec = SampleSpec(N=N, samples=2, seed=31)
+        batch = sample_batch(spec, b.d, 0, 64)
         steps, _, _ = _plan(b, N, len(batch))
         assert any(same is not None for *_, same in steps)
         operands = [batch] * b.n + [np.conj(batch)] * b.n
@@ -387,4 +383,4 @@ class TestPlan:
         N = round((INTERMEDIATE_MAX / DEFAULT_CHUNK) ** 0.25)
         assert _plan(dipole(), N, DEFAULT_CHUNK)[2] == INTERMEDIATE_MAX
         with pytest.raises(ValueError, match="INTERMEDIATE_MAX"):
-            estimate_expectation(dipole(), SampleSpec(N=N + 1, d=4, samples=10, seed=0))
+            estimate_expectation(dipole(), SampleSpec(N=N + 1, samples=10, seed=0))
