@@ -34,7 +34,6 @@ from .effective import (
     wishart_moment_exact,
     wishart_moment_leading,
 )
-from .montecarlo import Estimate, SampleSpec, estimate_expectation
 from .oracle import (
     BubbleTooLarge,
     ExpectationResult,
@@ -51,3 +50,15 @@ from .weingarten import (
 )
 
 __version__ = "0.1.0"
+
+# Served from ``montecarlo`` on first access (PEP 562), so that importing the
+# package, and every exact command, does not load numpy.
+MONTECARLO_EXPORTS = ("Estimate", "SampleSpec", "estimate_expectation")
+
+
+def __getattr__(name: str):
+    if name in MONTECARLO_EXPORTS:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

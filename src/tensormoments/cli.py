@@ -18,7 +18,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .algebra import LaurentPoly, Refused, partitions_of
 from .bubbles import Bubble, ColorSplit, canonical_key
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
-from .montecarlo import SampleSpec, estimate_expectation
 from .oracle import check_size, expectation, gaussian_expectation, per_color_dimensions
 from .trees import D as TREE_D
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
@@ -294,6 +293,9 @@ MC_EXACT_N_MAX = 7
 
 
 def cmd_mc(args) -> int:
+    # The one command that needs numpy imports it here, not at the top.
+    from .montecarlo import SampleSpec, estimate_expectation
+
     bubble = _load(Bubble, args.bubble)
     spec = SampleSpec(
         N=args.numeric_N, samples=args.samples, seed=args.seed, variance=args.variance

@@ -5,9 +5,11 @@ sum over pairings pi in S_n of prod_c N^{#cycles(tau_c pi)} (pi -> pi^{-1}
 is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
 serial walk over S_n, one coset pi S_k at a time (S_k permutes positions
 0..k-1, k = min(n, K)), builds a histogram of the per-color cycle counts:
-one cycle walk per color and coset, then one cached row of cycle counts of
-S_k gives the coset's k! keys.  The symbolic result and the value at
-per-color numeric dimensions are both reductions of it.
+one cycle walk per color and coset, then one row of cycle counts of S_k
+gives the coset's k! keys.  All rows of S_k are built together, in one
+pass over S_k, the first time a histogram needs one; nothing is built at
+import.  The symbolic result and the value at per-color numeric
+dimensions are both reductions of it.
 """
 from __future__ import annotations
 
@@ -24,9 +26,12 @@ from .bubbles import Bubble
 DEFAULT_N_MAX = 9
 # Positions permuted within a coset.  Kernel at n = 9, random d = 4 bubble,
 # one core of a 2-vCPU Xeon VM: K = 4 0.33 s, K = 5 0.13 s, K = 6 0.09 s; but
-# K = 6's table (720 rows of 720 bytes, 0.5 MB) takes 1.3 s to build, K = 5's
-# (120 rows of 120 bytes) 0.03 s.  Rows shifted by ``closed`` add at most
-# n - K copies of each.
+# K = 6's table (720 rows of 720 bytes, 0.5 MB) took 1.3 s to build by one
+# cycle walk per entry, and its 720 indices do not fit the one-byte tables
+# ``_rows`` composes with (k! <= 256).  ``_rows`` builds K = 5's table (120
+# rows of 120 bytes) in about 2 ms, and every row of S_1..S_5 at closed =
+# 0..4 in about 5 ms.  Rows shifted by ``closed`` add at most n - K copies
+# of each.
 K = 5
 
 
@@ -70,12 +75,47 @@ def check_size(n: int, d: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _rows(k: int) -> dict[tuple[int, ...], bytes]:
+    """g -> #cycles(g rho) for rho in S_k, in ``itertools.permutations``
+    order, for every g in S_k, built in one pass.
+
+    Left multiplication by g permutes the indices of S_k; as the byte string
+    ``moves`` of the indices of g rho, rho in order, it composes by
+    ``bytes.translate``: moves(s g) = moves(g).translate(moves(s)).  From
+    the identity, the adjacent transpositions s reach every g (g is
+    ``perms[moves(g)[0]]``, as rho_0 is the identity), and g's row is
+    moves(g) translated through the k! cycle counts.
+    """
+    perms = list(permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    pad = bytes(256 - len(perms))
+    counts = bytes(len(_cycles(p)) for p in perms) + pad
+    steps = []
+    for i in range(k - 1):
+        s = list(range(k))
+        s[i], s[i + 1] = s[i + 1], s[i]
+        # tuple() of a list is built at its exact size; grown from a generator,
+        # each lookup key would stay on CPython's tuple free list (~40 KB).
+        steps.append(bytes(index[tuple([s[r] for r in rho])] for rho in perms) + pad)
+    rows: dict[tuple[int, ...], bytes] = {}
+    frontier = [bytes(range(len(perms)))]
+    while frontier:
+        reached = []
+        for moves in frontier:
+            g = perms[moves[0]]
+            if g not in rows:
+                rows[g] = moves.translate(counts)
+                reached += [moves.translate(step) for step in steps]
+        frontier = reached
+    return rows
+
+
+@lru_cache(maxsize=None)
 def _row(g: tuple[int, ...], closed: int = 0) -> bytes:
     """(closed + #cycles(g rho)) for rho in S_k, k = len(g), in
-    ``itertools.permutations`` order: built on first use."""
-    if closed:
-        return bytes(closed + cycles for cycles in _row(g))
-    return bytes(len(_cycles([g[r] for r in rho])) for rho in permutations(range(len(g))))
+    ``itertools.permutations`` order: ``_rows(k)``'s row shifted by one
+    ``bytes.translate``."""
+    return _rows(len(g))[g].translate(bytes(range(closed, 256)) + bytes(closed))
 
 
 def wick_histogram(b: Bubble) -> dict[tuple[int, ...], int]:

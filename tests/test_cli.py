@@ -3,6 +3,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tensormoments
 from tensormoments import cli, effective, montecarlo, oracle
 from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc, Refused
 from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, canonical_key, necklace
@@ -451,6 +454,57 @@ def test_stdout_matches_golden_file(case, capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{case}.out").read_text()
+
+
+def fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new Python process that imports the package from
+    this checkout; return its stdout."""
+    src = str(Path(tensormoments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_exact_commands_never_load_numpy():
+    # Only mc samples; the exact routes are integer arithmetic, and a fresh
+    # process that runs them (every CLI call) does not pay numpy's import.
+    cases = sorted(case for case, argv in GOLDEN_ARGV.items() if argv[0] != "mc")
+    assert {GOLDEN_ARGV[case][0] for case in cases} == {
+        "expect", "effective", "tree", "weingarten", "wishart"
+    }
+    runs = [[str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_ARGV[c]] for c in cases]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from tensormoments import cli\n"
+        "outs = []\n"
+        f"for argv in {runs!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    outs.append(buf.getvalue())\n"
+        "print(json.dumps(['numpy' in sys.modules, outs]))\n"
+    )
+    loaded, outs = json.loads(fresh_interpreter(code))
+    assert loaded is False
+    assert outs == [(GOLDEN / f"{case}.out").read_text() for case in cases]
+
+
+def test_mc_and_the_lazy_exports_load_numpy():
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_ARGV["mc_d4_n5"]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from tensormoments import cli\n"
+        "before = 'numpy' in sys.modules\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "from tensormoments import Estimate, SampleSpec, estimate_expectation\n"
+        "print(json.dumps([before, 'numpy' in sys.modules, buf.getvalue()]))\n"
+    )
+    before, after, out = json.loads(fresh_interpreter(code))
+    assert (before, after) == (False, True)
+    assert out == (GOLDEN / "mc_d4_n5.out").read_text()
 
 
 def test_large_tree_report_is_pinned(capsys):

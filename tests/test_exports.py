@@ -9,6 +9,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tensormoments"
 
@@ -24,13 +26,31 @@ ALLOWED = {
 
 
 def exported() -> list[str]:
+    """The names of the top-level ``from ... import`` statements, and those
+    the module ``__getattr__`` serves from ``MONTECARLO_EXPORTS``."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [
+    names = [
         alias.asname or alias.name
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["MONTECARLO_EXPORTS"]:
+            names += ast.literal_eval(node.value)
+    return names
+
+
+def test_lazy_exports_are_listed_and_served():
+    import tensormoments
+
+    lazy = list(tensormoments.MONTECARLO_EXPORTS)
+    assert lazy == ["Estimate", "SampleSpec", "estimate_expectation"]
+    assert set(lazy) <= set(exported())
+    for name in lazy:
+        assert getattr(tensormoments, name) is getattr(tensormoments.montecarlo, name)
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        tensormoments.missing
 
 
 def package_reads() -> set[str]:

@@ -4,13 +4,15 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import tensormoments
 
-from tensormoments.algebra import LaurentPoly, Permutation
+from tensormoments import oracle
+from tensormoments.algebra import LaurentPoly, Permutation, _cycles
 from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.oracle import (
     K,
@@ -172,6 +174,16 @@ class TestTranspositionWalk:
     def test_n8_bubble(self):
         b = random_bubble(random.Random("4:8"), 4, 8)
         assert wick_histogram(b) == histogram_brute_force(b)
+
+    @pytest.mark.parametrize("k", range(1, K + 1))
+    def test_one_pass_rows_equal_the_per_entry_recount(self, k):
+        # The per-entry form the one-pass build replaced, kept as the oracle.
+        for g in permutations(range(k)):
+            for closed in range(5):
+                recount = bytes(
+                    closed + len(_cycles([g[r] for r in rho])) for rho in permutations(range(k))
+                )
+                assert oracle._row(g, closed) == recount
 
     def test_table_built_on_first_use_not_at_import(self):
         # A fresh interpreter: importing the package (what a command pays
