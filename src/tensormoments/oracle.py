@@ -4,12 +4,18 @@ The Gaussian expectation of a bubble polynomial at unit covariance is the
 sum over pairings pi in S_n of prod_c N^{#cycles(tau_c pi)} (pi -> pi^{-1}
 is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
 serial walk over S_n, one coset pi S_k at a time (S_k permutes positions
-0..k-1, k = min(n, K)), builds a histogram of the per-color cycle counts:
-one cycle walk per color and coset, then one row of cycle counts of S_k
-gives the coset's k! keys.  All rows of S_k are built together, in one
-pass over S_k, the first time a histogram needs one; nothing is built at
-import.  The symbolic result and the value at per-color numeric
-dimensions are both reductions of it.
+0..k-1, k = min(n, K)), gives each coset one row of k! cycle counts per
+colour: one cycle walk per colour and coset, then a row of S_k's table.
+All rows of S_k are built together, in one pass over S_k, the first time a
+walk needs one; nothing is built at import.
+
+Two reductions read the walk.  The symbolic result needs only each
+pairing's total, the sum over colours of its cycle counts, so
+``wick_histogram`` adds a coset's d rows as little-endian integers: one
+big-int addition per colour sums all k! pairings, one byte each.  A byte
+holds at most d*n, so no carry crosses into the next pairing while
+d*n <= 255, which ``check_size`` requires.  Numeric dimensions per colour
+need the per-colour tuples, which ``_color_histogram`` counts.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import islice, permutations, repeat
 from typing import Sequence
 
 from .algebra import LaurentPoly, Refused, _cycles
@@ -33,6 +39,10 @@ DEFAULT_N_MAX = 9
 # 0..4 in about 5 ms.  Rows shifted by ``closed`` add at most n - K copies
 # of each.
 K = 5
+# Cosets whose totals ``wick_histogram`` counts at a time (3840 bytes at
+# K = 5).  At n = 9 the count takes the same time for 16 to 512 cosets, but
+# 512 raised the call's traced memory peak from 19 KiB to 168 KiB.
+COSETS_PER_BLOCK = 32
 
 
 class BubbleTooLarge(Refused):
@@ -69,9 +79,15 @@ class ExpectationResult:
 
 
 def check_size(n: int, d: int) -> None:
-    """Refuse n over ``DEFAULT_N_MAX``: the one place the oracle's bound is checked."""
+    """Refuse n over ``DEFAULT_N_MAX``, or d*n over one byte's 255 (a
+    pairing's total in ``wick_histogram``): the one place the oracle's
+    bounds are checked."""
     if n > DEFAULT_N_MAX:
         raise BubbleTooLarge(n, d)
+    if d * n > 255:
+        raise Refused(
+            f"d*n={d * n} exceeds 255: the Wick oracle holds a pairing's total cycle count in one byte"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -118,8 +134,8 @@ def _row(g: tuple[int, ...], closed: int = 0) -> bytes:
     return _rows(len(g))[g].translate(bytes(range(closed, 256)) + bytes(closed))
 
 
-def wick_histogram(b: Bubble) -> dict[tuple[int, ...], int]:
-    """Map (cycles of tau_c pi, per color) -> number of pairings pi realizing it.
+def _coset_rows(b: Bubble):
+    """Each coset's d rows: the colours' cycle counts of its k! pairings.
 
     A coset pi S_k fixes the images of positions k..n-1 (the tail); its
     representative sends positions 0..k-1 to the remaining vertices in order.
@@ -132,7 +148,6 @@ def wick_histogram(b: Bubble) -> dict[tuple[int, ...], int]:
     n, k = b.n, min(b.n, K)
     taus = [[img - 1 for img in b.tau(c).images] for c in range(1, b.d + 1)]
     vertices = set(range(n))
-    hist: Counter[tuple[int, ...]] = Counter()
     for tail in permutations(range(n), n - k):
         pi = sorted(vertices.difference(tail)) + list(tail)
         rows = []
@@ -155,19 +170,47 @@ def wick_histogram(b: Bubble) -> dict[tuple[int, ...], int]:
                         seen[x] = True
                         x = sigma[x]
             rows.append(_row(tuple(f), closed))
-        hist.update(zip(*rows) if rows else repeat((), math.factorial(k)))
+        yield rows
+
+
+def wick_histogram(b: Bubble) -> dict[int, int]:
+    """Map sum_c #cycles(tau_c pi) -> number of pairings pi realizing it.
+
+    A coset's rows, added as little-endian integers, give its k! totals
+    as bytes.  They are counted by byte value a block of cosets at a time,
+    so the n! totals are never held at once.
+    """
+    width = math.factorial(min(b.n, K))
+    walk = _coset_rows(b)
+    hist: dict[int, int] = {}
+    while cosets := list(islice(walk, COSETS_PER_BLOCK)):
+        block = bytearray()
+        for rows in cosets:
+            sums = 0
+            for row in rows:
+                sums += int.from_bytes(row, "little")
+            block += sums.to_bytes(width, "little")
+        total, left = 0, len(block)
+        while left:
+            if count := block.count(total):
+                hist[total] = hist.get(total, 0) + count
+                left -= count
+            total += 1
+    return hist
+
+
+def _color_histogram(b: Bubble) -> Counter[tuple[int, ...]]:
+    """Map (cycles of tau_c pi, per color) -> number of pairings pi realizing it."""
+    hist: Counter[tuple[int, ...]] = Counter()
+    for rows in _coset_rows(b):
+        hist.update(zip(*rows) if rows else repeat((), math.factorial(min(b.n, K))))
     return hist
 
 
 def gaussian_expectation(b: Bubble) -> LaurentPoly:
     """Exact unit-covariance expectation of the bubble polynomial."""
     check_size(b.n, b.d)
-    hist = wick_histogram(b)
-    terms: dict[int, int] = {}
-    for key, cnt in hist.items():
-        e = sum(key)
-        terms[e] = terms.get(e, 0) + cnt
-    return LaurentPoly(terms)
+    return LaurentPoly(wick_histogram(b))
 
 
 def expectation(b: Bubble, alpha: int = 0) -> ExpectationResult:
@@ -182,7 +225,7 @@ def per_color_dimensions(b: Bubble, dims: Sequence[int]) -> int:
     if any(x < 1 for x in dims):
         raise ValueError("dimensions must be positive")
     check_size(b.n, b.d)
-    hist = wick_histogram(b)
+    hist = _color_histogram(b)
     total = 0
     for key, cnt in hist.items():
         prod = cnt

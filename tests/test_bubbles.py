@@ -15,7 +15,7 @@ from tensormoments.bubbles import (
     necklace,
     validate,
 )
-from tensormoments.oracle import per_color_dimensions, wick_histogram
+from tensormoments.oracle import _color_histogram, per_color_dimensions
 
 from conftest import compose, edge_tree_bubble, is_identity, symmetric_group
 
@@ -281,7 +281,7 @@ class TestCanonicalKey:
             first.setdefault(canonical_key(b), b)
         assert len(first) < len(bubbles)
         for b in bubbles:
-            assert wick_histogram(b) == wick_histogram(first[canonical_key(b)])
+            assert _color_histogram(b) == _color_histogram(first[canonical_key(b)])
 
     def test_disconnected_bubble_is_its_own_key(self):
         two_dipoles = Bubble(4, 2, (Permutation.identity(2),) * 4)

@@ -189,8 +189,11 @@ class TestMonteCarlo:
         args = ("--numeric-N", "2", "--samples", "1000", "--seed", "1")
         code, out = run(capsys, "mc", bubble_file(necklace(4, SPLIT, 7)), *args)
         assert code == 0 and first_json(out)["within_5_sigma"] == "PASS"
-        # Past n = 7 the report is the estimate alone, and no Wick pairing is walked.
-        _forbid(monkeypatch, oracle, "wick_histogram")
+        # Past n = 7 the report is the estimate alone, and no Wick pairing is
+        # walked.  The guard bites: under it, n = 7's exact value raises.
+        _forbid(monkeypatch, oracle, *WICK_WALK)
+        with pytest.raises(AssertionError, match="_coset_rows"):
+            run(capsys, "mc", bubble_file(necklace(4, SPLIT, 7)), *args)
         code, out = run(capsys, "mc", bubble_file(necklace(4, SPLIT, 8)), *args)
         report = first_json(out)
         assert code == 0 and report["samples"] == 1000
@@ -242,6 +245,10 @@ MALFORMED = {
     "effective_seven_chains": ("effective", single_box_chains(7), ()),
     "effective_not_chain_expressible": ("effective", NOT_CHAIN_EXPRESSIBLE, ()),
     "effective_over_oracle_bound": ("effective", json.dumps(necklace(4, SPLIT, 10).to_json()), ()),
+    # d*n = 260: a pairing's total cycle count would not fit the oracle's byte.
+    "expect_total_over_one_byte": (
+        "expect", json.dumps(Bubble(52, 5, (Permutation.identity(5),) * 52).to_json()), ()
+    ),
     # Every number in bubble or tree JSON is a JSON integer: no bool, float or string.
     "bubble_float_entry": (
         "expect",
@@ -279,19 +286,24 @@ def assert_refused(code, capsys):
     assert len(reasons) == 1, err
 
 
-def _forbid(monkeypatch, module, name):
-    """Make ``module.name`` raise, under every name a tensormoments module
-    holds it by."""
-    original = getattr(module, name)
+# The oracle's entry point and the coset walk both its reductions read.
+WICK_WALK = ("wick_histogram", "_coset_rows")
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError(f"{name} called before the refusal")
 
-    for key, mod in list(sys.modules.items()):
-        if key == "tensormoments" or key.startswith("tensormoments."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, forbidden)
+def _forbid(monkeypatch, module, *names):
+    """Make each ``module.name`` raise, under every name a tensormoments
+    module holds it by."""
+    for name in names:
+        original = getattr(module, name)
+
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called before the refusal")
+
+        for key, mod in list(sys.modules.items()):
+            if key == "tensormoments" or key.startswith("tensormoments."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, forbidden)
 
 
 def malformed_argv(case, tmp_path):
@@ -306,7 +318,7 @@ def malformed_argv(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_refused(case, capsys, tmp_path, monkeypatch):
     # A refusal costs no Wick enumeration and no Monte Carlo sample.
-    _forbid(monkeypatch, oracle, "wick_histogram")
+    _forbid(monkeypatch, oracle, *WICK_WALK)
     _forbid(monkeypatch, montecarlo, "sample_batch")
     assert_refused(main(malformed_argv(case, tmp_path)), capsys)
 
@@ -337,7 +349,7 @@ def test_out_of_range_arguments_refused(case, capsys):
 
 
 def test_enumeration_budget_checked_while_enumerating(capsys, monkeypatch):
-    _forbid(monkeypatch, oracle, "wick_histogram")
+    _forbid(monkeypatch, oracle, *WICK_WALK)
     start = time.perf_counter()
     assert_refused(main(["tree", "--enumerate", "9", "9"]), capsys)
     assert time.perf_counter() - start < 1.0
@@ -347,7 +359,7 @@ def test_enumeration_budget_checked_while_enumerating(capsys, monkeypatch):
     "target", ["missing/report.json", "."], ids=["no_directory", "a_directory"]
 )
 def test_unwritable_out_refused_before_any_work(target, capsys, tmp_path, monkeypatch):
-    _forbid(monkeypatch, oracle, "wick_histogram")
+    _forbid(monkeypatch, oracle, *WICK_WALK)
     out = tmp_path / target
     argv = ["effective", str(GOLDEN / "chains_3-3-2.json"), "--split", "2,4", "--out", str(out)]
     assert_refused(main(argv), capsys)

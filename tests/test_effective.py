@@ -278,7 +278,8 @@ class TestLaguerreReconstruct:
 
     def test_angular_route_never_calls_the_wick_oracle(self, monkeypatch):
         # The two routes of the cross-check must be independent: replace
-        # wick_histogram under every name a tensormoments module holds it by.
+        # wick_histogram and the coset walk under every name a tensormoments
+        # module holds them by.
         leaf = CornerLabeledTree(1, (1,))
         b = tree_to_bubble(CornerLabeledTree(1, (1, 2), (CornerLabeledTree(3, (2, 1), (leaf,)),)))
         expected = gaussian_expectation(b)
@@ -286,11 +287,11 @@ class TestLaguerreReconstruct:
         def refuse(*args, **kwargs):
             raise AssertionError("the angular route called the Wick oracle")
 
-        original = oracle.wick_histogram
+        originals = (oracle.wick_histogram, oracle._coset_rows)
         for name, module in list(sys.modules.items()):
             if name == "tensormoments" or name.startswith("tensormoments."):
                 for attr, value in list(vars(module).items()):
-                    if value is original:
+                    if any(value is original for original in originals):
                         monkeypatch.setattr(module, attr, refuse)
         with pytest.raises(AssertionError):
             gaussian_expectation(b)

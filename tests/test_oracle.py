@@ -12,7 +12,7 @@ import pytest
 import tensormoments
 
 from tensormoments import oracle
-from tensormoments.algebra import LaurentPoly, Permutation, _cycles
+from tensormoments.algebra import LaurentPoly, Permutation, Refused, _cycles
 from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.oracle import (
     K,
@@ -37,6 +37,14 @@ def histogram_brute_force(b):
         key = tuple(cycle_count(compose(b.tau(c), pinv)) for c in range(1, b.d + 1))
         hist[key] = hist.get(key, 0) + 1
     return hist
+
+
+def by_total(hist):
+    """A per-color histogram summed by total cycle count."""
+    totals = {}
+    for key, count in hist.items():
+        totals[sum(key)] = totals.get(sum(key), 0) + count
+    return totals
 
 
 def random_bubble(rng, d, n):
@@ -119,6 +127,13 @@ class TestPerColorDimensions:
             sym = gaussian_expectation(b)
             assert per_color_dimensions(b, (n0,) * 4) == sym.evaluate(n0)
 
+    def test_equal_dimensions_evaluate_the_polynomial(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            b = random_bubble(rng, rng.randint(1, 5), rng.randint(0, 7))
+            N = rng.randint(1, 4)
+            assert per_color_dimensions(b, [N] * b.d) == gaussian_expectation(b).evaluate(N)
+
     def test_dimension_count_checked(self):
         with pytest.raises(ValueError):
             per_color_dimensions(dipole(), (2, 2))
@@ -137,11 +152,11 @@ class TestParallelDeterminism:
         "b", [edge_tree_bubble(2, 2), necklace(4, SPLIT, 5)], ids=["edge_tree_2_2", "necklace_5"]
     )
     def test_histogram_matches_inverse_convention(self, b):
-        assert wick_histogram(b) == histogram_brute_force(b)
+        assert oracle._color_histogram(b) == histogram_brute_force(b)
 
 
 class TestTranspositionWalk:
-    """The coset kernel against the recount over every pi in S_n.
+    """The coset walk's two reductions against the recount over every pi in S_n.
 
     (The class keeps the name of the walk it was written for, so that its
     test ids stay stable.)
@@ -155,17 +170,17 @@ class TestTranspositionWalk:
         rng = random.Random(f"{d}:{n}")
         for _ in range(3):
             b = random_bubble(rng, d, n)
-            assert wick_histogram(b) == histogram_brute_force(b)
+            assert oracle._color_histogram(b) == histogram_brute_force(b)
 
     def test_no_colors(self):
         for n in range(K + 3):
             b = Bubble(0, n, ())
-            assert wick_histogram(b) == histogram_brute_force(b) == {(): math.factorial(n)}
+            assert oracle._color_histogram(b) == histogram_brute_force(b) == {(): math.factorial(n)}
 
     def test_every_tree_bubble(self):
         for t in enumerate_trees(3, 4):
             b = tree_to_bubble(t)
-            assert wick_histogram(b) == histogram_brute_force(b)
+            assert oracle._color_histogram(b) == histogram_brute_force(b)
 
     def test_counts_every_pairing_once(self):
         b = random_bubble(random.Random(8), 4, 8)
@@ -173,7 +188,40 @@ class TestTranspositionWalk:
 
     def test_n8_bubble(self):
         b = random_bubble(random.Random("4:8"), 4, 8)
-        assert wick_histogram(b) == histogram_brute_force(b)
+        assert oracle._color_histogram(b) == histogram_brute_force(b)
+
+    @pytest.mark.parametrize("n", range(K + 3))
+    @pytest.mark.parametrize("d", range(6))
+    def test_totals_of_random_bubbles(self, d, n):
+        rng = random.Random(f"totals {d}:{n}")
+        for _ in range(3):
+            b = random_bubble(rng, d, n)
+            assert wick_histogram(b) == by_total(histogram_brute_force(b))
+
+    def test_totals_of_every_tree_bubble(self):
+        for t in enumerate_trees(3, 4):
+            b = tree_to_bubble(t)
+            assert wick_histogram(b) == by_total(histogram_brute_force(b))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_totals_equal_the_per_color_histogram_summed(self, n):
+        # Many blocks of 32 cosets; the per-colour reduction, which
+        # test_n8_bubble checks against the recount, is the reference.
+        b = random_bubble(random.Random(f"totals 4:{n}"), 4, n)
+        assert wick_histogram(b) == by_total(oracle._color_histogram(b))
+
+    def test_totals_up_to_one_byte(self):
+        # d*n = 255: the identity pairing's total fills a byte with no carry.
+        b = Bubble(51, 5, (Permutation.identity(5),) * 51)
+        hist = wick_histogram(b)
+        assert hist == by_total(histogram_brute_force(b))
+        assert hist[255] == 1
+        assert gaussian_expectation(b) == LaurentPoly(hist)
+
+    def test_total_past_one_byte_refused(self):
+        b = Bubble(52, 5, (Permutation.identity(5),) * 52)
+        with pytest.raises(Refused, match="255"):
+            gaussian_expectation(b)
 
     @pytest.mark.parametrize("k", range(1, K + 1))
     def test_one_pass_rows_equal_the_per_entry_recount(self, k):
