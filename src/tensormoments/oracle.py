@@ -5,14 +5,17 @@ sum over pairings pi in S_n of prod_c N^{#cycles(tau_c pi)} (pi -> pi^{-1}
 is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
 serial walk over S_n, one coset pi S_k at a time (S_k permutes positions
 0..k-1, k = min(n, K)), gives each coset one row of k! cycle counts per
-colour: one cycle walk per colour and coset, then a row of S_k's table.
-All rows of S_k are built together, in one pass over S_k, the first time a
-walk needs one; nothing is built at import.
+colour: one cycle walk per colour and coset (``_fold``), then a row of
+S_k's table.  For k < K all rows of S_k are built together, in one pass
+over S_k; a row of S_K is joined from K rows of S_{K-1} by the same walk
+one level down.  Each is built the first time a walk needs it; nothing is
+built at import.
 
 Two reductions read the walk.  The symbolic result needs only each
 pairing's total, the sum over colours of its cycle counts, so
 ``wick_histogram`` adds a coset's d rows as little-endian integers: one
-big-int addition per colour sums all k! pairings, one byte each.  A byte
+big-int addition per colour sums all k! pairings, one byte each, and one
+more adds the cycles the walks closed outside S_k to every byte.  A byte
 holds at most d*n, so no carry crosses into the next pairing while
 d*n <= 255, which ``check_size`` requires.  Numeric dimensions per colour
 need the per-colour tuples, which ``_color_histogram`` counts.
@@ -31,17 +34,16 @@ from .bubbles import Bubble
 
 DEFAULT_N_MAX = 9
 # Positions permuted within a coset.  Kernel at n = 9, random d = 4 bubble,
-# one core of a 2-vCPU Xeon VM: K = 4 0.33 s, K = 5 0.13 s, K = 6 0.09 s; but
-# K = 6's table (720 rows of 720 bytes, 0.5 MB) took 1.3 s to build by one
-# cycle walk per entry, and its 720 indices do not fit the one-byte tables
-# ``_rows`` composes with (k! <= 256).  ``_rows`` builds K = 5's table (120
-# rows of 120 bytes) in about 2 ms, and every row of S_1..S_5 at closed =
-# 0..4 in about 5 ms.  Rows shifted by ``closed`` add at most n - K copies
-# of each.
-K = 5
-# Cosets whose totals ``wick_histogram`` counts at a time (3840 bytes at
-# K = 5).  At n = 9 the count takes the same time for 16 to 512 cosets, but
-# 512 raised the call's traced memory peak from 19 KiB to 168 KiB.
+# rows warm, one core of a 2-vCPU VM: K = 5 40 ms, K = 6 24 ms (504 cosets
+# of S_6 against 3024 of S_5).  S_6's 720 indices do not fit the one-byte
+# tables ``_rows`` composes with (k! <= 256), so ``_row`` joins each row of
+# S_6 from six rows of S_5: all 720 rows (0.5 MB) take 13-25 ms, 4320 walks
+# of six points, against 1.3 s for one cycle walk per entry.  ``_rows``
+# builds S_5's table (120 rows of 120 bytes) in about 1-2 ms.
+K = 6
+# Cosets whose totals ``wick_histogram`` counts at a time (23040 bytes at
+# K = 6).  At n = 9 and K = 5 the count took the same time for 16 to 512
+# cosets, but 512 raised the call's traced memory peak from 19 KiB to 168 KiB.
 COSETS_PER_BLOCK = 32
 
 
@@ -126,70 +128,109 @@ def _rows(k: int) -> dict[tuple[int, ...], bytes]:
     return rows
 
 
+def _cosets(n: int, k: int):
+    """A representative pi of each coset pi S_k of S_n (S_k permutes
+    positions 0..k-1): pi fixes the images of positions k..n-1 (the tail,
+    in ``itertools.permutations`` order) and sends 0..k-1 to the remaining
+    vertices in order."""
+    vertices = set(range(n))
+    for tail in permutations(range(n), n - k):
+        yield sorted(vertices.difference(tail)) + list(tail)
+
+
+def _fold(sigma: list[int], k: int) -> tuple[tuple[int, ...], int]:
+    """(f, closed) with #cycles(sigma rho) = closed + #cycles(f rho) for
+    every rho in S_k, sigma in S_n.
+
+    ``closed`` counts the cycles of sigma that avoid A = {0..k-1}; f in S_k
+    follows sigma from each p in A until it returns to A.
+    """
+    seen = [False] * len(sigma)
+    f = []
+    for x in sigma[:k]:
+        while x >= k:
+            seen[x] = True
+            x = sigma[x]
+        f.append(x)
+    closed = 0
+    for start in range(k, len(sigma)):
+        if not seen[start]:
+            closed += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = sigma[x]
+    return tuple(f), closed
+
+
+@lru_cache(maxsize=None)
+def _shift(closed: int) -> bytes:
+    """The ``bytes.translate`` table that adds ``closed`` to every byte."""
+    return bytes(range(closed, 256)) + bytes(closed)
+
+
 @lru_cache(maxsize=None)
 def _row(g: tuple[int, ...], closed: int = 0) -> bytes:
-    """(closed + #cycles(g rho)) for rho in S_k, k = len(g), in
-    ``itertools.permutations`` order: ``_rows(k)``'s row shifted by one
-    ``bytes.translate``."""
-    return _rows(len(g))[g].translate(bytes(range(closed, 256)) + bytes(closed))
+    """(closed + #cycles(g rho)) for rho in S_k, k = len(g) <= K.
+
+    For k < K it is ``_rows(k)``'s row, in ``itertools.permutations`` order.
+    For k = K it joins K pieces, one per coset pi_j S_{K-1} (tails j in
+    ``_cosets(K, K - 1)`` order): the walk of ``_coset_rows`` one level
+    down, ``_fold`` of g pi_j, gives the row of S_{K-1} that counts
+    #cycles(g pi_j rho') for every rho' in S_{K-1}.  So rho runs over
+    pi_j rho', j outer and rho' in ``itertools`` order; that order is the
+    same for every g, which is all a coset's sum needs.  A shifted row is
+    the unshifted one through ``_shift(closed)``.
+    """
+    if closed:
+        return _row(g).translate(_shift(closed))
+    if len(g) < K:
+        return _rows(len(g))[g]
+    pieces = []
+    for pi in _cosets(K, K - 1):
+        f, c = _fold([g[p] for p in pi], K - 1)
+        pieces.append(_rows(K - 1)[f].translate(_shift(c)))
+    return b"".join(pieces)
 
 
 def _coset_rows(b: Bubble):
-    """Each coset's d rows: the colours' cycle counts of its k! pairings.
+    """Each coset's d (row, closed) pairs: the colours' cycle counts of its
+    k! pairings, k = min(n, K).
 
-    A coset pi S_k fixes the images of positions k..n-1 (the tail); its
-    representative sends positions 0..k-1 to the remaining vertices in order.
-    Per color, one walk of sigma = tau_c pi counts ``closed``, its cycles
-    that avoid A = {0..k-1}, and gives f in S_k: from p in A, follow sigma
-    until it returns to A.  Then #cycles(sigma rho) = closed + #cycles(f rho)
-    for every rho in S_k, so ``_row(f, closed)`` holds the color's count for
-    all k! pairings pi rho of the coset.
+    Per colour, ``_fold`` of sigma = tau_c pi gives f and ``closed``, so
+    closed + ``_row(f)`` holds the colour's count for all k! pairings
+    pi rho of the coset.
     """
     n, k = b.n, min(b.n, K)
     taus = [[img - 1 for img in b.tau(c).images] for c in range(1, b.d + 1)]
-    vertices = set(range(n))
-    for tail in permutations(range(n), n - k):
-        pi = sorted(vertices.difference(tail)) + list(tail)
+    for pi in _cosets(n, k):
         rows = []
         for tau in taus:
-            sigma = [tau[p] for p in pi]
-            seen = [False] * n
-            f = []
-            for p in range(k):
-                x = sigma[p]
-                while x >= k:
-                    seen[x] = True
-                    x = sigma[x]
-                f.append(x)
-            closed = 0
-            for start in range(k, n):
-                if not seen[start]:
-                    closed += 1
-                    x = start
-                    while not seen[x]:
-                        seen[x] = True
-                        x = sigma[x]
-            rows.append(_row(tuple(f), closed))
+            f, closed = _fold([tau[p] for p in pi], k)
+            rows.append((_row(f), closed))
         yield rows
 
 
 def wick_histogram(b: Bubble) -> dict[int, int]:
     """Map sum_c #cycles(tau_c pi) -> number of pairings pi realizing it.
 
-    A coset's rows, added as little-endian integers, give its k! totals
-    as bytes.  They are counted by byte value a block of cosets at a time,
-    so the n! totals are never held at once.
+    A coset's rows, added as little-endian integers, and its closed cycles,
+    added once as that many copies of a row of ones, give its k! totals as
+    bytes.  They are counted by byte value a block of cosets at a time, so
+    the n! totals are never held at once.
     """
     width = math.factorial(min(b.n, K))
+    ones = int.from_bytes(b"\x01" * width, "little")
     walk = _coset_rows(b)
     hist: dict[int, int] = {}
     while cosets := list(islice(walk, COSETS_PER_BLOCK)):
         block = bytearray()
         for rows in cosets:
-            sums = 0
-            for row in rows:
+            sums = closed = 0
+            for row, c in rows:
                 sums += int.from_bytes(row, "little")
-            block += sums.to_bytes(width, "little")
+                closed += c
+            block += (sums + closed * ones).to_bytes(width, "little")
         total, left = 0, len(block)
         while left:
             if count := block.count(total):
@@ -203,7 +244,8 @@ def _color_histogram(b: Bubble) -> Counter[tuple[int, ...]]:
     """Map (cycles of tau_c pi, per color) -> number of pairings pi realizing it."""
     hist: Counter[tuple[int, ...]] = Counter()
     for rows in _coset_rows(b):
-        hist.update(zip(*rows) if rows else repeat((), math.factorial(min(b.n, K))))
+        shifted = [row.translate(_shift(closed)) for row, closed in rows]
+        hist.update(zip(*shifted) if shifted else repeat((), math.factorial(min(b.n, K))))
     return hist
 
 

@@ -456,6 +456,8 @@ GOLDEN_ARGV = {
     "wishart_4-3-2": ("wishart", "4", "3", "2", "--rows", "N^3", "--cols", "N"),
     "tree_enumerate_2_4": ("tree", "--enumerate", "2", "4"),
     "expect_d4_n5": ("expect", "bubble_d4_n5.json", "--alpha", "2", "--numeric-N", "3"),
+    # n = 9: 504 cosets of S_6, whose rows are built from rows of S_5.
+    "expect_d4_n9": ("expect", "bubble_d4_n9.json", "--alpha", "2", "--numeric-N", "3"),
     "mc_d4_n5": ("mc", "bubble_d4_n5.json", "--numeric-N", "2", "--samples", "1024", "--seed", "7"),
 }
 
