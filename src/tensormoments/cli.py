@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .algebra import LaurentPoly, Refused, partitions_of
 from .bubbles import Bubble, ColorSplit, canonical_key
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
-from .oracle import check_size, expectation, gaussian_expectation, per_color_dimensions
+from .oracle import check_size, expectation, gaussian_expectation
 from .trees import D as TREE_D
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from .weingarten import weingarten_table
@@ -304,7 +304,7 @@ def cmd_mc(args) -> int:
     report = estimate.to_json()
     ok = True
     if bubble.n <= MC_EXACT_N_MAX:
-        exact = per_color_dimensions(bubble, [args.numeric_N] * bubble.d)
+        exact = gaussian_expectation(bubble).evaluate(args.numeric_N)
         report["exact"] = float(exact) * args.variance**bubble.n
         ok = abs(estimate.mean - report["exact"]) <= 5 * estimate.stderr
         report["within_5_sigma"] = "PASS" if ok else "FAIL"

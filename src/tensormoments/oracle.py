@@ -11,22 +11,20 @@ over S_k; a row of S_K is joined from K rows of S_{K-1} by the same walk
 one level down.  Each is built the first time a walk needs it; nothing is
 built at import.
 
-Two reductions read the walk.  The symbolic result needs only each
-pairing's total, the sum over colours of its cycle counts, so
+Every colour has the same dimension N, so the result needs only each
+pairing's total, the sum over colours of its cycle counts.
 ``wick_histogram`` adds a coset's d rows as little-endian integers: one
 big-int addition per colour sums all k! pairings, one byte each, and one
 more adds the cycles the walks closed outside S_k to every byte.  A byte
 holds at most d*n, so no carry crosses into the next pairing while
-d*n <= 255, which ``check_size`` requires.  Numeric dimensions per colour
-need the per-colour tuples, which ``_color_histogram`` counts.
+d*n <= 255, which ``check_size`` requires.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations, repeat
+from itertools import islice, permutations
 from typing import Sequence
 
 from .algebra import LaurentPoly, Refused, _cycles
@@ -170,20 +168,18 @@ def _shift(closed: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _row(g: tuple[int, ...], closed: int = 0) -> bytes:
-    """(closed + #cycles(g rho)) for rho in S_k, k = len(g) <= K.
+def _row(g: tuple[int, ...]) -> bytes:
+    """#cycles(g rho) for rho in S_k, k = len(g) <= K.
 
     For k < K it is ``_rows(k)``'s row, in ``itertools.permutations`` order.
     For k = K it joins K pieces, one per coset pi_j S_{K-1} (tails j in
     ``_cosets(K, K - 1)`` order): the walk of ``_coset_rows`` one level
     down, ``_fold`` of g pi_j, gives the row of S_{K-1} that counts
-    #cycles(g pi_j rho') for every rho' in S_{K-1}.  So rho runs over
-    pi_j rho', j outer and rho' in ``itertools`` order; that order is the
-    same for every g, which is all a coset's sum needs.  A shifted row is
-    the unshifted one through ``_shift(closed)``.
+    #cycles(g pi_j rho') for every rho' in S_{K-1}, shifted by its closed
+    count through ``_shift``.  So rho runs over pi_j rho', j outer and rho'
+    in ``itertools`` order; that order is the same for every g, which is all
+    a coset's sum needs.
     """
-    if closed:
-        return _row(g).translate(_shift(closed))
     if len(g) < K:
         return _rows(len(g))[g]
     pieces = []
@@ -240,15 +236,6 @@ def wick_histogram(b: Bubble) -> dict[int, int]:
     return hist
 
 
-def _color_histogram(b: Bubble) -> Counter[tuple[int, ...]]:
-    """Map (cycles of tau_c pi, per color) -> number of pairings pi realizing it."""
-    hist: Counter[tuple[int, ...]] = Counter()
-    for rows in _coset_rows(b):
-        shifted = [row.translate(_shift(closed)) for row, closed in rows]
-        hist.update(zip(*shifted) if shifted else repeat((), math.factorial(min(b.n, K))))
-    return hist
-
-
 def gaussian_expectation(b: Bubble) -> LaurentPoly:
     """Exact unit-covariance expectation of the bubble polynomial."""
     check_size(b.n, b.d)
@@ -261,17 +248,13 @@ def expectation(b: Bubble, alpha: int = 0) -> ExpectationResult:
 
 
 def per_color_dimensions(b: Bubble, dims: Sequence[int]) -> int:
-    """Exact expectation with a separate numeric dimension per color."""
+    """Exact expectation at numeric dimensions, one per colour, all equal:
+    the polynomial evaluated there.  It stays only because the benchmark's
+    Monte Carlo workload (``perfbench/workloads.py``) imports it by name."""
     if len(dims) != b.d:
         raise ValueError(f"need {b.d} dimensions, got {len(dims)}")
     if any(x < 1 for x in dims):
         raise ValueError("dimensions must be positive")
-    check_size(b.n, b.d)
-    hist = _color_histogram(b)
-    total = 0
-    for key, cnt in hist.items():
-        prod = cnt
-        for dim, cycles in zip(dims, key):
-            prod *= dim**cycles
-        total += prod
-    return total
+    if len(set(dims)) > 1:
+        raise ValueError(f"dimensions must be equal, got {tuple(dims)}")
+    return int(gaussian_expectation(b).evaluate(dims[0] if dims else 1))

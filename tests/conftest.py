@@ -56,6 +56,22 @@ def cycle_type(p: Permutation) -> Partition:
     return Partition(_cycle_type(p._zero_indexed()))
 
 
+def histogram_brute_force(b: Bubble) -> dict[tuple[int, ...], int]:
+    """Per-color cycle counts of tau_c pi^{-1} over pi in S_n.
+
+    On 0-indexed image lists, (tau_c pi^{-1})(x) = tau_c[pi^{-1}[x]]: one
+    list and one ``_cycles`` per colour and pairing, with no Permutation
+    built in the loop.
+    """
+    taus = [[img - 1 for img in b.tau(c).images] for c in range(1, b.d + 1)]
+    hist: dict[tuple[int, ...], int] = {}
+    for pi in permutations(range(b.n)):
+        pinv = sorted(range(b.n), key=pi.__getitem__)
+        key = tuple(len(_cycles([tau[x] for x in pinv])) for tau in taus)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 def is_identity(p: Permutation) -> bool:
     return p == Permutation.identity(p.n)
 

@@ -192,7 +192,7 @@ class TestMonteCarlo:
         # Past n = 7 the report is the estimate alone, and no Wick pairing is
         # walked.  The guard bites: under it, n = 7's exact value raises.
         _forbid(monkeypatch, oracle, *WICK_WALK)
-        with pytest.raises(AssertionError, match="_coset_rows"):
+        with pytest.raises(AssertionError, match="wick_histogram"):
             run(capsys, "mc", bubble_file(necklace(4, SPLIT, 7)), *args)
         code, out = run(capsys, "mc", bubble_file(necklace(4, SPLIT, 8)), *args)
         report = first_json(out)
@@ -286,7 +286,7 @@ def assert_refused(code, capsys):
     assert len(reasons) == 1, err
 
 
-# The oracle's entry point and the coset walk both its reductions read.
+# The oracle's entry point and the coset walk it reads.
 WICK_WALK = ("wick_histogram", "_coset_rows")
 
 

@@ -13,7 +13,8 @@ import tensormoments
 
 from tensormoments import oracle
 from tensormoments.algebra import LaurentPoly, Permutation, Refused, _cycles
-from tensormoments.bubbles import Bubble, ColorSplit, necklace
+from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
+from tensormoments.effective import effective_observable, laguerre_reconstruct
 from tensormoments.oracle import (
     K,
     BubbleTooLarge,
@@ -24,25 +25,9 @@ from tensormoments.oracle import (
 )
 from tensormoments.trees import CornerLabeledTree, enumerate_trees, tree_to_bubble
 
-from conftest import edge_tree_bubble
+from conftest import edge_tree_bubble, histogram_brute_force
 
 SPLIT = ColorSplit(4, [2, 4])
-
-
-def histogram_brute_force(b):
-    """Per-color cycle counts of tau_c pi^{-1} over pi in S_n.
-
-    On 0-indexed image lists, (tau_c pi^{-1})(x) = tau_c[pi^{-1}[x]]: one
-    list and one ``_cycles`` per colour and pairing, with no Permutation
-    built in the loop.
-    """
-    taus = [[img - 1 for img in b.tau(c).images] for c in range(1, b.d + 1)]
-    hist = {}
-    for pi in permutations(range(b.n)):
-        pinv = sorted(range(b.n), key=pi.__getitem__)
-        key = tuple(len(_cycles([tau[x] for x in pinv])) for tau in taus)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
 
 
 def by_total(hist):
@@ -82,7 +67,7 @@ class TestGaussianExpectation:
     def test_empty_bubble_is_one(self):
         empty = Bubble(4, 0, tuple(Permutation.identity(0) for _ in range(4)))
         assert gaussian_expectation(empty) == LaurentPoly({0: 1})
-        assert per_color_dimensions(empty, (2, 3, 4, 5)) == 1
+        assert per_color_dimensions(empty, (2, 2, 2, 2)) == 1
 
     def test_refusal_with_cost_estimate(self):
         big = necklace(4, SPLIT, 12)
@@ -110,8 +95,9 @@ class TestDominantContractions:
 
 
 class TestPerColorDimensions:
-    def test_dipole_product_of_dims(self):
-        assert per_color_dimensions(dipole(), (2, 3, 4, 5)) == 120
+    def test_unequal_dimensions_refused(self):
+        with pytest.raises(ValueError, match=r"equal, got \(2, 3, 4, 5\)"):
+            per_color_dimensions(dipole(), (2, 3, 4, 5))
 
     def test_edge_tree_at_two(self):
         assert per_color_dimensions(edge_tree_bubble(1, 1), (2, 2, 2, 2)) == 2**7 + 2**5
@@ -158,11 +144,11 @@ class TestParallelDeterminism:
         "b", [edge_tree_bubble(2, 2), necklace(4, SPLIT, 5)], ids=["edge_tree_2_2", "necklace_5"]
     )
     def test_histogram_matches_inverse_convention(self, b):
-        assert oracle._color_histogram(b) == histogram_brute_force(b)
+        assert wick_histogram(b) == by_total(histogram_brute_force(b))
 
 
 class TestTranspositionWalk:
-    """The coset walk's two reductions against the recount over every pi in S_n.
+    """The coset walk's reduction against the recount over every pi in S_n.
 
     (The class keeps the name of the walk it was written for, so that its
     test ids stay stable.)
@@ -171,31 +157,27 @@ class TestTranspositionWalk:
     @pytest.mark.parametrize("n", range(K + 3))
     @pytest.mark.parametrize("d", range(1, 6))
     def test_random_bubbles(self, d, n):
-        # n < K and n = K are one coset, all of S_n; n = K + 1 and K + 2 have
-        # n!/K! cosets, whose walks pass through positions K..n-1.  The
-        # recount walks all n! pairings, so n = K + 2 takes one bubble.
+        # per_color_dimensions at equal dimensions against the recount's
+        # sum over pairings of prod_c N^{cycles_c}.  n < K and n = K are one
+        # coset, all of S_n; n = K + 1 and K + 2 have n!/K! cosets, whose
+        # walks pass through positions K..n-1.  The recount walks all n!
+        # pairings, so n = K + 2 takes one bubble.
         rng = random.Random(f"{d}:{n}")
         for _ in range(1 if n == K + 2 else 3):
             b = random_bubble(rng, d, n)
-            assert oracle._color_histogram(b) == histogram_brute_force(b)
+            N = rng.randint(1, 4)
+            recount = histogram_brute_force(b)
+            exact = sum(count * N ** sum(key) for key, count in recount.items())
+            assert per_color_dimensions(b, [N] * d) == exact
 
     def test_no_colors(self):
         for n in range(K + 3):
             b = Bubble(0, n, ())
-            assert oracle._color_histogram(b) == histogram_brute_force(b) == {(): math.factorial(n)}
-
-    def test_every_tree_bubble(self):
-        for t in enumerate_trees(3, 4):
-            b = tree_to_bubble(t)
-            assert oracle._color_histogram(b) == histogram_brute_force(b)
+            assert wick_histogram(b) == by_total(histogram_brute_force(b)) == {0: math.factorial(n)}
 
     def test_counts_every_pairing_once(self):
         b = random_bubble(random.Random(8), 4, 8)
         assert sum(wick_histogram(b).values()) == math.factorial(8)
-
-    def test_n8_bubble(self):
-        b = random_bubble(random.Random("4:8"), 4, 8)
-        assert oracle._color_histogram(b) == histogram_brute_force(b)
 
     @pytest.mark.parametrize("n", range(K + 3))
     @pytest.mark.parametrize("d", range(6))
@@ -210,12 +192,23 @@ class TestTranspositionWalk:
             b = tree_to_bubble(t)
             assert wick_histogram(b) == by_total(histogram_brute_force(b))
 
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_totals_equal_the_per_color_histogram_summed(self, n):
-        # Many blocks of 32 cosets; the per-colour reduction, which
-        # test_n8_bubble checks against the recount, is the reference.
-        b = random_bubble(random.Random(f"totals 4:{n}"), 4, n)
-        assert wick_histogram(b) == by_total(oracle._color_histogram(b))
+    @pytest.mark.parametrize(
+        "lengths, maps",
+        [
+            ((3, 3, 2, 1), ([1, 2, 3, 4], [2, 4, 1, 3])),
+            ((4, 3, 2), ([2, 1, 3], [1, 3, 2])),
+            ((2, 2, 2, 2, 1), ([3, 4, 2, 1, 5], [1, 5, 3, 2, 4])),
+        ],
+        ids=["3-3-2-1", "4-3-2", "2-2-2-2-1"],
+    )
+    def test_totals_equal_the_angular_route(self, lengths, maps):
+        # n = 9: 504 cosets in 16 blocks of 32, past the recount's reach in
+        # tier-1 time.  The reference is the angular route (Weingarten and
+        # Wishart), which reads no Wick pairing.
+        tau1, tau3 = (Permutation(images) for images in maps)
+        b = bubble_from_chains(4, SPLIT, lengths, {1: tau1, 3: tau3})
+        assert b.n == 9
+        assert gaussian_expectation(b) == laguerre_reconstruct(effective_observable(b, SPLIT))
 
     def test_totals_up_to_one_byte(self):
         # d*n = 255: the identity pairing's total fills a byte with no carry.
@@ -235,11 +228,11 @@ class TestTranspositionWalk:
         # The per-entry form the one-pass build replaced, kept as the oracle.
         # Rows of S_k, k < K, are in itertools.permutations order.
         for g in permutations(range(k)):
+            recount = bytes(len(_cycles([g[r] for r in rho])) for rho in permutations(range(k)))
+            assert oracle._row(g) == recount
             for closed in range(5):
-                recount = bytes(
-                    closed + len(_cycles([g[r] for r in rho])) for rho in permutations(range(k))
-                )
-                assert oracle._row(g, closed) == recount
+                shifted = bytes(closed + count for count in recount)
+                assert oracle._row(g).translate(oracle._shift(closed)) == shifted
 
     def test_rows_of_s_k_equal_the_per_entry_recount(self):
         # A row of S_K joins K rows of S_{K-1}, one per coset pi_j S_{K-1}:
@@ -254,9 +247,11 @@ class TestTranspositionWalk:
         rng = random.Random("rows of S_K")
         gs = [tuple(range(K))] + [tuple(rng.sample(range(K), K)) for _ in range(50)]
         for g in gs:
+            recount = bytes(len(_cycles([g[r] for r in rho])) for rho in order)
+            assert oracle._row(g) == recount
             for closed in range(3):
-                recount = bytes(closed + len(_cycles([g[r] for r in rho])) for rho in order)
-                assert oracle._row(g, closed) == recount
+                shifted = bytes(closed + count for count in recount)
+                assert oracle._row(g).translate(oracle._shift(closed)) == shifted
 
     def test_totals_cache_only_unshifted_rows(self, monkeypatch):
         # wick_histogram adds a coset's closed cycles as one integer, so the
@@ -264,16 +259,15 @@ class TestTranspositionWalk:
         requested = set()
         row = oracle._row
 
-        def spy(g, closed=0):
-            requested.add((g, closed))
-            return row(g, closed)
+        def spy(g):
+            requested.add(g)
+            return row(g)
 
         row.cache_clear()
         monkeypatch.setattr(oracle, "_row", spy)
         b = random_bubble(random.Random("unshifted 4:9"), 4, 9)
         assert sum(wick_histogram(b).values()) == math.factorial(9)
-        assert {closed for _, closed in requested} == {0}
-        assert {len(g) for g, _ in requested} == {K}
+        assert {len(g) for g in requested} == {K}
         assert row.cache_info().currsize == len(requested) <= math.factorial(K)
 
     def test_table_built_on_first_use_not_at_import(self):
