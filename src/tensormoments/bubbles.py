@@ -169,23 +169,36 @@ def canonical_key(b: Bubble):
 
     Relabelling whites by alpha and blacks by beta conjugates every
     g_c = tau_1^{-1} tau_c (c = 2..d) by alpha, and simultaneously conjugate
-    tuples (g_2..g_d) give isomorphic bubbles.  From each start white, the
-    whites are renumbered in breadth-first order, colours in order; the key
-    is (d, n, the smallest renumbered tuple).  A disconnected (or empty)
-    bubble is its own key, so it is equal only to itself.  O(n^2 d).
+    tuples (g_2..g_d) give isomorphic bubbles, so the key is
+    ``white_maps_key`` of those maps.  A disconnected (or empty) bubble is
+    its own key, so it is equal only to itself.
     """
-    n = b.n
-    gs = _white_maps(b)
+    key = white_maps_key(b.d, b.n, _white_maps(b))
+    return b if key is None else key
+
+
+def white_maps_key(d: int, n: int, gs: list[list[int]]):
+    """``canonical_key`` of the connected bubble whose white maps are ``gs``.
+
+    ``gs`` holds g_2..g_d, 0-indexed, as ``_white_maps`` builds them.  From
+    each start white, the whites are renumbered in breadth-first order,
+    colours in order; the key is (d, n, the smallest renumbered tuple).
+    None when the bubble is disconnected or empty.  O(n^2 d).
+
+    Each tuple opens with 0 when g_2 fixes the start and with 1 otherwise,
+    so when g_2 fixes some white only those starts are walked.
+    """
+    starts = [w for w, image in enumerate(gs[0]) if w == image] if gs else []
     best = None
-    for start in range(n):
+    for start in starts or range(n):
         label = [-1] * n
         order = _walk(gs, start, label)
         if len(order) < n:
-            return b
+            return None
         relabelled = tuple([label[g[v]] for g in gs for v in order])
         if best is None or relabelled < best:
             best = relabelled
-    return b if best is None else (b.d, n, best)
+    return None if best is None else (d, n, best)
 
 
 def necklace(d: int, split: ColorSplit, k: int) -> Bubble:

@@ -15,12 +15,12 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import LaurentPoly, Refused, partitions_of
-from .bubbles import Bubble, ColorSplit, canonical_key
+from .algebra import LaurentPoly, Refused, catalan, partitions_of
+from .bubbles import Bubble, ColorSplit
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
 from .oracle import check_size, expectation, gaussian_expectation
 from .trees import D as TREE_D
-from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
+from .trees import CornerLabeledTree, enumerate_trees, glue, glued_bubble, glued_key
 from .weingarten import weingarten_table
 
 
@@ -182,36 +182,71 @@ def cmd_effective(args) -> int:
     return 0 if ok else 1
 
 
-def _tree_rows(trees):
-    # Leading coefficient per isomorphism class of bubble, for this call only:
-    # isomorphic bubbles have equal Wick sums, so the oracle runs once per class.
+def _tree_text(t, indent: int, memo: dict) -> tuple[str, int]:
+    """``_json(t.to_json())`` with its keys at ``indent``, and t's Catalan product.
+
+    Memoised per (subtree, indent) in ``memo``: enumerated trees share their
+    subtrees.  The key is the subtree's id, so each entry also holds the
+    subtree, which keeps the id from being reused while ``memo`` lives.
+    """
+    hit = memo.get((id(t), indent))
+    if hit is None:
+        nl = "\n" + " " * indent
+        sep = ",\n" + " " * (indent + 1)  # between the items of a list keyed at ``indent``
+        product = catalan(t.k)
+        children = []
+        for child in t.children:
+            text, sub = _tree_text(child, indent + 2, memo)
+            children.append(text)
+            product *= sub
+        labels = "[" + sep[1:] + sep.join(map(str, t.labels)) + nl + "]"
+        listed = "[" + sep[1:] + sep.join(children) + nl + "]" if children else "[]"
+        text = f'{{{nl}"color": {t.color},{nl}"labels": {labels},{nl}"children": {listed}{nl[:-1]}}}'
+        hit = memo[id(t), indent] = (text, product, t)
+    return hit[0], hit[1]
+
+
+def _tree_rows(trees) -> list[tuple[str, int, int, int, str]]:
+    """One row per tree: (tree text, n, predicted, oracle_leading_coeff, verdict).
+
+    Each tree is glued once and keyed from its glued lists.  The leading
+    coefficient is kept per isomorphism class of bubble, for this call
+    only: isomorphic bubbles have equal Wick sums, so the oracle runs, and
+    the bubble is built, once per class.  The tree text is the one the
+    report writes at a row's depth.
+    """
     leading = {}
+    memo = {}
     rows = []
     for t in trees:
-        bubble = tree_to_bubble(t)
-        predicted = catalan_product(t)
-        key = canonical_key(bubble)
-        if key not in leading:
-            leading[key] = gaussian_expectation(bubble).leading_term()[1]
-        coeff = leading[key]
-        rows.append(
-            {
-                "tree": t.to_json(),
-                "n": bubble.n,
-                "predicted": predicted,
-                "oracle_leading_coeff": int(coeff),
-                "verdict": "PASS" if coeff == predicted else "FAIL",
-            }
-        )
+        glued = glue(t)
+        key = glued_key(glued)
+        coeff = leading.get(key)
+        if coeff is None:
+            coeff = leading[key] = gaussian_expectation(glued_bubble(glued)).leading_term()[1]
+        text, predicted = _tree_text(t, 4, memo)
+        verdict = "PASS" if coeff == predicted else "FAIL"
+        rows.append((text, len(glued[0]), predicted, int(coeff), verdict))
     return rows
+
+
+def _tree_report(rows, ok: bool) -> str:
+    """``_json({"trees": [...], "all_pass": ok})`` of ``_tree_rows``'s rows (one or more)."""
+    items = ",".join(
+        f'\n  {{\n   "tree": {text},\n   "n": {n},\n   "predicted": {predicted},'
+        f'\n   "oracle_leading_coeff": {coeff},\n   "verdict": "{verdict}"\n  }}'
+        for text, n, predicted, coeff, verdict in rows
+    )
+    return f'{{\n "trees": [{items}\n ],\n "all_pass": {"true" if ok else "false"}\n}}'
 
 
 # Wick pairings (sum of n! over the trees) one ``tree --enumerate`` may
 # cost.  The sum is a budget, not the work done: ``_tree_rows`` runs the
 # oracle once per isomorphism class of the trees' bubbles.  On one core of a
-# 2-vCPU Xeon VM, `1 9` (4.1e5 pairings in 9 trees, 9 classes) takes
-# 0.17-0.20 s and `5 5` (4.8e5 pairings in 4341 trees, 86 classes)
-# 0.63-0.67 s, 0.14 s of it writing the 2.4 MB report.
+# 2-vCPU Xeon VM, the whole command in a fresh process, `1 9` (4.1e5
+# pairings in 9 trees, 9 classes) takes 0.17-0.19 s and `5 5` (4.8e5
+# pairings in 4341 trees, 86 classes) 0.36-0.39 s, 0.05 s of it writing
+# the 2.4 MB report.
 TREE_PAIRINGS_MAX = 10**6
 
 
@@ -241,14 +276,14 @@ def cmd_tree(args) -> int:
         check_size(tree.total_label, TREE_D)
         trees = [tree]
     rows = _tree_rows(trees)
-    ok = all(r["verdict"] == "PASS" for r in rows)
+    ok = all(verdict == "PASS" for *_, verdict in rows)
     if args.csv:
         lines = ["n,predicted,oracle_leading_coeff,verdict"] + [
-            f"{r['n']},{r['predicted']},{r['oracle_leading_coeff']},{r['verdict']}" for r in rows
+            f"{n},{predicted},{coeff},{verdict}" for _, n, predicted, coeff, verdict in rows
         ]
         _emit("\n".join(lines), args)
     else:
-        _emit(_json({"trees": rows, "all_pass": ok}), args)
+        _emit(_tree_report(rows, ok), args)
     return 0 if ok else 1
 
 

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from .algebra import Permutation, Refused, catalan
-from .bubbles import Bubble, json_int, json_keys
+from .bubbles import Bubble, json_int, json_keys, white_maps_key
 
 ROW_COLORS = (1, 3)
 COLUMN_COLORS = (2, 4)
@@ -114,8 +114,9 @@ def _glue(
     """
     k = node.k
     base = len(white_of[1])
+    cycle = [*range(base + 1, base + k), base]
     for row in white_of.values():
-        row.extend(base + (j + 1) % k for j in range(k))
+        row.extend(cycle)
     spans.append((base + 1, base + k))
     s = 0
     for child, gap in zip(node.children, node.labels):
@@ -128,21 +129,51 @@ def _glue(
     return base + k - 1
 
 
-def tree_to_bubble(t: CornerLabeledTree) -> Bubble:
-    """The d=4 bubble obtained by recursive open-necklace insertion."""
+def glue(t: CornerLabeledTree) -> tuple[list[int], list[int]]:
+    """The black-to-white lists of row colours 1 and 3 of the tree's bubble.
+
+    Both are 0-indexed; column colours are the identity.  The lists are
+    permutations by construction.
+    """
     if t.color != 1:
         raise Refused(f"root insertion color must be 1, got {t.color}")
     white_of: dict[int, list[int]] = {c: [] for c in ROW_COLORS}
     _glue(t, white_of, [])
-    n = len(white_of[1])
-    rows = []
-    for c in ROW_COLORS:
+    return white_of[1], white_of[3]
+
+
+def glued_key(rows: tuple[list[int], list[int]]):
+    """``canonical_key`` of the bubble that ``glue`` gave ``rows``, not built.
+
+    Colour c joins white w to black tau_c(w), and the colour-c list is
+    tau_c^-1.  The columns are the identity, so g_2 = g_4 = the colour-1
+    list and g_3 = the colour-1 list after the inverse of the colour-3 list.
+    A glued bubble is connected, so this is never None.
+    """
+    white_of_1, white_of_3 = rows
+    black_of_3 = [0] * len(white_of_3)
+    for black, white in enumerate(white_of_3):
+        black_of_3[white] = black
+    g3 = [white_of_1[black] for black in black_of_3]
+    return white_maps_key(D, len(white_of_1), [white_of_1, g3, white_of_1])
+
+
+def glued_bubble(rows: tuple[list[int], list[int]]) -> Bubble:
+    """The d=4 bubble that ``glue`` gave ``rows``."""
+    n = len(rows[0])
+    perms = []
+    for white_of in rows:
         images = [0] * n
-        for black, white in enumerate(white_of[c], start=1):
+        for black, white in enumerate(white_of, start=1):
             images[white] = black
-        rows.append(Permutation(images))
+        perms.append(Permutation(images))
     column = Permutation.identity(n)
-    return Bubble(D, n, (rows[0], column, rows[1], column))
+    return Bubble(D, n, (perms[0], column, perms[1], column))
+
+
+def tree_to_bubble(t: CornerLabeledTree) -> Bubble:
+    """The d=4 bubble obtained by recursive open-necklace insertion."""
+    return glued_bubble(glue(t))
 
 
 def tree_vertex_spans(t: CornerLabeledTree) -> list[tuple[CornerLabeledTree, tuple[int, int]]]:

@@ -288,6 +288,30 @@ class TestCanonicalKey:
         for b in bubbles:
             assert histogram_brute_force(b) == histogram_brute_force(first[canonical_key(b)])
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_key_is_the_smallest_renumbering_over_every_start(self, d):
+        # The key walks only the starts that tau_1^-1 tau_2 fixes, when it
+        # fixes any; the value is still the minimum over every start.
+        rng = random.Random(d)
+        fixing = 0
+        for n in range(1, 7):
+            for _ in range(15):
+                b = random_connected(rng, d, n)
+                inv1 = b.tau(1).inverse()
+                gs = [[inv1(b.tau(c)(w + 1)) - 1 for w in range(n)] for c in range(2, d + 1)]
+                fixing += any(g == w for w, g in enumerate(gs[0]))
+                renumberings = []
+                for start in range(n):
+                    order = [start]
+                    for v in order:  # breadth first, colours in order
+                        for g in gs:
+                            if g[v] not in order:
+                                order.append(g[v])
+                    place = {w: i for i, w in enumerate(order)}
+                    renumberings.append(tuple(place[g[v]] for g in gs for v in order))
+                assert canonical_key(b) == (d, n, min(renumberings))
+        assert 0 < fixing < 90
+
     def test_disconnected_bubble_is_its_own_key(self):
         two_dipoles = Bubble(4, 2, (Permutation.identity(2),) * 4)
         swapped = relabelled(two_dipoles, Permutation([2, 1]), Permutation.identity(2))

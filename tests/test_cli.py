@@ -606,19 +606,83 @@ def test_writer_refuses_what_json_dumps_refuses(value):
         assert cli._json(value) == expected
 
 
+def dict_tree_report(trees, expectation=oracle.gaussian_expectation) -> dict:
+    """The tree report as a dict, each row from its own oracle run on
+    ``tree_to_bubble(t)``: the shape ``json.dumps`` writes the report from."""
+    rows = []
+    for t in trees:
+        bubble = tree_to_bubble(t)
+        _, coeff = expectation(bubble).leading_term()
+        predicted = catalan_product(t)
+        rows.append(
+            {
+                "tree": t.to_json(),
+                "n": bubble.n,
+                "predicted": predicted,
+                "oracle_leading_coeff": int(coeff),
+                "verdict": "PASS" if coeff == predicted else "FAIL",
+            }
+        )
+    return {"trees": rows, "all_pass": all(r["verdict"] == "PASS" for r in rows)}
+
+
 def test_tree_rows_equal_the_oracle_tree_by_tree():
     trees = list(enumerate_trees(3, 5))
     assert len(trees) == 493
-    for t, row in zip(trees, cli._tree_rows(trees), strict=True):
-        bubble = tree_to_bubble(t)
-        _, coeff = oracle.gaussian_expectation(bubble).leading_term()
-        assert row == {
-            "tree": t.to_json(),
-            "n": bubble.n,
-            "predicted": catalan_product(t),
-            "oracle_leading_coeff": int(coeff),
-            "verdict": "PASS" if coeff == catalan_product(t) else "FAIL",
-        }
+    expected = dict_tree_report(trees)["trees"]
+    for t, row, want in zip(trees, cli._tree_rows(trees), expected, strict=True):
+        text, n, predicted, coeff, verdict = row
+        assert json.loads(text) == want["tree"] == t.to_json()
+        assert (n, predicted, coeff, verdict) == (
+            want["n"], want["predicted"], want["oracle_leading_coeff"], want["verdict"]
+        )
+
+
+def test_tree_report_equals_json_dumps_of_the_dict_report(capsys):
+    code, out = run(capsys, "tree", "--enumerate", "3", "5")
+    report = dict_tree_report(enumerate_trees(3, 5))
+    assert len(report["trees"]) == 493 and report["all_pass"] is True
+    assert (code, out) == (0, json.dumps(report, indent=1) + "\n")
+
+
+# Three levels, both insertion colours, an empty corner label and a vertex
+# with two children: total label 8.
+DEEP_TREE = CornerLabeledTree(
+    1,
+    (1, 0, 2),
+    (CornerLabeledTree(3, (1, 1), (CornerLabeledTree(1, (1,)),)), CornerLabeledTree(3, (2,))),
+)
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+def test_tree_file_report_equals_the_dict_report(csv, capsys, tmp_path):
+    path = tmp_path / "tree.json"
+    DEEP_TREE.save(path)
+    code, out = run(capsys, "tree", str(path), *(["--csv"] if csv else []))
+    report = dict_tree_report([DEEP_TREE])
+    if csv:
+        expected = "n,predicted,oracle_leading_coeff,verdict\n" + "".join(
+            f"{r['n']},{r['predicted']},{r['oracle_leading_coeff']},{r['verdict']}\n"
+            for r in report["trees"]
+        )
+    else:
+        expected = json.dumps(report, indent=1) + "\n"
+    assert report["trees"][0]["n"] == 8
+    assert (code, out) == (0, expected)
+
+
+def test_tree_report_with_a_fail_row(capsys, monkeypatch):
+    original = cli.gaussian_expectation
+
+    def doubled_at_n2(bubble):
+        return original(bubble) * (2 if bubble.n == 2 else 1)
+
+    monkeypatch.setattr(cli, "gaussian_expectation", doubled_at_n2)
+    code, out = run(capsys, "tree", "--enumerate", "2", "3")
+    report = dict_tree_report(enumerate_trees(2, 3), doubled_at_n2)
+    assert {r["verdict"] for r in report["trees"]} == {"PASS", "FAIL"}
+    assert (code, out) == (1, json.dumps(report, indent=1) + "\n")
+    assert '"verdict": "FAIL"' in out and '"all_pass": false' in out
 
 
 def test_tree_enumerate_runs_the_oracle_once_per_class(capsys, monkeypatch):

@@ -6,12 +6,20 @@ from collections import Counter
 import pytest
 
 from tensormoments.algebra import catalan
-from tensormoments.bubbles import ColorSplit, chain_decomposition, necklace, validate
+from tensormoments.bubbles import (
+    ColorSplit,
+    canonical_key,
+    chain_decomposition,
+    necklace,
+    validate,
+)
 from tensormoments.oracle import gaussian_expectation
 from tensormoments.trees import (
     CornerLabeledTree,
     catalan_product,
     enumerate_trees,
+    glue,
+    glued_key,
     tree_to_bubble,
     tree_vertex_spans,
 )
@@ -120,6 +128,17 @@ class TestTreeToBubble:
         assert len(rows) == 2053
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "635a80d84fd5711cde5b6b4095b3ffaac329dc86fa5e65d3a8dbbb5692f95da2"
+
+    @pytest.mark.parametrize("bounds", [(3, 6), (4, 5)])
+    def test_glued_key_is_the_canonical_key(self, bounds):
+        # The key taken from the glued lists, without the bubble, is the
+        # bubble's canonical key: 93 classes among the 1134 trees of (3, 6).
+        keys = set()
+        for t in enumerate_trees(*bounds):
+            key = glued_key(glue(t))
+            assert key == canonical_key(tree_to_bubble(t))
+            keys.add(key)
+        assert len(keys) == {(3, 6): 93, (4, 5): 76}[bounds]
 
 
 class TestCatalanProduct:
