@@ -7,25 +7,29 @@ bubble fixes the tensor's rank d.
 
 The contraction is planned here, not by numpy: ``_plan`` orders the 2n
 tensors pair by pair with a greedy smallest-intermediate rule, once per
-bubble and before any sample is drawn, and ``_contract`` runs each pair as
-one two-operand ``np.einsum`` with its labels renumbered from 0.  So
-numpy's 52 einsum letters do not limit d*n, and no intermediate cap drops
-the rest of a contraction into one nested loop, as numpy's greedy path
-does.  A pair product equal to one already held is computed once: every
-white tensor is the one sampled batch and every black one its one
-conjugate, so two steps on equal inputs with the same subscripts give
-bitwise-equal arrays, and the second step takes the first one's.  The one
-bound is memory: a plan whose largest array in a chunk, the sampled batch
-included, exceeds ``INTERMEDIATE_MAX`` elements is refused with its size
-and FLOP count.
+bubble and before any sample is drawn, and compiles each pair to the form
+numpy's two-operand einsum runs it: a permutation of each factor's axes and
+the lengths of the (own, summed, own) groups.  ``_contract`` runs that form
+directly: transpose, reshape and one batched ``np.matmul``, or a broadcast
+``np.multiply`` where nothing longer than 1 is summed.  So no einsum is
+parsed or planned per call, and the values are bitwise those of
+``np.einsum`` given each pair with the explicit path (0, 1).  numpy's
+52 einsum letters do not limit d*n, and no intermediate cap drops the rest
+of a contraction into one nested loop, as numpy's greedy path does.  A pair
+product equal to one already held is computed once: every white tensor is
+the one sampled batch and every black one its one conjugate, so two steps
+of the same form on equal inputs give bitwise-equal arrays, and the second
+step takes the first one's.  The one bound is memory: a plan whose largest
+array in a chunk, the sampled batch included, exceeds ``INTERMEDIATE_MAX``
+elements is refused with its size and FLOP count.
 
 ``estimate_expectation`` draws chunk k + 1 on one thread while the calling
-thread contracts chunk k, in two halves.  So two sampled batches are alive,
-plus the conjugate and the intermediates of half a chunk.  The budget is
-still counted on one whole ``DEFAULT_CHUNK``-sample chunk; where the batch
-is the largest array, peak memory is 2 to 2.6 batches, as the two threads'
-timing falls, against 2 when each chunk was drawn after the last one was
-contracted.
+thread contracts chunk k, in two halves.  Chunk k is drawn into buffer
+k % 2 of two batch buffers allocated once, so two sampled batches are
+alive, plus the intermediates of half a chunk.  A black tensor's conjugate
+is formed where a step uses it, in the pass that copies it into place, so
+no conjugate batch stays alive.  The budget is still counted on one whole
+``DEFAULT_CHUNK``-sample chunk.
 
 Exactness lives elsewhere; this module is double precision by design.
 """
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -83,18 +86,25 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_batch(spec: SampleSpec, d: int, index: int, count: int) -> np.ndarray:
+def sample_batch(
+    spec: SampleSpec, d: int, index: int, count: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """``count`` i.i.d. rank-``d`` tensors drawn from the stream keyed (seed, index).
 
     The stream gives every real part, then every imaginary part.  They are
     drawn ``_DRAWS`` at a time through one small buffer, which gives the
     values of one call, so no float array of half the batch's size is
-    allocated beside it.
+    allocated beside it.  ``out``, a C-contiguous complex array of the
+    batch's shape, receives the draws and is returned; by default a new
+    array does.
     """
     rng = _rng(spec.seed, index)
     shape = (count,) + (spec.N,) * d
     scale = math.sqrt(spec.variance / 2.0)
-    out = np.empty(shape, complex)
+    if out is None:
+        out = np.empty(shape, complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
     flat = out.reshape(-1).view(np.float64)  # re, im, re, im, ...
     draws = np.empty(min(out.size, _DRAWS))
     for part in (flat[0::2], flat[1::2]):
@@ -121,14 +131,6 @@ def _labels(b: Bubble) -> list[tuple[int, ...]]:
     return whites + blacks
 
 
-def _kept(a: tuple, c: tuple, holders: dict) -> tuple:
-    """Labels of the product of terms ``a`` and ``c`` that another term or the
-    output still holds, in the order numpy's batched matmul produces them
-    (it takes the pair as (c, a)): shared, then ``c``'s own, then ``a``'s."""
-    order = [x for x in c if x in a] + [x for x in c if x not in a] + [x for x in a if x not in c]
-    return tuple(x for x in order if holders[x] > (x in a) + (x in c))
-
-
 def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     """Greedy pairwise contraction order for a chunk of ``batch`` samples.
 
@@ -137,53 +139,66 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     the rule of opt_einsum's greedy (Smith & Gray 2018), with ties to the
     smallest (i, j); the product goes to the end of the list, as in numpy's
     paths.  No intermediate is capped.  Every size scales with ``batch``, so
-    the order does not depend on it.
+    the order does not depend on it.  Every label but the sample's sits on
+    exactly two live terms, so a pair sums the labels it shares and keeps
+    the others.
+
+    Each step is compiled to the form numpy's two-operand einsum runs it
+    (``bmm_einsum``), which pops the pair right to left: term j is the left
+    factor.  Its axes are permuted to (sample, own, summed) and term i's to
+    (sample, summed, own), the summed labels in j's order, and the product's
+    are (sample, j's own, i's own).
 
     Each term has a key: "T" for a white, "C" for a black, and (key of a,
-    key of b, the step's subscripts) for a product.  Equal keys mean the
-    same einsum on the same arrays, as every white is the one sampled batch
-    and every black its one conjugate, so the results are bitwise equal.  A
-    step whose product's key a live term already holds is not computed.
+    key of b, the step's form) for a product.  Equal keys mean the same
+    products of the same arrays, as every white is the one sampled batch and
+    every black its one conjugate, so the results are bitwise equal.  A step
+    whose product's key a live term already holds is not computed.
 
     Returns (steps, FLOPs per chunk as ``np.einsum_path`` counts them,
-    largest array in elements), where a step is (i, j, subscripts of a, b
-    and the product, renumbered from 0, same): ``same`` is the index, once
-    the pair is removed, of the live term equal to the product, else None.
-    FLOPs and the largest array count computed steps only, and the largest
-    array includes the sampled batch.  A plan whose largest array exceeds
-    ``INTERMEDIATE_MAX`` raises ``Refused``.
+    largest array in elements), where a step is (i, j, left, right, groups,
+    same): ``left`` and ``right`` permute terms j and i, ``groups`` is the
+    number of j's own, summed and i's own labels, and ``same`` is the index,
+    once the pair is removed, of the live term equal to the product, else
+    None.  FLOPs and the largest array count computed steps only, and the
+    largest array includes the sampled batch.  A plan whose largest array
+    exceeds ``INTERMEDIATE_MAX`` raises ``Refused``.
     """
-    def size(labels, dim=N):  # every term carries the sample label 0
-        return batch * dim ** (len(labels) - 1)
+    def size(labels, dim=N):  # a term of this many labels, the sample's among them
+        return batch * dim ** (labels - 1)
 
     # At N = 1 every order costs the same; ranking pairs as at N = 2 keeps
-    # each step's label count small (numpy's einsum has 52 letters).
+    # each step's label count small.
     rank_dim = max(N, 2)
     terms = _labels(b)
     keys = ["T"] * b.n + ["C"] * b.n
-    holders = Counter(x for term in terms for x in term)
-    holders[0] += 1  # the output holds the sample label
     steps, flops, largest = [], 0, batch * N**b.d
     while len(terms) > 1:
         best = None
         for i, j in combinations(range(len(terms)), 2):
-            out = _kept(terms[i], terms[j], holders)
-            cost = size(out, rank_dim) - size(terms[i], rank_dim) - size(terms[j], rank_dim)
+            a, c = terms[i], terms[j]
+            # The product keeps the sample label and every label not shared.
+            kept = len(a) + len(c) + 1 - 2 * len(set(a).intersection(c))
+            cost = size(kept, rank_dim) - size(len(a), rank_dim) - size(len(c), rank_dim)
             if best is None or cost < best[0]:
-                best = (cost, i, j, out)
-        _, i, j, out = best
+                best = (cost, i, j)
+        _, i, j = best
         a, c = terms[i], terms[j]
-        local = {x: k for k, x in enumerate(dict.fromkeys(a + c))}
-        subscripts = tuple([local[x] for x in t] for t in (a, c, out))
-        key = (keys[i], keys[j], subscripts)
+        # The sample label 0 comes first on every term.
+        own_c = [x for x in c if x not in a]
+        summed = [x for x in c[1:] if x in a]
+        own_a = [x for x in a if x not in c]
+        left = (0, *map(c.index, own_c), *map(c.index, summed))
+        right = (0, *map(a.index, summed), *map(a.index, own_a))
+        groups = (len(own_c), len(summed), len(own_a))
+        key = (keys[i], keys[j], left, right, groups)
         del terms[j], terms[i], keys[j], keys[i]
         same = keys.index(key) if key in keys else None
-        steps.append((i, j, subscripts, same))
+        steps.append((i, j, left, right, groups, same))
+        out = (0, *own_c, *own_a)
         if same is None:
-            flops += size(local) * (2 if len(out) < len(local) else 1)
-            largest = max(largest, size(out))
-        holders.subtract(a + c)
-        holders.update(out)
+            flops += size(len(out) + len(summed)) * (2 if summed else 1)
+            largest = max(largest, size(len(out)))
         terms.append(out)
         keys.append(key)
     if largest > INTERMEDIATE_MAX:
@@ -195,16 +210,35 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     return steps, flops, largest
 
 
+def _factor(operand, batch: np.ndarray, axes: tuple, shape: tuple) -> np.ndarray:
+    """``operand`` with its axes permuted and grouped into ``shape``.  None
+    stands for the conjugate of ``batch``, which is formed here in the same
+    pass, C-ordered as the copy numpy makes, so no conjugate batch stays
+    alive across steps."""
+    if operand is None:
+        return np.conjugate(batch.transpose(axes), order="C").reshape(shape)
+    return operand.transpose(axes).reshape(shape)
+
+
 def _contract(batch: np.ndarray, n: int, steps: list) -> np.ndarray:
-    """The bubble's value on each tensor of ``batch``: one einsum per step,
-    none for a step whose product a live operand already holds."""
-    operands = [batch] * n + [np.conj(batch)] * n
-    for i, j, (sub_a, sub_b, sub_out), same in steps:
+    """The bubble's value on each tensor of ``batch``, as numpy's two-operand
+    einsum computes each step, with no einsum call: the left factor is
+    permuted to (sample, own, summed) and reshaped to one matrix per sample,
+    the right to (sample, summed, own), and the two are multiplied by
+    ``np.matmul``.  Where no summed axis is longer than 1 (every step at
+    N = 1), ``np.multiply`` broadcasts them instead, as numpy does, since a
+    matmul changes the bits there.  A step whose product a live operand
+    already holds is not computed.  No name holds a consumed operand into
+    the next step, so it is freed once the pair is removed."""
+    N = batch.shape[-1] if batch.ndim > 1 else 1
+    operands = [batch] * n + [None] * n  # None: a black tensor, see _factor
+    for i, j, left, right, (own_j, summed, own_i), same in steps:
         if same is None:
-            # An explicit one-pair path sends the pair to numpy's batched matmul.
-            product = np.einsum(
-                operands[i], sub_a, operands[j], sub_b, sub_out, optimize=["einsum_path", (0, 1)]
-            )
+            k = N**summed
+            product = (np.matmul if k > 1 else np.multiply)(
+                _factor(operands[j], batch, left, (-1, N**own_j, k)),
+                _factor(operands[i], batch, right, (-1, k, N**own_i)),
+            ).reshape((-1,) + (N,) * (own_j + own_i))
         del operands[j], operands[i]
         operands.append(product if same is None else operands[same])
     return operands[0] if n else np.ones(len(batch), dtype=complex)
@@ -225,11 +259,16 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     takes = [
         min(DEFAULT_CHUNK, spec.samples - done) for done in range(0, spec.samples, DEFAULT_CHUNK)
     ]
+    # Chunk k is drawn into buffer k % 2, allocated once: the sampler thread
+    # fills one while the calling thread contracts the other.
+    buffers = [np.empty((takes[0],) + (spec.N,) * b.d, complex) for _ in takes[:2]]
     drawn = {}
 
     def draw(index):
         try:
-            drawn[index] = sample_batch(spec, b.d, index, takes[index])
+            drawn[index] = sample_batch(
+                spec, b.d, index, takes[index], out=buffers[index % 2][: takes[index]]
+            )
         except Exception as error:
             drawn[index] = error
 

@@ -391,11 +391,11 @@ def _inject_fault(*args, **kwargs):
     raise ValueError("injected fault")
 
 
-def _fault_after_first_chunk(spec, d, index, count, sample_batch=montecarlo.sample_batch):
+def _fault_after_first_chunk(spec, d, index, count, *, out, sample_batch=montecarlo.sample_batch):
     # Chunk 0 is drawn before the loop; chunk 1 is drawn on the sampler
     # thread while chunk 0 is contracted.
     if index == 0:
-        return sample_batch(spec, d, index, count)
+        return sample_batch(spec, d, index, count, out=out)
     raise ValueError("injected fault")
 
 
@@ -459,6 +459,11 @@ GOLDEN_ARGV = {
     # n = 9: 504 cosets of S_6, whose rows are built from rows of S_5.
     "expect_d4_n9": ("expect", "bubble_d4_n9.json", "--alpha", "2", "--numeric-N", "3"),
     "mc_d4_n5": ("mc", "bubble_d4_n5.json", "--numeric-N", "2", "--samples", "1024", "--seed", "7"),
+    # N = 1: every step a broadcast multiply; 1001 samples end in a short
+    # chunk of 489, contracted in halves of 244 and 245.
+    "mc_d4_n5_N1": (
+        "mc", "bubble_d4_n5.json", "--numeric-N", "1", "--samples", "1001", "--seed", "7"
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo sampling: reproducibility, invariances, statistical accuracy."""
 import math
+import random
 import sys
 import time
 
@@ -100,6 +101,19 @@ class TestSampling:
             re, im = rng.standard_normal(shape), rng.standard_normal(shape)
             expected = np.sqrt(variance / 2) * (re + 1j * im)
             assert sample_batch(spec, d, 5, count).tobytes() == expected.tobytes()
+
+    def test_draws_into_a_used_buffer_equal_a_fresh_batch(self):
+        # estimate_expectation draws chunk k into buffer k % 2: a full chunk
+        # and a short last one, each into a buffer holding an earlier chunk.
+        spec = SampleSpec(N=2, samples=1300, seed=3)
+        buffer = sample_batch(spec, 4, 0, DEFAULT_CHUNK)
+        for index, count in [(2, DEFAULT_CHUNK), (3, 276)]:
+            drawn = sample_batch(spec, 4, index, count, out=buffer[:count])
+            assert np.shares_memory(drawn, buffer)
+            assert drawn.tobytes() == sample_batch(spec, 4, index, count).tobytes()
+        # A strided view would be filled through a copy and left unchanged.
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sample_batch(spec, 4, 0, 2, out=buffer[::2][:2])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -313,6 +327,34 @@ def test_sampler_thread_under_frequent_switches():
     assert est == serial_estimate(b, spec)
 
 
+def einsum_steps(b, steps):
+    """Each step of a plan as (i, j, the labels of terms i and j and of their
+    product, same), replayed from ``montecarlo._labels``: a pair sums the
+    labels it shares, and the product's are the sample, then j's own, then
+    i's own, the order numpy's batched matmul produces."""
+    terms = montecarlo._labels(b)
+    for i, j, *_, same in steps:
+        a, c = terms[i], terms[j]
+        out = [0] + [x for x in c if x not in a] + [x for x in a if x not in c]
+        del terms[j], terms[i]
+        terms.append(out)
+        yield i, j, (list(a), list(c), out), same
+
+
+def assert_bitwise_einsum(b, N, batch, steps):
+    """``_contract`` gives the bits of one two-operand ``np.einsum`` per step,
+    every step computed, reused ones included."""
+    x = sample_batch(SampleSpec(N=N, samples=2, seed=31), b.d, 0, batch)
+    operands = [x] * b.n + [np.conj(x)] * b.n
+    for i, j, (sub_a, sub_b, sub_out), _ in einsum_steps(b, steps):
+        product = np.einsum(
+            operands[i], sub_a, operands[j], sub_b, sub_out, optimize=["einsum_path", (0, 1)]
+        )
+        del operands[j], operands[i]
+        operands.append(product)
+    assert montecarlo._contract(x, b.n, steps).tobytes() == operands[0].tobytes()
+
+
 class TestPlan:
     def test_greedy_cliff_bubble_in_seconds(self):
         b = from_images(GREEDY_CLIFF_N8)
@@ -329,7 +371,7 @@ class TestPlan:
         b = necklace(4, SPLIT, 3)
         steps, flops, largest = _plan(b, 3, DEFAULT_CHUNK)
         counted = []
-        for _, _, (sub_a, sub_b, sub_out), same in steps:
+        for _, _, (sub_a, sub_b, sub_out), same in einsum_steps(b, steps):
             if same is not None:
                 continue
             a = np.empty((DEFAULT_CHUNK,) + (3,) * (len(sub_a) - 1))
@@ -350,28 +392,36 @@ class TestPlan:
         assert flops == pytest.approx(9.69e7, rel=1e-3)
 
     @pytest.mark.parametrize(
-        "b, N",
+        "b, N, batch",
         [
-            (necklace(4, SPLIT, 3), 3),
-            (edge_tree_bubble(1, 1), 3),
-            (from_images(GREEDY_CLIFF_N8), 2),
-            (from_images(RANDOM_N8), 2),
+            pytest.param(b, dim, batch, id=name + suffix)
+            for name, b, N in [
+                ("necklace3", necklace(4, SPLIT, 3), 3),
+                ("edge_tree", edge_tree_bubble(1, 1), 3),
+                ("greedy_cliff_n8", from_images(GREEDY_CLIFF_N8), 2),
+                ("random_n8", from_images(RANDOM_N8), 2),
+            ]
+            for dim, batch, suffix in [
+                (N, 64, ""), (N, 1, "-batch1"), (N, 3, "-batch3"),
+                (1, 1, "-N1-batch1"), (1, 3, "-N1-batch3"), (1, 64, "-N1-batch64"),
+            ]
         ],
-        ids=["necklace3", "edge_tree", "greedy_cliff_n8", "random_n8"],
     )
-    def test_reuse_is_bitwise_equal_to_computing_every_step(self, b, N):
-        spec = SampleSpec(N=N, samples=2, seed=31)
-        batch = sample_batch(spec, b.d, 0, 64)
-        steps, _, _ = _plan(b, N, len(batch))
+    def test_reuse_is_bitwise_equal_to_computing_every_step(self, b, N, batch):
+        steps = _plan(b, N, batch)[0]
         assert any(same is not None for *_, same in steps)
-        operands = [batch] * b.n + [np.conj(batch)] * b.n
-        for i, j, (sub_a, sub_b, sub_out), _ in steps:
-            product = np.einsum(
-                operands[i], sub_a, operands[j], sub_b, sub_out, optimize=["einsum_path", (0, 1)]
-            )
-            del operands[j], operands[i]
-            operands.append(product)
-        assert montecarlo._contract(batch, b.n, steps).tobytes() == operands[0].tobytes()
+        assert_bitwise_einsum(b, N, batch, steps)
+
+    @pytest.mark.parametrize("batch", [1, 3, 17])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_random_plans_are_bitwise_equal_to_einsum(self, N, batch):
+        # At N = 1 every step is a broadcast multiply, whose bits a matmul does
+        # not reproduce; at batch 1 numpy drops the sample axis as a singleton.
+        rng = random.Random(f"bitwise:{N}:{batch}")
+        for n in range(1, 8):
+            rows = [list(range(1, n + 1))] + [rng.sample(range(1, n + 1), n) for _ in range(3)]
+            b = from_images(rows)
+            assert_bitwise_einsum(b, N, batch, _plan(b, N, batch)[0])
 
     def test_over_memory_budget_refused_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
