@@ -23,13 +23,18 @@ step takes the first one's.  The one bound is memory: a plan whose largest
 array in a chunk, the sampled batch included, exceeds ``INTERMEDIATE_MAX``
 elements is refused with its size and FLOP count.
 
-``estimate_expectation`` draws chunk k + 1 on one thread while the calling
-thread contracts chunk k, in two halves.  Chunk k is drawn into buffer
-k % 2 of two batch buffers allocated once, so two sampled batches are
-alive, plus the intermediates of half a chunk.  A black tensor's conjugate
-is formed where a step uses it, in the pass that copies it into place, so
-no conjugate batch stays alive.  The budget is still counted on one whole
-``DEFAULT_CHUNK``-sample chunk.
+``estimate_expectation`` runs two workers, the calling thread and one
+thread; worker w draws and contracts the chunks k with k % 2 == w, each
+into its own batch buffer allocated once, and reduces each chunk to its
+(mean, sum of squared deviations, max_rel_imag), which the calling thread
+merges in index order after the join.  A chunk is contracted in pieces
+whose largest array holds at most ``PIECE_ELEMENTS`` elements, so a
+piece's intermediates stay in a core's L2 cache.  So two
+sampled batches are alive, plus the intermediates of two pieces.  A black
+tensor's conjugate is formed where a step uses it, in the pass that copies
+it into place, so no conjugate batch stays alive.  The budget
+``INTERMEDIATE_MAX`` is still counted on one whole ``DEFAULT_CHUNK``-sample
+chunk.
 
 Exactness lives elsewhere; this module is double precision by design.
 """
@@ -49,6 +54,9 @@ DEFAULT_CHUNK = 512
 # Elements in the largest array of one chunk, the sampled batch included:
 # 2**25 complex doubles are 512 MiB.
 INTERMEDIATE_MAX = 2**25
+# Elements in the largest array of one contraction piece: 2**16 complex
+# doubles are 1 MiB, so a piece's intermediates fit a core's L2 cache.
+PIECE_ELEMENTS = 2**16
 # Normal draws per standard_normal call in sample_batch: a 512 KiB buffer.
 _DRAWS = 2**16
 
@@ -250,62 +258,70 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     Chunks of ``DEFAULT_CHUNK`` draws are keyed by their index, so the result
     is byte-identical for a fixed seed however the chunks are scheduled. The
     contraction is planned once, before the first chunk is drawn, so a plan
-    over the memory budget is refused before any sampling.  While chunk k is
-    contracted, one thread draws chunk k + 1, and the chunks are merged in
-    index order.  The thread is joined before this returns or raises; a
-    fault in it is raised here.
+    over the memory budget is refused before any sampling.  Two workers, the
+    calling thread and one thread, each draw, contract and reduce every
+    other chunk; a chunk is contracted in pieces whose largest array holds
+    at most ``PIECE_ELEMENTS`` elements (one sample where a sample alone
+    holds more), and every step is per sample, so the values equal those
+    of the whole chunk.  The chunks are merged in index order once both are
+    done.  A fault in either worker stops the other before its next chunk;
+    the thread is joined before this returns or raises, and the fault of
+    the lowest-indexed failed chunk is raised here.
     """
-    steps, _, _ = _plan(b, spec.N, DEFAULT_CHUNK)
+    steps, _, largest = _plan(b, spec.N, DEFAULT_CHUNK)
+    piece = max(1, min(DEFAULT_CHUNK, PIECE_ELEMENTS // (largest // DEFAULT_CHUNK)))
     takes = [
         min(DEFAULT_CHUNK, spec.samples - done) for done in range(0, spec.samples, DEFAULT_CHUNK)
     ]
-    # Chunk k is drawn into buffer k % 2, allocated once: the sampler thread
-    # fills one while the calling thread contracts the other.
-    buffers = [np.empty((takes[0],) + (spec.N,) * b.d, complex) for _ in takes[:2]]
-    drawn = {}
+    chunks = [None] * len(takes)  # (mean, sum of squared deviations, max_rel_imag)
+    faults = {}
+    stop = threading.Event()
 
-    def draw(index):
+    def work(first):
+        # Chunks first, first + 2, ..., each drawn into this worker's batch
+        # buffer, allocated once.  A fault is kept for the caller to raise.
+        index = first
         try:
-            drawn[index] = sample_batch(
-                spec, b.d, index, takes[index], out=buffers[index % 2][: takes[index]]
-            )
+            batch = np.empty((takes[0],) + (spec.N,) * b.d, complex)
+            for index in range(first, len(takes), 2):
+                if stop.is_set():
+                    return
+                take = takes[index]
+                drawn = sample_batch(spec, b.d, index, take, out=batch[:take])
+                chunk = np.concatenate(
+                    [_contract(drawn[at : at + piece], b.n, steps) for at in range(0, take, piece)]
+                )
+                scale = np.abs(chunk)
+                rel = np.divide(np.abs(chunk.imag), scale, out=np.zeros(take), where=scale > 0)
+                re = chunk.real
+                chunk_mean = float(np.mean(re))
+                chunks[index] = (
+                    chunk_mean, float(np.sum((re - chunk_mean) ** 2)), float(np.max(rel))
+                )
         except Exception as error:
-            drawn[index] = error
+            faults[index] = error
+            stop.set()
 
-    mean, m2, max_rel_imag, done = 0.0, 0.0, 0.0, 0
-    sampler = None
-    draw(0)
+    other = threading.Thread(target=work, args=(1,))
+    other.start()
     try:
-        for index, take in enumerate(takes):
-            if sampler is not None:
-                sampler.join()
-            batch = drawn.pop(index)
-            if isinstance(batch, Exception):
-                raise batch
-            if index + 1 < len(takes):
-                sampler = threading.Thread(target=draw, args=(index + 1,))
-                sampler.start()
-            # In two halves: with the next batch drawn meanwhile, memory holds
-            # two batches but the intermediates of half a chunk.  Every step
-            # is per sample, so the values equal those of the whole chunk.
-            half = take // 2
-            values = np.concatenate(
-                [_contract(batch[:half], b.n, steps), _contract(batch[half:], b.n, steps)]
-            )
-            scale = np.abs(values)
-            rel = np.divide(np.abs(values.imag), scale, out=np.zeros(take), where=scale > 0)
-            max_rel_imag = max(max_rel_imag, float(np.max(rel)))
-            # Merge this chunk's (count, mean, M2) into the running one in
-            # chunk-index order (Chan, Golub & LeVeque 1979): no cancellation.
-            re = values.real
-            chunk_mean = float(np.mean(re))
-            delta = chunk_mean - mean
-            mean += delta * take / (done + take)
-            m2 += float(np.sum((re - chunk_mean) ** 2)) + delta * delta * done * take / (done + take)
-            done += take
+        work(0)
+    except BaseException:  # an interrupt in the calling thread stops the other worker too
+        stop.set()
+        raise
     finally:
-        if sampler is not None:
-            sampler.join()
+        other.join()
+    if faults:
+        raise faults[min(faults)]
+    # Merge each chunk's (count, mean, M2) into the running one in
+    # chunk-index order (Chan, Golub & LeVeque 1979): no cancellation.
+    mean, m2, max_rel_imag, done = 0.0, 0.0, 0.0, 0
+    for take, (chunk_mean, chunk_m2, chunk_rel_imag) in zip(takes, chunks):
+        max_rel_imag = max(max_rel_imag, chunk_rel_imag)
+        delta = chunk_mean - mean
+        mean += delta * take / (done + take)
+        m2 += chunk_m2 + delta * delta * done * take / (done + take)
+        done += take
     n = spec.samples
     return Estimate(
         mean=mean,

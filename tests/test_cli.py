@@ -392,8 +392,9 @@ def _inject_fault(*args, **kwargs):
 
 
 def _fault_after_first_chunk(spec, d, index, count, *, out, sample_batch=montecarlo.sample_batch):
-    # Chunk 0 is drawn before the loop; chunk 1 is drawn on the sampler
-    # thread while chunk 0 is contracted.
+    # Chunk 0 is drawn by the calling thread's worker and chunk 1 by the
+    # other worker's thread; its fault stops the calling thread before its
+    # next chunk and is raised in the caller.
     if index == 0:
         return sample_batch(spec, d, index, count, out=out)
     raise ValueError("injected fault")

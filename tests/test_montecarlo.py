@@ -2,6 +2,7 @@
 import math
 import random
 import sys
+import threading
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.montecarlo import (
     DEFAULT_CHUNK,
     INTERMEDIATE_MAX,
+    PIECE_ELEMENTS,
     Estimate,
     SampleSpec,
     _plan,
@@ -293,7 +295,7 @@ def serial_estimate(b, spec):
     return Estimate(mean, math.sqrt(m2 / (n - 1) / n), n, spec.seed, max_rel_imag)
 
 
-@pytest.mark.parametrize("samples", [2, 513, 1000, 1536])
+@pytest.mark.parametrize("samples", [2, 513, 1000, 1100, 1536])
 @pytest.mark.parametrize(
     "b, N",
     [
@@ -301,11 +303,14 @@ def serial_estimate(b, spec):
         (edge_tree_bubble(1, 1), 3),
         (from_images(RANDOM_N5), 3),
         (Bubble(4, 0, (Permutation.identity(0),) * 4), 2),
+        (necklace(4, SPLIT, 3), 6),
     ],
-    ids=["necklace3", "edge_tree", "random_n5", "empty"],
+    ids=["necklace3", "edge_tree", "random_n5", "empty", "necklace3_N6"],
 )
 def test_estimate_is_bitwise_the_serial_reference(b, N, samples):
-    # 513 draws leave one in the last chunk, so one of its halves is empty.
+    # 513 draws leave one in the last chunk, and 1100 a short chunk of 76.
+    # The 3-necklace at N = 6 is contracted in pieces of 50 samples, so the
+    # last piece of a chunk is short too.
     spec = SampleSpec(N=N, samples=samples, seed=37)
     est, ref = estimate_expectation(b, spec), serial_estimate(b, spec)
     for field in ("mean", "stderr", "samples", "seed", "max_rel_imag"):
@@ -313,9 +318,10 @@ def test_estimate_is_bitwise_the_serial_reference(b, N, samples):
 
 
 def test_sampler_thread_under_frequent_switches():
-    # Each batch is handed over from the sampler thread through a shared dict;
-    # switching threads every microsecond makes a lost or misordered hand-over
-    # show as a changed estimate.
+    # The two workers, the calling thread and one thread, each write their
+    # chunks' reductions into one shared list, merged in index order after
+    # the join; switching threads every microsecond makes a lost, misplaced
+    # or unfinished chunk show as a changed estimate.
     b = edge_tree_bubble(1, 1)
     spec = SampleSpec(N=2, samples=8 * DEFAULT_CHUNK + 3, seed=41)
     interval = sys.getswitchinterval()
@@ -325,6 +331,48 @@ def test_sampler_thread_under_frequent_switches():
     finally:
         sys.setswitchinterval(interval)
     assert est == serial_estimate(b, spec)
+
+
+@pytest.mark.parametrize("failing", ["chunk_1", "every_chunk_after_0"])
+def test_fault_stops_both_workers(failing, monkeypatch):
+    # Chunk 1 is the other worker's first chunk.  Its fault stops the calling
+    # thread's worker before its next chunk, so of 200 chunks only a few are
+    # drawn, and the fault of the lowest-indexed failed chunk is raised.
+    drawn = []
+
+    def fault(spec, d, index, count, *, out):
+        drawn.append(index)
+        if index == 1 or (failing == "every_chunk_after_0" and index > 1):
+            raise ValueError(f"injected fault at chunk {index}")
+        return sample_batch(spec, d, index, count, out=out)
+
+    monkeypatch.setattr(montecarlo, "sample_batch", fault)
+    threads = threading.active_count()
+    spec = SampleSpec(N=3, samples=200 * DEFAULT_CHUNK, seed=5)
+    with pytest.raises(ValueError, match="injected fault at chunk 1$"):
+        estimate_expectation(necklace(4, SPLIT, 3), spec)
+    assert threading.active_count() == threads
+    assert len(drawn) <= 8
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+def test_pieces_change_no_bits(N):
+    # A worker contracts each chunk in pieces: every step is per sample, so
+    # pieces of any size give the bits of the whole chunk.
+    rng = random.Random(f"pieces:{N}")
+    bubbles = [necklace(4, SPLIT, 3)] + [
+        from_images([list(range(1, n + 1))] + [rng.sample(range(1, n + 1), n) for _ in range(3)])
+        for n in (1, 2, 3, 4)
+    ]
+    for b in bubbles:
+        steps, _, largest = _plan(b, N, DEFAULT_CHUNK)
+        computed = max(1, min(DEFAULT_CHUNK, PIECE_ELEMENTS // (largest // DEFAULT_CHUNK)))
+        x = sample_batch(SampleSpec(N=N, samples=2, seed=43), b.d, 0, DEFAULT_CHUNK)
+        whole = montecarlo._contract(x, b.n, steps).tobytes()
+        for piece in sorted({1, 7, computed}):
+            parts = [slice(start, start + piece) for start in range(0, len(x), piece)]
+            values = np.concatenate([montecarlo._contract(x[part], b.n, steps) for part in parts])
+            assert values.tobytes() == whole, (b.n, piece)
 
 
 def einsum_steps(b, steps):

@@ -179,6 +179,12 @@ class TestEnumeration:
     def test_deterministic_order(self):
         assert list(enumerate_trees(3, 4)) == list(enumerate_trees(3, 4))
 
+    def test_total_label_is_the_bubble_size(self):
+        # `tree --enumerate` budgets n! per tree from total_label; the glued
+        # bubble counts its n independently, one white per necklace slot.
+        for t in enumerate_trees(4, 5):
+            assert t.total_label == sum(v.k for v in t.vertices()) == len(glue(t)[0])
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             list(enumerate_trees(0, 3))
