@@ -24,17 +24,20 @@ array in a chunk, the sampled batch included, exceeds ``INTERMEDIATE_MAX``
 elements is refused with its size and FLOP count.
 
 ``estimate_expectation`` runs two workers, the calling thread and one
-thread; worker w draws and contracts the chunks k with k % 2 == w, each
-into its own batch buffer allocated once, and reduces each chunk to its
-(mean, sum of squared deviations, max_rel_imag), which the calling thread
-merges in index order after the join.  A chunk is contracted in pieces
-whose largest array holds at most ``PIECE_ELEMENTS`` elements, so a
-piece's intermediates stay in a core's L2 cache.  So two
-sampled batches are alive, plus the intermediates of two pieces.  A black
+thread; worker w draws and contracts the chunks k with k % 2 == w and
+reduces each to its (mean, sum of squared deviations, max_rel_imag), which
+the calling thread merges in index order after the join.  A chunk is drawn
+and contracted in pieces whose largest array holds at most
+``PIECE_ELEMENTS`` elements, so a piece's intermediates stay in a core's L2
+cache.  A chunk's stream gives every real part before any imaginary part:
+a worker draws the chunk's real parts into a float buffer, then fills its
+one complex piece buffer piece by piece, each piece's imaginary parts drawn
+into the real parts it has consumed (``_draw_pieces``).  So a worker holds
+half a complex chunk, one piece and that piece's intermediates.  A black
 tensor's conjugate is formed where a step uses it, in the pass that copies
 it into place, so no conjugate batch stays alive.  The budget
-``INTERMEDIATE_MAX`` is still counted on one whole ``DEFAULT_CHUNK``-sample
-chunk.
+``INTERMEDIATE_MAX`` is still counted on one whole complex
+``DEFAULT_CHUNK``-sample chunk.
 
 Exactness lives elsewhere; this module is double precision by design.
 """
@@ -57,7 +60,8 @@ INTERMEDIATE_MAX = 2**25
 # Elements in the largest array of one contraction piece: 2**16 complex
 # doubles are 1 MiB, so a piece's intermediates fit a core's L2 cache.
 PIECE_ELEMENTS = 2**16
-# Normal draws per standard_normal call in sample_batch: a 512 KiB buffer.
+# Normal draws per standard_normal call where a batch is drawn in one
+# piece: a 512 KiB buffer.
 _DRAWS = 2**16
 
 
@@ -99,28 +103,55 @@ def sample_batch(
 ) -> np.ndarray:
     """``count`` i.i.d. rank-``d`` tensors drawn from the stream keyed (seed, index).
 
-    The stream gives every real part, then every imaginary part.  They are
-    drawn ``_DRAWS`` at a time through one small buffer, which gives the
-    values of one call, so no float array of half the batch's size is
-    allocated beside it.  ``out``, a C-contiguous complex array of the
-    batch's shape, receives the draws and is returned; by default a new
-    array does.
+    The whole batch as one piece of ``_draw_pieces``.  ``out``, a
+    C-contiguous complex array of the batch's shape, receives the draws and
+    is returned; by default a new array does.
     """
-    rng = _rng(spec.seed, index)
     shape = (count,) + (spec.N,) * d
-    scale = math.sqrt(spec.variance / 2.0)
     if out is None:
         out = np.empty(shape, complex)
     elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
-    flat = out.reshape(-1).view(np.float64)  # re, im, re, im, ...
-    draws = np.empty(min(out.size, _DRAWS))
-    for part in (flat[0::2], flat[1::2]):
-        for start in range(0, part.size, _DRAWS):
-            piece = draws[: min(_DRAWS, part.size - start)]
-            rng.standard_normal(out=piece)
-            np.multiply(piece, scale, out=part[start : start + len(piece)])
-    return out
+    (batch,) = _draw_pieces(spec, d, index, count, out)
+    return batch
+
+
+def _draw_pieces(
+    spec: SampleSpec, d: int, index: int, count: int, out: np.ndarray, reals=None
+):
+    """Yield the ``count`` tensors keyed (seed, index) in pieces of
+    ``len(out)`` samples, each drawn into the front of ``out``.
+
+    The stream gives every real part, then every imaginary part.  Where the
+    batch is more than one piece, ``reals``, a float64 array of at least
+    ``count * N**d`` elements, first receives every real part, raw; each
+    piece's real parts are then scaled into ``out``, and its imaginary parts
+    drawn into the real parts it has just consumed and scaled in turn.
+    Where the batch is one piece, both parts are drawn ``_DRAWS`` at a time
+    through a small buffer, freed before the piece is yielded.  The draws
+    and multiplies are the same either way, so pieces change no bits.
+    """
+    rng = _rng(spec.seed, index)
+    scale = math.sqrt(spec.variance / 2.0)
+    size, step = spec.N**d, len(out)
+    held = step < count
+    if held:
+        rng.standard_normal(out=reals[: count * size])
+    for start in range(0, count, step):
+        take = min(step, count - start)
+        flat = out[:take].reshape(-1).view(np.float64)  # re, im, re, im, ...
+        if held:
+            draws = reals[start * size : (start + take) * size]
+        else:
+            draws = np.empty(min(take * size, _DRAWS))
+        for drawn, part in ((held, flat[0::2]), (False, flat[1::2])):
+            for at in range(0, part.size, draws.size):
+                block = draws[: part.size - at]
+                if not drawn:
+                    rng.standard_normal(out=block)
+                np.multiply(block, scale, out=part[at : at + block.size])
+        del draws, block
+        yield out[:take]
 
 
 def _labels(b: Bubble) -> list[tuple[int, ...]]:
@@ -260,13 +291,16 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     contraction is planned once, before the first chunk is drawn, so a plan
     over the memory budget is refused before any sampling.  Two workers, the
     calling thread and one thread, each draw, contract and reduce every
-    other chunk; a chunk is contracted in pieces whose largest array holds
-    at most ``PIECE_ELEMENTS`` elements (one sample where a sample alone
-    holds more), and every step is per sample, so the values equal those
-    of the whole chunk.  The chunks are merged in index order once both are
-    done.  A fault in either worker stops the other before its next chunk;
-    the thread is joined before this returns or raises, and the fault of
-    the lowest-indexed failed chunk is raised here.
+    other chunk; a chunk is drawn and contracted in pieces whose largest
+    array holds at most ``PIECE_ELEMENTS`` elements (one sample where a
+    sample alone holds more).  Each worker allocates once a float buffer
+    for a chunk's real parts, where a chunk is more than one piece, and one
+    complex piece buffer, and holds no whole complex chunk.  The draws and
+    every contraction step are per sample, so the values equal those of
+    ``sample_batch``'s whole chunk.  The chunks are merged in index order
+    once both are done.  A fault in either worker stops the other before
+    its next chunk; the thread is joined before this returns or raises, and
+    the fault of the lowest-indexed failed chunk is raised here.
     """
     steps, _, largest = _plan(b, spec.N, DEFAULT_CHUNK)
     piece = max(1, min(DEFAULT_CHUNK, PIECE_ELEMENTS // (largest // DEFAULT_CHUNK)))
@@ -278,18 +312,22 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     stop = threading.Event()
 
     def work(first):
-        # Chunks first, first + 2, ..., each drawn into this worker's batch
-        # buffer, allocated once.  A fault is kept for the caller to raise.
+        # Chunks first, first + 2, ..., each drawn piece by piece into this
+        # worker's piece buffer, its real parts waiting in ``reals``; both
+        # are allocated once.  A fault is kept for the caller to raise.
         index = first
         try:
-            batch = np.empty((takes[0],) + (spec.N,) * b.d, complex)
+            pieces = np.empty((min(piece, takes[0]),) + (spec.N,) * b.d, complex)
+            reals = np.empty(takes[0] * spec.N**b.d) if piece < takes[0] else None
             for index in range(first, len(takes), 2):
                 if stop.is_set():
                     return
                 take = takes[index]
-                drawn = sample_batch(spec, b.d, index, take, out=batch[:take])
                 chunk = np.concatenate(
-                    [_contract(drawn[at : at + piece], b.n, steps) for at in range(0, take, piece)]
+                    [
+                        _contract(batch, b.n, steps)
+                        for batch in _draw_pieces(spec, b.d, index, take, pieces, reals)
+                    ]
                 )
                 scale = np.abs(chunk)
                 rel = np.divide(np.abs(chunk.imag), scale, out=np.zeros(take), where=scale > 0)

@@ -319,7 +319,7 @@ def malformed_argv(case, tmp_path):
 def test_malformed_input_refused(case, capsys, tmp_path, monkeypatch):
     # A refusal costs no Wick enumeration and no Monte Carlo sample.
     _forbid(monkeypatch, oracle, *WICK_WALK)
-    _forbid(monkeypatch, montecarlo, "sample_batch")
+    _forbid(monkeypatch, montecarlo, "_draw_pieces")
     assert_refused(main(malformed_argv(case, tmp_path)), capsys)
 
 
@@ -391,12 +391,14 @@ def _inject_fault(*args, **kwargs):
     raise ValueError("injected fault")
 
 
-def _fault_after_first_chunk(spec, d, index, count, *, out, sample_batch=montecarlo.sample_batch):
+def _fault_after_first_chunk(
+    spec, d, index, count, out, reals=None, draw_pieces=montecarlo._draw_pieces
+):
     # Chunk 0 is drawn by the calling thread's worker and chunk 1 by the
     # other worker's thread; its fault stops the calling thread before its
     # next chunk and is raised in the caller.
     if index == 0:
-        return sample_batch(spec, d, index, count, out=out)
+        return draw_pieces(spec, d, index, count, out, reals)
     raise ValueError("injected fault")
 
 
@@ -406,7 +408,7 @@ def _fault_after_first_chunk(spec, d, index, count, *, out, sample_batch=monteca
         (montecarlo, "_contract", _inject_fault, ("mc", "--numeric-N", "2", "--samples", "1000")),
         (
             montecarlo,
-            "sample_batch",
+            "_draw_pieces",
             _fault_after_first_chunk,
             ("mc", "--numeric-N", "2", "--samples", "1000"),
         ),
@@ -464,6 +466,11 @@ GOLDEN_ARGV = {
     # chunk of 489, contracted in halves of 244 and 245.
     "mc_d4_n5_N1": (
         "mc", "bubble_d4_n5.json", "--numeric-N", "1", "--samples", "1001", "--seed", "7"
+    ),
+    # N = 3: chunk 0 is drawn and contracted in pieces of 89 samples, and
+    # the short chunk 1 of 88 in one piece.
+    "mc_d4_n5_N3": (
+        "mc", "bubble_d4_n5.json", "--numeric-N", "3", "--samples", "600", "--seed", "7"
     ),
 }
 

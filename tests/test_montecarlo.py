@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,8 +106,8 @@ class TestSampling:
             assert sample_batch(spec, d, 5, count).tobytes() == expected.tobytes()
 
     def test_draws_into_a_used_buffer_equal_a_fresh_batch(self):
-        # estimate_expectation draws chunk k into buffer k % 2: a full chunk
-        # and a short last one, each into a buffer holding an earlier chunk.
+        # A full chunk and a short last one, each drawn into a buffer that
+        # holds an earlier chunk, as a worker reuses its piece buffer.
         spec = SampleSpec(N=2, samples=1300, seed=3)
         buffer = sample_batch(spec, 4, 0, DEFAULT_CHUNK)
         for index, count in [(2, DEFAULT_CHUNK), (3, 276)]:
@@ -339,14 +340,15 @@ def test_fault_stops_both_workers(failing, monkeypatch):
     # thread's worker before its next chunk, so of 200 chunks only a few are
     # drawn, and the fault of the lowest-indexed failed chunk is raised.
     drawn = []
+    draw_pieces = montecarlo._draw_pieces
 
-    def fault(spec, d, index, count, *, out):
+    def fault(spec, d, index, count, out, reals=None):
         drawn.append(index)
         if index == 1 or (failing == "every_chunk_after_0" and index > 1):
             raise ValueError(f"injected fault at chunk {index}")
-        return sample_batch(spec, d, index, count, out=out)
+        return draw_pieces(spec, d, index, count, out, reals)
 
-    monkeypatch.setattr(montecarlo, "sample_batch", fault)
+    monkeypatch.setattr(montecarlo, "_draw_pieces", fault)
     threads = threading.active_count()
     spec = SampleSpec(N=3, samples=200 * DEFAULT_CHUNK, seed=5)
     with pytest.raises(ValueError, match="injected fault at chunk 1$"):
@@ -373,6 +375,48 @@ def test_pieces_change_no_bits(N):
             parts = [slice(start, start + piece) for start in range(0, len(x), piece)]
             values = np.concatenate([montecarlo._contract(x[part], b.n, steps) for part in parts])
             assert values.tobytes() == whole, (b.n, piece)
+
+
+@pytest.mark.parametrize("N", [2, 3, 6])
+def test_drawn_pieces_are_the_batch_bitwise(N):
+    # A worker draws a chunk's real parts into one float buffer, then each
+    # piece's imaginary parts into the real parts that piece has consumed.
+    # The pieces of a full chunk and of a short last one (276 samples),
+    # concatenated, are sample_batch's batch byte for byte; at N = 6 one
+    # part of sample_batch's chunk crosses its draw buffer ten times.
+    b = necklace(4, SPLIT, 3)
+    _, _, largest = _plan(b, N, DEFAULT_CHUNK)
+    computed = max(1, min(DEFAULT_CHUNK, PIECE_ELEMENTS // (largest // DEFAULT_CHUNK)))
+    if N == 6:
+        assert computed == 50 and DEFAULT_CHUNK * N**4 > 10 * montecarlo._DRAWS
+    spec = SampleSpec(N=N, samples=2 * DEFAULT_CHUNK + 276, seed=29, variance=0.6)
+    reals = np.empty(DEFAULT_CHUNK * N**4)
+    for index, count in [(0, DEFAULT_CHUNK), (2, 276)]:
+        whole = sample_batch(spec, b.d, index, count).tobytes()
+        for piece in sorted({1, 7, computed}):
+            out = np.empty((piece,) + (N,) * b.d, complex)
+            drawn = montecarlo._draw_pieces(spec, b.d, index, count, out, reals)
+            assert np.concatenate([batch.copy() for batch in drawn]).tobytes() == whole, piece
+
+
+def test_workers_hold_real_parts_and_one_piece():
+    # Each worker holds its chunk's real parts, half a complex chunk, plus
+    # one piece and that piece's intermediates; holding a whole complex chunk
+    # each, the two would read more than two chunks.
+    N = 7
+    chunk_bytes = 16 * DEFAULT_CHUNK * N**4
+    spec = SampleSpec(N=N, samples=2 * DEFAULT_CHUNK, seed=47)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        estimate_expectation(necklace(4, SPLIT, 3), spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.75 * chunk_bytes, peak / chunk_bytes
 
 
 def einsum_steps(b, steps):
@@ -475,7 +519,7 @@ class TestPlan:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled before the plan was checked")
 
-        monkeypatch.setattr(montecarlo, "sample_batch", refuse)
+        monkeypatch.setattr(montecarlo, "_draw_pieces", refuse)
         # The dipole's only intermediate is one value per sample, so the
         # sampled batch alone decides: it fills the budget at N = 16.
         N = round((INTERMEDIATE_MAX / DEFAULT_CHUNK) ** 0.25)
