@@ -9,16 +9,17 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import math
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import LaurentPoly, Refused, catalan, partitions_of
 from .bubbles import Bubble, ColorSplit
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
-from .oracle import check_size, expectation, gaussian_expectation
+from .oracle import DEFAULT_N_MAX, check_size, expectation, gaussian_expectation
 from .trees import D as TREE_D
 from .trees import CornerLabeledTree, enumerate_trees, glue, glued_bubble, glued_key
 from .weingarten import weingarten_table
@@ -30,90 +31,6 @@ def _emit(text: str, args) -> None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-
-
-def _leaf(x) -> str:
-    """``json.dumps``'s text of a str, None, bool, int, float or empty container."""
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x in (math.inf, -math.inf):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
-    if isinstance(x, (list, tuple, dict)) and not x:
-        return "{}" if isinstance(x, dict) else "[]"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A dict key as ``json.dumps`` writes it: a str, or a scalar's text, quoted."""
-    if isinstance(k, str):
-        return _quote(k)
-    if k is None or isinstance(k, (int, float)):
-        return _quote(_leaf(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def _write(x, depth: int, chunks: list[str], levels: list[tuple[str, ...]]) -> None:
-    """Append a non-empty list, tuple or dict whose items sit at ``depth``.
-
-    ``levels[depth]`` holds the item separator, "[" and "{" each with the
-    newline and indent of ``depth``, and "]" and "}" each after the newline
-    and indent of ``depth - 1``; it is built on the first visit.
-    """
-    append = chunks.append
-    if depth == len(levels):
-        nl, outer = "\n" + " " * depth, "\n" + " " * (depth - 1)
-        levels.append(("," + nl, "[" + nl, "{" + nl, outer + "]", outer + "}"))
-    comma, open_list, open_dict, close_list, close_dict = levels[depth]
-    if isinstance(x, dict):
-        sep = open_dict
-        for k, v in x.items():
-            head = sep + _key(k) + ": "
-            if isinstance(v, (list, tuple, dict)) and v:
-                append(head)
-                _write(v, depth + 1, chunks, levels)
-            else:
-                append(head + _leaf(v))
-            sep = comma
-        append(close_dict)
-    else:
-        sep = open_list
-        for v in x:
-            if isinstance(v, (list, tuple, dict)) and v:
-                append(sep)
-                _write(v, depth + 1, chunks, levels)
-            else:
-                append(sep + _leaf(v))
-            sep = comma
-        append(close_list)
-
-
-def _json(report) -> str:
-    """The text of ``json.dumps(report, indent=1)``, written directly.
-
-    With ``indent`` set, ``json`` falls back to its pure-Python encoder.
-    This writer appends one chunk per leaf item (its separator, key and
-    text joined) to one list, joins the list once, and builds the
-    separators of each depth once.  ``_write`` is a plain function, not a
-    closure over the list, so no reference cycle keeps the chunks alive
-    after the join.
-    """
-    if not (isinstance(report, (list, tuple, dict)) and report):
-        return _leaf(report)
-    chunks: list[str] = []
-    _write(report, 1, chunks, [("",) * 5])
-    return "".join(chunks)
 
 
 def _load(cls, path):
@@ -152,7 +69,7 @@ def cmd_expect(args) -> int:
     report["scaled_str"] = str(result.scaled)
     if args.numeric_N is not None:
         report["value_at_N"] = int(result.raw.evaluate(args.numeric_N))
-    _emit(_json(report), args)
+    _emit(json.dumps(report, indent=1), args)
     return 0
 
 
@@ -176,14 +93,15 @@ def cmd_effective(args) -> int:
         "oracle": oracle.to_records(),
         "cross_check": "PASS" if ok else "FAIL",
     }
-    _emit(_json(report), args)
+    _emit(json.dumps(report, indent=1), args)
     print(f"cross-check: {'PASS' if ok else 'FAIL'} "
           f"(angular route {reconstructed} vs oracle {oracle})")
     return 0 if ok else 1
 
 
 def _tree_text(t, indent: int, memo: dict) -> tuple[str, int]:
-    """``_json(t.to_json())`` with its keys at ``indent``, and t's Catalan product.
+    """``json.dumps(t.to_json(), indent=1)``'s text with its keys at ``indent``,
+    and t's Catalan product.
 
     Memoised per (subtree, indent) in ``memo``: enumerated trees share their
     subtrees.  The key is the subtree's id, so each entry also holds the
@@ -231,7 +149,12 @@ def _tree_rows(trees) -> list[tuple[str, int, int, int, str]]:
 
 
 def _tree_report(rows, ok: bool) -> str:
-    """``_json({"trees": [...], "all_pass": ok})`` of ``_tree_rows``'s rows (one or more)."""
+    """``json.dumps({"trees": [...], "all_pass": ok}, indent=1)`` of ``_tree_rows``'s rows.
+
+    The rows (one or more) are written by one template, not by ``json``:
+    with ``indent`` set, ``json.dumps`` runs its pure-Python encoder, slow
+    on the megabytes of an enumeration's report.
+    """
     items = ",".join(
         f'\n  {{\n   "tree": {text},\n   "n": {n},\n   "predicted": {predicted},'
         f'\n   "oracle_leading_coeff": {coeff},\n   "verdict": "{verdict}"\n  }}'
@@ -304,7 +227,7 @@ def cmd_weingarten(args) -> int:
         lines = ["class,value"] + [f"\"{r['class']}\",\"{r['value_str']}\"" for r in rows]
         _emit("\n".join(lines), args)
     else:
-        _emit(_json({"n": args.n, "dim": args.dim, "values": rows}), args)
+        _emit(json.dumps({"n": args.n, "dim": args.dim, "values": rows}, indent=1), args)
     return 0
 
 
@@ -316,15 +239,8 @@ def cmd_wishart(args) -> int:
         report = {"lengths": args.lengths, "moment": moment.to_records(), "moment_str": str(moment)}
     else:
         report = {"lengths": args.lengths, "moment": str(moment)}
-    _emit(_json(report), args)
+    _emit(json.dumps(report, indent=1), args)
     return 0
-
-
-# Largest n whose ``mc`` report adds the oracle's exact value.  The oracle's
-# walk takes 0.002 s at n = 7, 0.015-0.02 s at n = 8 and 0.13-0.14 s at n = 9
-# (d = 4, one core of a 2-vCPU Xeon VM); the bound fixes which reports carry
-# ``exact`` and ``within_5_sigma``.
-MC_EXACT_N_MAX = 7
 
 
 def cmd_mc(args) -> int:
@@ -338,16 +254,21 @@ def cmd_mc(args) -> int:
     estimate = estimate_expectation(bubble, spec)
     report = estimate.to_json()
     ok = True
-    if bubble.n <= MC_EXACT_N_MAX:
+    # Within the oracle's bound the report adds its exact value; past it, the
+    # estimate alone.  ``check_size`` refuses a d*n over its byte bound.
+    if bubble.n <= DEFAULT_N_MAX:
         exact = gaussian_expectation(bubble).evaluate(args.numeric_N)
         report["exact"] = float(exact) * args.variance**bubble.n
         ok = abs(estimate.mean - report["exact"]) <= 5 * estimate.stderr
         report["within_5_sigma"] = "PASS" if ok else "FAIL"
-    _emit(_json(report), args)
+    _emit(json.dumps(report, indent=1), args)
     return 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: ``parse_args`` makes a
+    new namespace on each call, so no call sees another's arguments."""
     parser = argparse.ArgumentParser(
         prog="tensormoments",
         description="Gaussian expectations of random-tensor bubble observables",

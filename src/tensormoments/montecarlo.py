@@ -32,7 +32,8 @@ and contracted in pieces whose largest array holds at most
 cache.  A chunk's stream gives every real part before any imaginary part:
 a worker draws the chunk's real parts into a float buffer, then fills its
 one complex piece buffer piece by piece, each piece's imaginary parts drawn
-into the real parts it has consumed (``_draw_pieces``).  So a worker holds
+into the real parts it has consumed (``_draw_pieces``, the one draw path;
+``sample_batch`` is its one-piece case).  So a worker holds
 half a complex chunk, one piece and that piece's intermediates.  A black
 tensor's conjugate is formed where a step uses it, in the pass that copies
 it into place, so no conjugate batch stays alive.  The budget
@@ -60,9 +61,6 @@ INTERMEDIATE_MAX = 2**25
 # Elements in the largest array of one contraction piece: 2**16 complex
 # doubles are 1 MiB, so a piece's intermediates fit a core's L2 cache.
 PIECE_ELEMENTS = 2**16
-# Normal draws per standard_normal call where a batch is drawn in one
-# piece: a 512 KiB buffer.
-_DRAWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -98,59 +96,38 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_batch(
-    spec: SampleSpec, d: int, index: int, count: int, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def sample_batch(spec: SampleSpec, d: int, index: int, count: int) -> np.ndarray:
     """``count`` i.i.d. rank-``d`` tensors drawn from the stream keyed (seed, index).
 
-    The whole batch as one piece of ``_draw_pieces``.  ``out``, a
-    C-contiguous complex array of the batch's shape, receives the draws and
-    is returned; by default a new array does.
+    The whole batch as one piece of ``_draw_pieces``, into a new array.
     """
-    shape = (count,) + (spec.N,) * d
-    if out is None:
-        out = np.empty(shape, complex)
-    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
-    (batch,) = _draw_pieces(spec, d, index, count, out)
+    out = np.empty((count,) + (spec.N,) * d, complex)
+    (batch,) = _draw_pieces(spec, d, index, count, out, np.empty(count * spec.N**d))
     return batch
 
 
-def _draw_pieces(
-    spec: SampleSpec, d: int, index: int, count: int, out: np.ndarray, reals=None
-):
+def _draw_pieces(spec: SampleSpec, d: int, index: int, count: int, out: np.ndarray, reals):
     """Yield the ``count`` tensors keyed (seed, index) in pieces of
     ``len(out)`` samples, each drawn into the front of ``out``.
 
-    The stream gives every real part, then every imaginary part.  Where the
-    batch is more than one piece, ``reals``, a float64 array of at least
-    ``count * N**d`` elements, first receives every real part, raw; each
-    piece's real parts are then scaled into ``out``, and its imaginary parts
-    drawn into the real parts it has just consumed and scaled in turn.
-    Where the batch is one piece, both parts are drawn ``_DRAWS`` at a time
-    through a small buffer, freed before the piece is yielded.  The draws
-    and multiplies are the same either way, so pieces change no bits.
+    The stream gives every real part, then every imaginary part.  ``reals``,
+    a float64 array of at least ``count * N**d`` elements, first receives
+    every real part, raw; each piece's real parts are then scaled into
+    ``out``, and its imaginary parts drawn into the real parts it has just
+    consumed and scaled in turn.  The draws and multiplies are the same for
+    any piece length, so pieces change no bits.
     """
     rng = _rng(spec.seed, index)
     scale = math.sqrt(spec.variance / 2.0)
     size, step = spec.N**d, len(out)
-    held = step < count
-    if held:
-        rng.standard_normal(out=reals[: count * size])
+    rng.standard_normal(out=reals[: count * size])
     for start in range(0, count, step):
         take = min(step, count - start)
         flat = out[:take].reshape(-1).view(np.float64)  # re, im, re, im, ...
-        if held:
-            draws = reals[start * size : (start + take) * size]
-        else:
-            draws = np.empty(min(take * size, _DRAWS))
-        for drawn, part in ((held, flat[0::2]), (False, flat[1::2])):
-            for at in range(0, part.size, draws.size):
-                block = draws[: part.size - at]
-                if not drawn:
-                    rng.standard_normal(out=block)
-                np.multiply(block, scale, out=part[at : at + block.size])
-        del draws, block
+        draws = reals[start * size : (start + take) * size]
+        np.multiply(draws, scale, out=flat[0::2])
+        rng.standard_normal(out=draws)
+        np.multiply(draws, scale, out=flat[1::2])
         yield out[:take]
 
 
@@ -294,13 +271,14 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     other chunk; a chunk is drawn and contracted in pieces whose largest
     array holds at most ``PIECE_ELEMENTS`` elements (one sample where a
     sample alone holds more).  Each worker allocates once a float buffer
-    for a chunk's real parts, where a chunk is more than one piece, and one
-    complex piece buffer, and holds no whole complex chunk.  The draws and
-    every contraction step are per sample, so the values equal those of
-    ``sample_batch``'s whole chunk.  The chunks are merged in index order
-    once both are done.  A fault in either worker stops the other before
-    its next chunk; the thread is joined before this returns or raises, and
-    the fault of the lowest-indexed failed chunk is raised here.
+    for a chunk's real parts and one complex piece buffer, and holds no
+    whole complex chunk; where a chunk is one piece, the float buffer holds
+    at most ``PIECE_ELEMENTS`` floats.  The draws and every contraction step
+    are per sample, so the values equal those of ``sample_batch``'s whole
+    chunk.  The chunks are merged in index order once both are done.  A
+    fault in either worker stops the other before its next chunk; the
+    thread is joined before this returns or raises, and the fault of the
+    lowest-indexed failed chunk is raised here.
     """
     steps, _, largest = _plan(b, spec.N, DEFAULT_CHUNK)
     piece = max(1, min(DEFAULT_CHUNK, PIECE_ELEMENTS // (largest // DEFAULT_CHUNK)))
@@ -318,7 +296,7 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
         index = first
         try:
             pieces = np.empty((min(piece, takes[0]),) + (spec.N,) * b.d, complex)
-            reals = np.empty(takes[0] * spec.N**b.d) if piece < takes[0] else None
+            reals = np.empty(takes[0] * spec.N**b.d)
             for index in range(first, len(takes), 2):
                 if stop.is_set():
                     return

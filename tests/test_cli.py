@@ -2,18 +2,14 @@
 import argparse
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
 import threading
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 import tensormoments
 from tensormoments import cli, effective, montecarlo, oracle
@@ -185,16 +181,16 @@ class TestMonteCarlo:
         assert code == 0
         assert first_json(out)["samples"] == 100_000
 
-    def test_exact_value_only_up_to_n7(self, capsys, bubble_file, monkeypatch):
+    def test_exact_value_up_to_the_oracle_bound(self, capsys, bubble_file, monkeypatch):
         args = ("--numeric-N", "2", "--samples", "1000", "--seed", "1")
-        code, out = run(capsys, "mc", bubble_file(necklace(4, SPLIT, 7)), *args)
-        assert code == 0 and first_json(out)["within_5_sigma"] == "PASS"
-        # Past n = 7 the report is the estimate alone, and no Wick pairing is
-        # walked.  The guard bites: under it, n = 7's exact value raises.
-        _forbid(monkeypatch, oracle, *WICK_WALK)
-        with pytest.raises(AssertionError, match="wick_histogram"):
-            run(capsys, "mc", bubble_file(necklace(4, SPLIT, 7)), *args)
         code, out = run(capsys, "mc", bubble_file(necklace(4, SPLIT, 8)), *args)
+        report = first_json(out)
+        assert code == 0 and report["within_5_sigma"] == "PASS" and "exact" in report
+        # Past the oracle's bound the report is the estimate alone, and no
+        # Wick pairing is walked.
+        _forbid(monkeypatch, oracle, *WICK_WALK)
+        past = necklace(4, SPLIT, oracle.DEFAULT_N_MAX + 1)
+        code, out = run(capsys, "mc", bubble_file(past), *args)
         report = first_json(out)
         assert code == 0 and report["samples"] == 1000
         assert "exact" not in report and "within_5_sigma" not in report
@@ -372,6 +368,18 @@ def test_refused_command_leaves_no_out_file(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_parser_is_built_once_and_keeps_no_arguments(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    out = tmp_path / "report.json"
+    code, first = run(capsys, "weingarten", "2", "--out", str(out))
+    assert code == 0 and out.read_text() == first
+    out.unlink()
+    # The same parser, a new namespace: no --out, and the second call's n.
+    code, second = run(capsys, "weingarten", "3")
+    assert code == 0 and first_json(second)["n"] == 3
+    assert not out.exists()
+
+
 # The command-line functions that turn a constructor's ValueError (or a
 # failed read) into a refusal; every other refusal is raised where its
 # bound lives and reaches ``main`` as it was raised.
@@ -392,7 +400,7 @@ def _inject_fault(*args, **kwargs):
 
 
 def _fault_after_first_chunk(
-    spec, d, index, count, out, reals=None, draw_pieces=montecarlo._draw_pieces
+    spec, d, index, count, out, reals, draw_pieces=montecarlo._draw_pieces
 ):
     # Chunk 0 is drawn by the calling thread's worker and chunk 1 by the
     # other worker's thread; its fault stops the calling thread before its
@@ -566,57 +574,6 @@ def test_weingarten_and_wishart_sweep_is_pinned(capsys):
     assert len(runs) == 45 + 96
     digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
     assert digest == "50836f58394a824a3117a44b0cc8a7c4ead75e90229eb50b2e13e12aeae35050"
-
-
-# JSON values, with the corners json.dumps must get right; and the same with
-# values it refuses (a Fraction, a set, bytes, a tuple key) mixed in.
-_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=2**63)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text()
-    | st.text(alphabet=st.characters(max_codepoint=0x20))
-)
-_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
-
-
-def _nested(leaves, keys):
-    return st.recursive(
-        leaves,
-        lambda inner: st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(keys, inner, max_size=4),
-        max_leaves=20,
-    )
-
-
-_unserialisable = st.sampled_from([Fraction(1, 2), {1, 2}, b"x", 1j, object()])
-_bad_key_dict = st.builds(lambda v: {(1, 2): v}, _scalars)
-
-
-@given(_nested(_scalars, _keys))
-@example([])
-@example({})
-@example({"a": [], "b": {}, "c": ()})
-@example([-0.0, math.nan, math.inf, -math.inf, 2**100, -(2**70), True, False, None])
-@example({"\x00\x1f\"\\": "é☃\U0001d11e\u2028", 1: 1.0, 2.5: None, None: True, False: [[]]})
-def test_writer_equals_json_dumps(value):
-    assert cli._json(value) == json.dumps(value, indent=1)
-
-
-@given(_nested(_scalars | _unserialisable | _bad_key_dict, _keys))
-@example(Fraction(1, 2))
-@example({"a": [1, {2, 3}]})
-def test_writer_refuses_what_json_dumps_refuses(value):
-    try:
-        expected = json.dumps(value, indent=1)
-    except TypeError:
-        with pytest.raises(TypeError):
-            cli._json(value)
-    else:
-        assert cli._json(value) == expected
 
 
 def dict_tree_report(trees, expectation=oracle.gaussian_expectation) -> dict:
