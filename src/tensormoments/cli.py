@@ -39,7 +39,7 @@ def _load(cls, path):
         return cls.load(path)
     except KeyError as exc:
         raise Refused(f"{path}: missing key {exc}") from None
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise Refused(f"{path}: {exc}") from None
 
 
@@ -251,11 +251,14 @@ def cmd_mc(args) -> int:
     spec = SampleSpec(
         N=args.numeric_N, samples=args.samples, seed=args.seed, variance=args.variance
     )
+    # Within the oracle's bound the report adds its exact value; past it, the
+    # estimate alone.  The oracle's bounds are checked before any sample is
+    # drawn: ``check_size`` refuses a d*n over its byte bound.
+    if bubble.n <= DEFAULT_N_MAX:
+        check_size(bubble.n, bubble.d)
     estimate = estimate_expectation(bubble, spec)
     report = estimate.to_json()
     ok = True
-    # Within the oracle's bound the report adds its exact value; past it, the
-    # estimate alone.  ``check_size`` refuses a d*n over its byte bound.
     if bubble.n <= DEFAULT_N_MAX:
         exact = gaussian_expectation(bubble).evaluate(args.numeric_N)
         report["exact"] = float(exact) * args.variance**bubble.n

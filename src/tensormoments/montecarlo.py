@@ -19,9 +19,10 @@ of a contraction into one nested loop, as numpy's greedy path does.  A pair
 product equal to one already held is computed once: every white tensor is
 the one sampled batch and every black one its one conjugate, so two steps
 of the same form on equal inputs give bitwise-equal arrays, and the second
-step takes the first one's.  The one bound is memory: a plan whose largest
-array in a chunk, the sampled batch included, exceeds ``INTERMEDIATE_MAX``
-elements is refused with its size and FLOP count.
+step takes the first one's.  The bounds are memory and numpy's axes: a plan
+whose largest array in a chunk, the sampled batch included, exceeds
+``INTERMEDIATE_MAX`` elements, or has an array of more than ``AXES_MAX``
+axes, is refused with its size and FLOP count.
 
 ``estimate_expectation`` runs two workers, the calling thread and one
 thread; worker w draws and contracts the chunks k with k % 2 == w and
@@ -58,6 +59,9 @@ DEFAULT_CHUNK = 512
 # Elements in the largest array of one chunk, the sampled batch included:
 # 2**25 complex doubles are 512 MiB.
 INTERMEDIATE_MAX = 2**25
+# Axes of the plan's arrays, the sample axis included: numpy's limit.  At
+# N = 1 every size is 1, so ``INTERMEDIATE_MAX`` alone would not bound them.
+AXES_MAX = 64
 # Elements in the largest array of one contraction piece: 2**16 complex
 # doubles are 1 MiB, so a piece's intermediates fit a core's L2 cache.
 PIECE_ELEMENTS = 2**16
@@ -178,7 +182,8 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     once the pair is removed, of the live term equal to the product, else
     None.  FLOPs and the largest array count computed steps only, and the
     largest array includes the sampled batch.  A plan whose largest array
-    exceeds ``INTERMEDIATE_MAX`` raises ``Refused``.
+    exceeds ``INTERMEDIATE_MAX`` elements, or any of whose arrays has more
+    than ``AXES_MAX`` axes, raises ``Refused``.
     """
     def size(labels, dim=N):  # a term of this many labels, the sample's among them
         return batch * dim ** (labels - 1)
@@ -188,7 +193,7 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     rank_dim = max(N, 2)
     terms = _labels(b)
     keys = ["T"] * b.n + ["C"] * b.n
-    steps, flops, largest = [], 0, batch * N**b.d
+    steps, flops, largest, axes = [], 0, batch * N**b.d, b.d + 1
     while len(terms) > 1:
         best = None
         for i, j in combinations(range(len(terms)), 2):
@@ -215,8 +220,14 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
         if same is None:
             flops += size(len(out) + len(summed)) * (2 if summed else 1)
             largest = max(largest, size(len(out)))
+            axes = max(axes, len(out))
         terms.append(out)
         keys.append(key)
+    if axes > AXES_MAX:
+        raise Refused(
+            f"d={b.d}, n={b.n} at N={N}: an array of the plan has {axes} axes, over "
+            f"numpy's {AXES_MAX}; the plan costs {flops:.2e} FLOPs per chunk"
+        )
     if largest > INTERMEDIATE_MAX:
         raise Refused(
             f"d={b.d}, n={b.n} at N={N}: the largest array of a {batch}-sample "

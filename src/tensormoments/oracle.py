@@ -6,10 +6,10 @@ is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
 serial walk over S_n, one coset pi S_k at a time (S_k permutes positions
 0..k-1, k = min(n, K)), gives each coset one row of k! cycle counts per
 colour: one cycle walk per colour and coset (``_fold``), then a row of
-S_k's table.  For k < K all rows of S_k are built together, in one pass
-over S_k; a row of S_K is joined from K rows of S_{K-1} by the same walk
-one level down.  Each is built the first time a walk needs it; nothing is
-built at import.
+S_k's table.  A row of S_k is joined from k rows of S_{k-1} by the same
+walk one level down (``_row``), and so on to the one row of S_0, so the
+kernel counts cycles only through ``_fold``.  Each row is built the first
+time a walk needs it; nothing is built at import.
 
 Every colour has the same dimension N, so the result needs only each
 pairing's total, the sum over colours of its cycle counts.
@@ -27,17 +27,16 @@ from functools import lru_cache
 from itertools import islice, permutations
 from typing import Sequence
 
-from .algebra import LaurentPoly, Refused, _cycles
+from .algebra import LaurentPoly, Refused
 from .bubbles import Bubble
 
 DEFAULT_N_MAX = 9
 # Positions permuted within a coset.  Kernel at n = 9, random d = 4 bubble,
 # rows warm, one core of a 2-vCPU VM: K = 5 40 ms, K = 6 24 ms (504 cosets
-# of S_6 against 3024 of S_5).  S_6's 720 indices do not fit the one-byte
-# tables ``_rows`` composes with (k! <= 256), so ``_row`` joins each row of
-# S_6 from six rows of S_5: all 720 rows (0.5 MB) take 13-25 ms, 4320 walks
-# of six points, against 1.3 s for one cycle walk per entry.  ``_rows``
-# builds S_5's table (120 rows of 120 bytes) in about 1-2 ms.
+# of S_6 against 3024 of S_5).  ``_row`` joins each row of S_k from k rows
+# of S_{k-1}: all 720 rows of S_6 (0.5 MB) take 15-30 ms cold, S_1..S_5
+# included, against 1.3 s for one cycle walk per entry; S_5's 120 rows
+# alone take 2-4 ms.
 K = 6
 # Cosets whose totals ``wick_histogram`` counts at a time (23040 bytes at
 # K = 6).  At n = 9 and K = 5 the count took the same time for 16 to 512
@@ -90,42 +89,6 @@ def check_size(n: int, d: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _rows(k: int) -> dict[tuple[int, ...], bytes]:
-    """g -> #cycles(g rho) for rho in S_k, in ``itertools.permutations``
-    order, for every g in S_k, built in one pass.
-
-    Left multiplication by g permutes the indices of S_k; as the byte string
-    ``moves`` of the indices of g rho, rho in order, it composes by
-    ``bytes.translate``: moves(s g) = moves(g).translate(moves(s)).  From
-    the identity, the adjacent transpositions s reach every g (g is
-    ``perms[moves(g)[0]]``, as rho_0 is the identity), and g's row is
-    moves(g) translated through the k! cycle counts.
-    """
-    perms = list(permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
-    pad = bytes(256 - len(perms))
-    counts = bytes(len(_cycles(p)) for p in perms) + pad
-    steps = []
-    for i in range(k - 1):
-        s = list(range(k))
-        s[i], s[i + 1] = s[i + 1], s[i]
-        # tuple() of a list is built at its exact size; grown from a generator,
-        # each lookup key would stay on CPython's tuple free list (~40 KB).
-        steps.append(bytes(index[tuple([s[r] for r in rho])] for rho in perms) + pad)
-    rows: dict[tuple[int, ...], bytes] = {}
-    frontier = [bytes(range(len(perms)))]
-    while frontier:
-        reached = []
-        for moves in frontier:
-            g = perms[moves[0]]
-            if g not in rows:
-                rows[g] = moves.translate(counts)
-                reached += [moves.translate(step) for step in steps]
-        frontier = reached
-    return rows
-
-
 def _cosets(n: int, k: int):
     """A representative pi of each coset pi S_k of S_n (S_k permutes
     positions 0..k-1): pi fixes the images of positions k..n-1 (the tail,
@@ -171,21 +134,22 @@ def _shift(closed: int) -> bytes:
 def _row(g: tuple[int, ...]) -> bytes:
     """#cycles(g rho) for rho in S_k, k = len(g) <= K.
 
-    For k < K it is ``_rows(k)``'s row, in ``itertools.permutations`` order.
-    For k = K it joins K pieces, one per coset pi_j S_{K-1} (tails j in
-    ``_cosets(K, K - 1)`` order): the walk of ``_coset_rows`` one level
-    down, ``_fold`` of g pi_j, gives the row of S_{K-1} that counts
-    #cycles(g pi_j rho') for every rho' in S_{K-1}, shifted by its closed
+    The row of S_0 is the one empty permutation's 0 cycles.  For k >= 1 it
+    joins k pieces, one per coset pi_j S_{k-1} (tails j in
+    ``_cosets(k, k - 1)`` order): the walk of ``_coset_rows`` one level
+    down, ``_fold`` of g pi_j, gives the row of S_{k-1} that counts
+    #cycles(g pi_j rho') for every rho' in S_{k-1}, shifted by its closed
     count through ``_shift``.  So rho runs over pi_j rho', j outer and rho'
-    in ``itertools`` order; that order is the same for every g, which is all
-    a coset's sum needs.
+    in the join order of S_{k-1} inner; that order is the same for every g
+    of one k, which is all a coset's sum needs.
     """
-    if len(g) < K:
-        return _rows(len(g))[g]
+    if not g:
+        return b"\x00"
+    k = len(g)
     pieces = []
-    for pi in _cosets(K, K - 1):
-        f, c = _fold([g[p] for p in pi], K - 1)
-        pieces.append(_rows(K - 1)[f].translate(_shift(c)))
+    for pi in _cosets(k, k - 1):
+        f, c = _fold([g[p] for p in pi], k - 1)
+        pieces.append(_row(f).translate(_shift(c)))
     return b"".join(pieces)
 
 

@@ -88,10 +88,13 @@ class CornerLabeledTree:
     @classmethod
     def from_json(cls, data: Mapping) -> "CornerLabeledTree":
         json_keys(data, ("color", "labels", "children"), "tree vertex")
+        children = data.get("children", [])
+        if type(children) is not list:
+            raise TypeError(f"children must be a JSON array, got {json.dumps(children)}")
         return cls(
             color=json_int(data["color"], "color"),
             labels=tuple(json_int(x, "corner label") for x in data["labels"]),
-            children=tuple(cls.from_json(c) for c in data.get("children", ())),
+            children=tuple(cls.from_json(c) for c in children),
         )
 
     def save(self, path) -> None:

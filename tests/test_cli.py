@@ -3,6 +3,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -214,6 +215,13 @@ def single_box_chains(m: int) -> str:
     )
 
 
+def random_bubble_json(seed, d: int, n: int) -> str:
+    """A bubble of d colour maps drawn at random on n vertices, as JSON."""
+    rng = random.Random(seed)
+    maps = tuple(Permutation(rng.sample(range(1, n + 1), n)) for _ in range(d))
+    return json.dumps(Bubble(d, n, maps).to_json())
+
+
 # Column colours 2 and 4 disagree, so no chains exist for the split (2, 4).
 NOT_CHAIN_EXPRESSIBLE = (
     '{"d": 4, "n": 2, "colors": {"1": [1, 2], "2": [2, 1], "3": [1, 2], "4": [1, 2]}}'
@@ -269,6 +277,29 @@ MALFORMED = {
     # One 512-sample chunk of N^4 entries at N = 64 would be ~137 GB.
     "mc_over_memory_budget": (
         "mc", json.dumps(necklace(4, SPLIT, 2).to_json()), ("--numeric-N", "64")
+    ),
+    # Nine d = 29 dipoles: d*n = 261, over the oracle's byte, refused before
+    # any of the 100000 samples is drawn.
+    "mc_total_over_one_byte": (
+        "mc",
+        json.dumps(Bubble(29, 9, (Permutation.identity(9),) * 29).to_json()),
+        ("--numeric-N", "1", "--samples", "100000"),
+    ),
+    # d = 28, n = 9 (d*n = 252): at N = 1 every size is 1, but the plan's
+    # intermediates have more axes than numpy's 64.
+    "mc_over_numpy_axes": (
+        "mc", random_bubble_json("numpy axes", 28, 9), ("--numeric-N", "1", "--samples", "10")
+    ),
+    # A tree's children are a JSON array, never an object or a string.
+    "tree_children_object": ("tree", '{"color": 1, "labels": [2], "children": {}}', ()),
+    "tree_children_string": ("tree", '{"color": 1, "labels": [2], "children": ""}', ()),
+    # 700 nested vertices: deeper than the reader's recursion limit.
+    "tree_nested_too_deep": (
+        "tree",
+        '{"color": 1, "labels": [1, 1], "children": [' * 700
+        + '{"color": 1, "labels": [1]}'
+        + "]}" * 700,
+        (),
     ),
 }
 
@@ -467,7 +498,8 @@ GOLDEN_ARGV = {
     "wishart_4-3-2": ("wishart", "4", "3", "2", "--rows", "N^3", "--cols", "N"),
     "tree_enumerate_2_4": ("tree", "--enumerate", "2", "4"),
     "expect_d4_n5": ("expect", "bubble_d4_n5.json", "--alpha", "2", "--numeric-N", "3"),
-    # n = 9: 504 cosets of S_6, whose rows are built from rows of S_5.
+    # n = 5 is one coset of S_5; n = 9 walks 504 cosets of S_6.  Each row of
+    # S_k is joined from rows of S_{k-1}, down to the one row of S_0.
     "expect_d4_n9": ("expect", "bubble_d4_n9.json", "--alpha", "2", "--numeric-N", "3"),
     "mc_d4_n5": ("mc", "bubble_d4_n5.json", "--numeric-N", "2", "--samples", "1024", "--seed", "7"),
     # N = 1: every step a broadcast multiply; 1001 samples end in a short

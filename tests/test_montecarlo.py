@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from tensormoments import montecarlo
-from tensormoments.algebra import Permutation
+from tensormoments.algebra import Permutation, Refused
 from tensormoments.bubbles import Bubble, ColorSplit, necklace
 from tensormoments.montecarlo import (
     DEFAULT_CHUNK,
+    AXES_MAX,
     INTERMEDIATE_MAX,
     PIECE_ELEMENTS,
     Estimate,
@@ -522,3 +523,24 @@ class TestPlan:
         assert _plan(dipole(), N, DEFAULT_CHUNK)[2] == INTERMEDIATE_MAX
         with pytest.raises(ValueError, match="INTERMEDIATE_MAX"):
             estimate_expectation(dipole(), SampleSpec(N=N + 1, samples=10, seed=0))
+
+    def test_over_numpy_axes_refused_before_sampling(self, monkeypatch):
+        # At N = 1 every size is 1, so only the axes bound refuses.  The
+        # dipole's batch has d + 1 axes: numpy's 64 at d = 63, which runs.
+        assert AXES_MAX == 64
+        spec = SampleSpec(N=1, samples=2, seed=0)
+        assert _plan(dipole(AXES_MAX - 1), 1, DEFAULT_CHUNK)[2] == DEFAULT_CHUNK
+        assert estimate_expectation(dipole(AXES_MAX - 1), spec).samples == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the plan was checked")
+
+        monkeypatch.setattr(montecarlo, "_draw_pieces", refuse)
+        with pytest.raises(Refused, match="65 axes, over numpy's 64"):
+            estimate_expectation(dipole(AXES_MAX), spec)
+        # An intermediate past 64 axes, the batch itself within them: a
+        # random d = 28, n = 9 bubble.
+        rng = random.Random("numpy axes")
+        b = from_images([rng.sample(range(1, 10), 9) for _ in range(28)])
+        with pytest.raises(Refused, match="axes, over numpy's 64"):
+            estimate_expectation(b, spec)

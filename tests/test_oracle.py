@@ -147,6 +147,18 @@ class TestParallelDeterminism:
         assert wick_histogram(b) == by_total(histogram_brute_force(b))
 
 
+def join_order(k):
+    """S_k in the order of a row's entries: rho = pi_j rho' for j = 0..k-1,
+    rho' over S_{k-1} in its join order, fixing k - 1."""
+    if k == 0:
+        return [()]
+    order = []
+    for j in range(k):
+        pi = [x for x in range(k) if x != j] + [j]
+        order += [tuple(pi[r] for r in rho) + (j,) for rho in join_order(k - 1)]
+    return order
+
+
 class TestTranspositionWalk:
     """The coset walk's reduction against the recount over every pi in S_n.
 
@@ -223,52 +235,49 @@ class TestTranspositionWalk:
         with pytest.raises(Refused, match="255"):
             gaussian_expectation(b)
 
-    @pytest.mark.parametrize("k", range(1, K))
-    def test_one_pass_rows_equal_the_per_entry_recount(self, k):
-        # The per-entry form the one-pass build replaced, kept as the oracle.
-        # Rows of S_k, k < K, are in itertools.permutations order.
-        for g in permutations(range(k)):
-            recount = bytes(len(_cycles([g[r] for r in rho])) for rho in permutations(range(k)))
+    @pytest.mark.parametrize("k", range(K + 1))
+    def test_rows_of_s_k_equal_the_per_entry_recount(self, k):
+        # A row of S_k joins k rows of S_{k-1}, one per coset pi_j S_{k-1}:
+        # pi_j sends 0..k-2 to the other points in order and k-1 to j.  Its
+        # entries run over rho = pi_j rho', j = 0..k-1 outer and rho' in the
+        # join order of S_{k-1} inner: every rho in S_k once.
+        order = join_order(k)
+        assert sorted(order) == list(permutations(range(k)))
+        gs = list(permutations(range(k)))
+        if k == K:
+            rng = random.Random("rows of S_K")
+            gs = [tuple(range(K))] + [tuple(rng.sample(range(K), K)) for _ in range(50)]
+        for g in gs:
+            recount = bytes(len(_cycles([g[r] for r in rho])) for rho in order)
             assert oracle._row(g) == recount
             for closed in range(5):
                 shifted = bytes(closed + count for count in recount)
                 assert oracle._row(g).translate(oracle._shift(closed)) == shifted
 
-    def test_rows_of_s_k_equal_the_per_entry_recount(self):
-        # A row of S_K joins K rows of S_{K-1}, one per coset pi_j S_{K-1}:
-        # pi_j sends 0..K-2 to the other points in order and K-1 to j.  Its
-        # entries run over rho = pi_j rho', j = 0..K-1 outer and rho' in
-        # itertools order inner: every rho in S_K once.
-        order = []
-        for j in range(K):
-            pi = [x for x in range(K) if x != j] + [j]
-            order += [[pi[r] for r in rho] + [j] for rho in permutations(range(K - 1))]
-        assert sorted(map(tuple, order)) == list(permutations(range(K)))
-        rng = random.Random("rows of S_K")
-        gs = [tuple(range(K))] + [tuple(rng.sample(range(K), K)) for _ in range(50)]
-        for g in gs:
-            recount = bytes(len(_cycles([g[r] for r in rho])) for rho in order)
-            assert oracle._row(g) == recount
-            for closed in range(3):
-                shifted = bytes(closed + count for count in recount)
-                assert oracle._row(g).translate(oracle._shift(closed)) == shifted
-
     def test_totals_cache_only_unshifted_rows(self, monkeypatch):
         # wick_histogram adds a coset's closed cycles as one integer, so the
-        # row cache holds rows of S_K unshifted: at most K! of K! bytes.
-        requested = set()
+        # row cache holds rows unshifted: the rows of S_K that _coset_rows
+        # requests and the rows of S_{K-1}..S_0 they are joined from.
+        requested, depth = [], [0]
         row = oracle._row
 
         def spy(g):
-            requested.add(g)
-            return row(g)
+            requested.append((depth[0], g))
+            depth[0] += 1
+            try:
+                return row(g)
+            finally:
+                depth[0] -= 1
 
         row.cache_clear()
         monkeypatch.setattr(oracle, "_row", spy)
         b = random_bubble(random.Random("unshifted 4:9"), 4, 9)
         assert sum(wick_histogram(b).values()) == math.factorial(9)
-        assert {len(g) for g in requested} == {K}
-        assert row.cache_info().currsize == len(requested) <= math.factorial(K)
+        assert {len(g) for level, g in requested if level == 0} == {K}
+        rows = {g for _, g in requested}
+        assert {len(g) for g in rows} == set(range(K + 1))
+        limit = sum(math.factorial(k) for k in range(K + 1))
+        assert row.cache_info().currsize == len(rows) <= limit
 
     def test_table_built_on_first_use_not_at_import(self):
         # A fresh interpreter: importing the package (what a command pays
