@@ -27,10 +27,8 @@ from .bubbles import (
 )
 from .effective import (
     PowerSumExpansion,
-    ScalingDiagnostics,
     effective_observable,
     laguerre_reconstruct,
-    scaling_diagnostics,
     wishart_moment_exact,
     wishart_moment_leading,
 )

@@ -22,6 +22,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """``value`` when it is a JSON array; an object or a string is refused."""
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
 def json_keys(data: Mapping, allowed, what: str) -> None:
     """Refuse ``data`` when it holds a key outside ``allowed``, naming each one."""
     if not isinstance(data, Mapping):
@@ -67,7 +74,7 @@ class Bubble:
     def from_json(cls, data: Mapping) -> "Bubble":
         json_keys(data, ("d", "n", "colors"), "bubble")
         d, n = json_int(data["d"], "d"), json_int(data["n"], "n")
-        colors = (data["colors"][str(c)] for c in range(1, d + 1))
+        colors = (json_list(data["colors"][str(c)], f"color map {c}") for c in range(1, d + 1))
         maps = tuple(Permutation([json_int(x, "color map entry") for x in cm]) for cm in colors)
         # Every colour 1..d was found, so d is at most the number of keys.
         json_keys(data["colors"], {str(c) for c in range(1, d + 1)}, "colors")

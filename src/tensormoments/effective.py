@@ -1,4 +1,4 @@
-"""Angular integration: effective observables, Wishart moments, scaling.
+"""Angular integration: effective observables and Wishart moments.
 
 For a chain-expressible bubble the unitary average at fixed singular
 values is a combination of power sums p_l = sum_i lambda_i^{2l}; summing
@@ -16,7 +16,6 @@ expansion records its colour split, which alone gives the Weingarten
 dimension N^q and the N^q x N^{|C|} Wishart matrix (q row colours); the
 reconstruction takes the lcm of the coefficients' denominators and ends in
 one exact polynomial division, its gcds and divisions on coefficient lists.
-The scaling diagnostics alone walk every pair, one generator yielding them.
 """
 from __future__ import annotations
 
@@ -31,13 +30,11 @@ from typing import Sequence, Union
 from .algebra import (
     LaurentPoly,
     Partition,
-    Permutation,
     RationalFunc,
     Refused,
     _character,
     _content_polynomial,
     _contents,
-    _cycle_type,
     _cycles,
     _hook_product,
     _poly_divmod,
@@ -58,8 +55,7 @@ from .weingarten import _weingarten_table
 
 WISHART_L_MAX = 9
 # The expansion walks m! sigmas, then m! taus per sigma-orbit: at most m!^2
-# steps (m! = 720 at m = 6, with 11 orbits for single-box chains); the
-# scaling diagnostics walk all m!^2 pairs (518,400 at m = 6).
+# steps (m! = 720 at m = 6, with 11 orbits for single-box chains).
 ANGULAR_M_MAX = 6
 
 
@@ -91,18 +87,6 @@ class PowerSumExpansion:
         return "  +  ".join(pieces)
 
 
-@dataclass(frozen=True)
-class ScalingDiagnostics:
-    """Cycle counts of one (sigma, tau) term and its N-scaling exponent."""
-
-    sigma: Permutation
-    tau: Permutation
-    f_rows: dict[int, int]
-    f_box: int
-    f0: int
-    exponent: int
-
-
 def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
     """The chain decomposition of ``b``, refused over the angular bound."""
     decomp = chain_decomposition(b, split)
@@ -117,45 +101,10 @@ def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
     return decomp
 
 
-def _tau_tables(decomp: ChainDecomposition, rows: Sequence[int]):
-    """What both (sigma, tau) walks read, over S_m as 0-indexed image tuples.
-
-    Returns (S_m, the 0-indexed endpoint map pi_c of each row colour c in
-    ``rows``, and per tau the triple (tau, powers, tau^{-1})), with powers
-    the chain lengths summed over each cycle of tau, in descending order.
-    """
-    m, lengths = decomp.m, decomp.chain_lengths
-    group = list(permutations(range(m)))
-    ends = [decomp.endpoint_maps[c]._zero_indexed() for c in rows]
-    taus = [
-        (
-            tau,
-            tuple(sorted((sum(lengths[j] for j in cyc) for cyc in _cycles(tau)), reverse=True)),
-            sorted(range(m), key=tau.__getitem__),  # tau^{-1}
-        )
-        for tau in group
-    ]
-    return group, ends, taus
-
-
-def _angular_terms(decomp: ChainDecomposition, rows: Sequence[int]):
-    """Every (sigma, tau) in S_m x S_m as 0-indexed image tuples, sigma outer.
-
-    Yields (sigma, [F_c(sigma) for c in rows], tau, powers, cycle type of
-    sigma tau^{-1}) with F_c = #cycles(pi_c sigma) for the endpoint map pi_c
-    of row colour c, and powers as in ``_tau_tables``.  F_c is computed once
-    per sigma and powers once per tau.
-    """
-    group, ends, taus = _tau_tables(decomp, rows)
-    for sigma in group:
-        f_rows = [len(_cycles([end[i] for i in sigma])) for end in ends]
-        for tau, powers, tau_inv in taus:
-            yield sigma, f_rows, tau, powers, _cycle_type([sigma[i] for i in tau_inv])
-
-
 def _orbit_weights(decomp: ChainDecomposition, rows: Sequence[int]) -> dict:
     """weights[powers][Wg class][row exponent] = #{(sigma, tau) in S_m x S_m :
-    powers of tau, cycle type of sigma tau^{-1}, sum_c F_c(sigma)}.
+    powers of tau, cycle type of sigma tau^{-1}, sum_c F_c(sigma)}, with
+    F_c(sigma) = #cycles(pi_c sigma) for the endpoint map pi_c of row colour c.
 
     Conjugating sigma and tau by a permutation that keeps chain lengths keeps
     the powers of tau and the class of sigma tau^{-1}, so the tau counts of a
@@ -164,10 +113,20 @@ def _orbit_weights(decomp: ChainDecomposition, rows: Sequence[int]) -> dict:
     each orbit's histogram of row exponents; then one walk over tau per
     orbit representative, m! + (#orbits) m! steps in all.
     """
-    lengths = decomp.chain_lengths
-    group, ends, taus = _tau_tables(decomp, rows)
+    m, lengths = decomp.m, decomp.chain_lengths
+    group = list(permutations(range(m)))  # S_m as 0-indexed image tuples
+    ends = [decomp.endpoint_maps[c]._zero_indexed() for c in rows]
     cycles = {p: _cycles(p) for p in group}
     types = {p: tuple(sorted(map(len, cyc), reverse=True)) for p, cyc in cycles.items()}
+    # Per tau: its powers (the chain lengths summed over each of its cycles,
+    # in descending order) and tau^{-1}.
+    taus = [
+        (
+            tuple(sorted((sum(lengths[j] for j in cyc) for cyc in cycles[tau]), reverse=True)),
+            sorted(range(m), key=tau.__getitem__),
+        )
+        for tau in group
+    ]
     orbits: dict[tuple, tuple[tuple[int, ...], dict[int, int]]] = {}
     for sigma in group:
         key = []
@@ -180,7 +139,7 @@ def _orbit_weights(decomp: ChainDecomposition, rows: Sequence[int]) -> dict:
     weights: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
     for rep, exps in orbits.values():
         counts = Counter(
-            (powers, types[tuple(map(rep.__getitem__, tau_inv))]) for _, powers, tau_inv in taus
+            (powers, types[tuple(map(rep.__getitem__, tau_inv))]) for powers, tau_inv in taus
         )
         for (powers, wg_class), count in counts.items():
             cell = weights.setdefault(powers, {}).setdefault(wg_class, {})
@@ -291,28 +250,3 @@ def laguerre_reconstruct(e: PowerSumExpansion) -> LaurentPoly:
     if rem:
         raise ValueError(f"not a polynomial: ({num}) / ({den})")
     return quo.shift(low)
-
-
-def scaling_diagnostics(b: Bubble, split: ColorSplit) -> list[ScalingDiagnostics]:
-    """Per-(sigma, tau) cycle counts F_c, F_box, F_0 and the exponent
-    sum_c F_c + |C| F_box + |C| (F_0 - 2m).  Refused as
-    ``effective_observable`` is."""
-    decomp = _decompose(b, split)
-    m = decomp.m
-    rows = split.row_colors
-    ncols = len(split.column_colors)
-    perm = {p: Permutation([i + 1 for i in p]) for p in permutations(range(m))}
-    out = []
-    for sigma, f_rows, tau, powers, rho_type in _angular_terms(decomp, rows):
-        f_box, f0 = len(powers), len(rho_type)
-        out.append(
-            ScalingDiagnostics(
-                sigma=perm[sigma],
-                tau=perm[tau],
-                f_rows=dict(zip(rows, f_rows)),
-                f_box=f_box,
-                f0=f0,
-                exponent=sum(f_rows) + ncols * f_box + ncols * (f0 - 2 * m),
-            )
-        )
-    return out

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from .algebra import Permutation, Refused, catalan
-from .bubbles import Bubble, json_int, json_keys, white_maps_key
+from .bubbles import Bubble, json_int, json_keys, json_list, white_maps_key
 
 ROW_COLORS = (1, 3)
 COLUMN_COLORS = (2, 4)
@@ -88,9 +88,7 @@ class CornerLabeledTree:
     @classmethod
     def from_json(cls, data: Mapping) -> "CornerLabeledTree":
         json_keys(data, ("color", "labels", "children"), "tree vertex")
-        children = data.get("children", [])
-        if type(children) is not list:
-            raise TypeError(f"children must be a JSON array, got {json.dumps(children)}")
+        children = json_list(data.get("children", []), "children")
         return cls(
             color=json_int(data["color"], "color"),
             labels=tuple(json_int(x, "corner label") for x in data["labels"]),

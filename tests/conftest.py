@@ -6,7 +6,7 @@ from typing import Iterator
 import pytest
 
 from tensormoments.algebra import LaurentPoly, Partition, Permutation, _cycle_type, _cycles
-from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains
+from tensormoments.bubbles import Bubble, ChainDecomposition, ColorSplit, bubble_from_chains
 
 
 @pytest.fixture
@@ -54,6 +54,25 @@ def cycle_count(p: Permutation) -> int:
 
 def cycle_type(p: Permutation) -> Partition:
     return Partition(_cycle_type(p._zero_indexed()))
+
+
+def top_sigmas(decomp: ChainDecomposition, split: ColorSplit) -> tuple[int, list[Permutation]]:
+    """(max g, the sigmas of S_m reaching it), g(sigma) = sum_c F_c(sigma) - |C| |sigma|.
+
+    The pair (sigma, tau) of the angular sum scales as N^e with
+    e = sum_c F_c(sigma) - |C| (|tau| + |sigma tau^{-1}|), F_c(sigma) =
+    #cycles(pi_c sigma) over the row colours and |pi| = m - #cycles(pi).  By
+    the triangle inequality the top pairs are the maximisers of g, each with
+    a tau on a geodesic from id to sigma, which fixes every point sigma fixes.
+    """
+    m, ncols = decomp.m, len(split.column_colors)
+    g = {
+        sigma: sum(cycle_count(compose(decomp.endpoint_maps[c], sigma)) for c in split.row_colors)
+        - ncols * (m - cycle_count(sigma))
+        for sigma in symmetric_group(m)
+    }
+    best = max(g.values())
+    return best, [sigma for sigma, value in g.items() if value == best]
 
 
 def histogram_brute_force(b: Bubble) -> dict[tuple[int, ...], int]:

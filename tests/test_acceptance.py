@@ -22,7 +22,6 @@ from tensormoments.bubbles import Bubble, ColorSplit, chain_decomposition, neckl
 from tensormoments.effective import (
     effective_observable,
     laguerre_reconstruct,
-    scaling_diagnostics,
     wishart_moment_exact,
 )
 from tensormoments.montecarlo import SampleSpec, estimate_expectation
@@ -40,7 +39,7 @@ from tensormoments.trees import (
     tree_vertex_spans,
 )
 
-from conftest import edge_tree_bubble
+from conftest import edge_tree_bubble, top_sigmas
 
 SPLIT = ColorSplit(4, [2, 4])
 N = LaurentPoly.monomial(1)
@@ -218,12 +217,10 @@ def run_dominance():
             assert len(matches) == 1, (t.to_json(), v.labels)
             leaf_chains.append(matches[0])
         assert leaf_chains, t.to_json()
-        diags = scaling_diagnostics(b, SPLIT)
-        best = max(d.exponent for d in diags)
-        for d in diags:
-            if d.exponent == best:
-                for j in leaf_chains:
-                    assert d.sigma(j) == j and d.tau(j) == j, (t.to_json(), j)
+        best, sigmas = top_sigmas(decomp, SPLIT)
+        for sigma in sigmas:
+            for j in leaf_chains:
+                assert sigma(j) == j, (t.to_json(), j)
         checked += 1
         lines.append(f"{json.dumps(t.to_json())}: max {best} leaf chains {leaf_chains}")
     assert checked >= 100

@@ -290,6 +290,9 @@ MALFORMED = {
     "mc_over_numpy_axes": (
         "mc", random_bubble_json("numpy axes", 28, 9), ("--numeric-N", "1", "--samples", "10")
     ),
+    # A bubble's colour map is a JSON array, never an object or a string.
+    "bubble_color_map_object": ("expect", '{"d": 1, "n": 0, "colors": {"1": {}}}', ()),
+    "bubble_color_map_string": ("expect", '{"d": 1, "n": 0, "colors": {"1": ""}}', ()),
     # A tree's children are a JSON array, never an object or a string.
     "tree_children_object": ("tree", '{"color": 1, "labels": [2], "children": {}}', ()),
     "tree_children_string": ("tree", '{"color": 1, "labels": [2], "children": ""}', ()),

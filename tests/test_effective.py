@@ -1,4 +1,11 @@
-"""Effective observables, Wishart moments, reconstruction, scaling counts."""
+"""Effective observables, Wishart moments, reconstruction, top sigmas.
+
+The per-pair references live here: ``angular_brute_force`` walks every
+(sigma, tau) on 1-indexed permutations, and ``_angular_terms`` on 0-indexed
+image tuples, which ``pair_walk_weights`` tallies as the reference for the
+orbit walk ``_orbit_weights``.  ``top_sigmas`` (conftest) is checked against
+the pairs of top exponent.
+"""
 import math
 import random
 import sys
@@ -6,7 +13,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -17,6 +24,8 @@ from tensormoments.algebra import (
     RationalFunc,
     _character,
     _contents,
+    _cycle_type,
+    _cycles,
     _hook_product,
     catalan,
     partitions_of,
@@ -30,11 +39,9 @@ from tensormoments.bubbles import (
     necklace,
 )
 from tensormoments.effective import (
-    _angular_terms,
     _orbit_weights,
     effective_observable,
     laguerre_reconstruct,
-    scaling_diagnostics,
     wishart_moment_exact,
     wishart_moment_leading,
 )
@@ -50,8 +57,8 @@ from conftest import (
     cycles,
     edge_tree_bubble,
     exact_coefficients,
-    is_identity,
     symmetric_group,
+    top_sigmas,
 )
 
 SPLIT = ColorSplit(4, [2, 4])
@@ -98,7 +105,7 @@ class TestEffectiveObservable:
         with pytest.raises(NotChainExpressible, match="disagree"):
             effective_observable(b, SPLIT)
 
-    @pytest.mark.parametrize("route", [effective_observable, scaling_diagnostics])
+    @pytest.mark.parametrize("route", [effective_observable])
     @pytest.mark.parametrize(
         "split",
         [ColorSplit(2, [2]), ColorSplit(3, [2]), ColorSplit(5, [2, 4])],
@@ -110,7 +117,7 @@ class TestEffectiveObservable:
         with pytest.raises(NotChainExpressible, match=f"split is for d={split.d}, bubble has d=4"):
             route(edge_tree_bubble(2, 1), split)
 
-    @pytest.mark.parametrize("route", [effective_observable, scaling_diagnostics])
+    @pytest.mark.parametrize("route", [effective_observable])
     def test_seven_chains_refused_before_the_pair_sum(self, route):
         # Seven single-box chains: colour 3 shifts every box to the next one.
         b = bubble_from_chains(
@@ -369,43 +376,20 @@ def test_route_outputs_hold_exact_coefficients():
     assert all(exact_coefficients(p) for p in polys)
 
 
-class TestScalingDiagnostics:
-    def test_edge_tree_k1_l1_identity_term(self):
-        diags = scaling_diagnostics(edge_tree_bubble(1, 1), SPLIT)
-        ident = next(
-            d for d in diags if is_identity(d.sigma) and is_identity(d.tau)
-        )
-        assert (ident.f_rows, ident.f_box, ident.f0) == ({1: 1, 3: 2}, 2, 2)
-        assert ident.exponent == 3
-
-    def test_edge_tree_k1_l1_swap_terms(self):
-        diags = scaling_diagnostics(edge_tree_bubble(1, 1), SPLIT)
-        swap = Permutation([2, 1])
-        by_key = {(d.sigma, d.tau): d for d in diags}
-        term = by_key[(swap, Permutation.identity(2))]
-        assert (term.f_rows, term.f_box, term.f0) == ({1: 2, 3: 1}, 2, 1)
-        term2 = by_key[(swap, swap)]
-        assert (term2.f_rows, term2.f_box, term2.f0) == ({1: 2, 3: 1}, 1, 2)
-
+class TestTopSigmas:
     def test_max_exponent_matches_reconstruction_leading(self):
-        # max diagnostic exponent + 2 * total chain length = leading exponent
-        # of the reconstructed polynomial (box cycles scale as N^2 while
-        # Laguerre moments add N^{2 l} on top)
+        # max exponent + 2 * total chain length = leading exponent of the
+        # reconstructed polynomial (box cycles scale as N^2 while Laguerre
+        # moments add N^{2 l} on top)
         cases = [edge_tree_bubble(1, 1), edge_tree_bubble(2, 1), necklace(4, SPLIT, 3)]
         for b in cases:
-            diags = scaling_diagnostics(b, SPLIT)
-            mx = max(d.exponent for d in diags)
-            e = effective_observable(b, SPLIT)
-            lead, _ = laguerre_reconstruct(e).leading_term()
-            assert mx + 2 * b.n == lead
+            best, _ = top_sigmas(chain_decomposition(b, SPLIT), SPLIT)
+            lead, _ = laguerre_reconstruct(effective_observable(b, SPLIT)).leading_term()
+            assert best + 2 * b.n == lead
 
     def test_dominance_fixes_leaf_chain(self):
-        b = edge_tree_bubble(1, 1)
-        diags = scaling_diagnostics(b, SPLIT)
-        mx = max(d.exponent for d in diags)
-        for d in diags:
-            if d.exponent == mx:
-                assert d.sigma(2) == 2 and d.tau(2) == 2
+        _, sigmas = top_sigmas(chain_decomposition(edge_tree_bubble(1, 1), SPLIT), SPLIT)
+        assert sigmas and all(sigma(2) == 2 for sigma in sigmas)
 
 
 # Three chains of unequal length; no two row colours agree on any endpoint.
@@ -414,10 +398,9 @@ UNEQUAL = bubble_from_chains(
 )
 
 
-def angular_brute_force(b, split):
+def angular_brute_force(decomp, split):
     """1-indexed reference for the (sigma, tau) sum, sigma outer: per pair
     (sigma, tau, F_c, F_box, F_0, exponent, powers of tau, Wg class)."""
-    decomp = chain_decomposition(b, split)
     m, ncols = decomp.m, len(split.column_colors)
     out = []
     for sigma in symmetric_group(m):
@@ -444,18 +427,14 @@ class TestAngularBruteForce:
     def test_chains_are_unequal(self):
         assert chain_decomposition(UNEQUAL, SPLIT).chain_lengths == (2, 1, 1)
 
-    def test_scaling_diagnostics_match(self):
-        got = [
-            (d.sigma, d.tau, d.f_rows, d.f_box, d.f0, d.exponent)
-            for d in scaling_diagnostics(UNEQUAL, SPLIT)
-        ]
-        assert got == [row[:6] for row in angular_brute_force(UNEQUAL, SPLIT)]
+    def test_top_sigmas_match(self):
+        assert_top_sigmas_match(chain_decomposition(UNEQUAL, SPLIT), SPLIT)
 
     def test_effective_observable_matches(self):
         # The pair walk's Weingarten values put over one common denominator,
         # the product of their distinct denominators, then compared by
         # cross-multiplying.
-        walk = angular_brute_force(UNEQUAL, SPLIT)
+        walk = angular_brute_force(chain_decomposition(UNEQUAL, SPLIT), SPLIT)
         values = {row[7]: weingarten_exact(row[7], N2) for row in walk}
         dens = {value.den for value in values.values()}
         den = math.prod(dens, start=LaurentPoly.one())
@@ -472,11 +451,43 @@ class TestAngularBruteForce:
             assert coeff.num * den == expected[powers] * coeff.den, powers
 
 
+def assert_top_sigmas_match(decomp, split):
+    """``top_sigmas`` against the pairs of top exponent in the brute force:
+    the same maximum, the same sigmas, and each of their taus fixes every
+    point its sigma fixes."""
+    walk = angular_brute_force(decomp, split)
+    best = max(row[5] for row in walk)
+    top = [(row[0], row[1]) for row in walk if row[5] == best]
+    assert top_sigmas(decomp, split) == (best, list(dict.fromkeys(sigma for sigma, _ in top)))
+    for sigma, tau in top:
+        assert all(tau(i) == i for i in range(1, decomp.m + 1) if sigma(i) == i), (sigma, tau)
+
+
+def _angular_terms(decomp, rows):
+    """Every (sigma, tau) in S_m x S_m as 0-indexed image tuples, sigma outer:
+    per pair ([F_c(sigma) for c in rows], powers of tau, cycle type of
+    sigma tau^{-1}), each F_c computed per sigma and the powers per tau."""
+    m, lengths = decomp.m, decomp.chain_lengths
+    group = list(permutations(range(m)))
+    ends = [decomp.endpoint_maps[c]._zero_indexed() for c in rows]
+    taus = [
+        (
+            tuple(sorted((sum(lengths[j] for j in cyc) for cyc in _cycles(tau)), reverse=True)),
+            sorted(range(m), key=tau.__getitem__),  # tau^{-1}
+        )
+        for tau in group
+    ]
+    for sigma in group:
+        f_rows = [len(_cycles([end[i] for i in sigma])) for end in ends]
+        for powers, tau_inv in taus:
+            yield f_rows, powers, _cycle_type([sigma[i] for i in tau_inv])
+
+
 def pair_walk_weights(decomp, rows):
     """weights[powers][Wg class][row exponent] tallied pair by pair from
     ``_angular_terms``: the reference for ``_orbit_weights``."""
     weights = {}
-    for _, f_rows, _, powers, wg_class in _angular_terms(decomp, rows):
+    for f_rows, powers, wg_class in _angular_terms(decomp, rows):
         cell = weights.setdefault(powers, {}).setdefault(wg_class, {})
         cell[sum(f_rows)] = cell.get(sum(f_rows), 0) + 1
     return weights
@@ -517,3 +528,23 @@ def test_orbit_weights_equal_the_pair_walk(lengths, split):
         assert _orbit_weights(decomp, split.row_colors) == pair_walk_weights(
             decomp, split.row_colors
         )
+
+
+TOP_SPLITS = [SPLIT, ColorSplit(4, [4]), ColorSplit(4, [2]), ColorSplit(4, [2, 3, 4])]
+# Every shape with m <= 4 at each split, and one shape of five chains per
+# split: the brute force walks 14,400 pairs at m = 5.
+FIVE_CHAINS = [lengths for lengths in length_shapes(5) if len(lengths) == 5]
+TOP_CASES = [
+    *((split, lengths) for split in TOP_SPLITS for lengths in length_shapes(4)),
+    *zip(TOP_SPLITS, FIVE_CHAINS),
+]
+
+
+@pytest.mark.parametrize(
+    "split, lengths",
+    TOP_CASES,
+    ids=[f"split{','.join(map(str, s.columns))}-{'-'.join(map(str, l))}" for s, l in TOP_CASES],
+)
+def test_top_sigmas_equal_the_pair_walk(split, lengths):
+    rng = random.Random(f"top {lengths} {split.columns}")
+    assert_top_sigmas_match(random_chain_decomposition(rng, split, lengths), split)
