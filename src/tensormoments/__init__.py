@@ -18,7 +18,6 @@ from .bubbles import (
     Bubble,
     ChainDecomposition,
     ColorSplit,
-    NotChainExpressible,
     bubble_from_chains,
     chain_decomposition,
     chain_obstruction,
@@ -32,13 +31,7 @@ from .effective import (
     wishart_moment_exact,
     wishart_moment_leading,
 )
-from .oracle import (
-    BubbleTooLarge,
-    ExpectationResult,
-    expectation,
-    gaussian_expectation,
-    per_color_dimensions,
-)
+from .oracle import gaussian_expectation, per_color_dimensions
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from .weingarten import (
     gram_matrix,

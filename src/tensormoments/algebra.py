@@ -9,8 +9,9 @@ Fraction, and refuses anything else, so integer polynomials (a content
 polynomial at a dimension N^k) are summed and multiplied in ints.  A
 ``RationalFunc`` holds one reduced value and has no arithmetic.  Division
 with remainder and the gcd that reduces it run on dense coefficient lists,
-each result wrapped once as a LaurentPoly.  No floating point anywhere.
-Also ``Refused``, the one exception a size bound or range check raises.
+each result wrapped once as a LaurentPoly.  No floating point anywhere but
+in ``approx``, the text of a refusal's cost estimate.  Also ``Refused``, the
+one exception a size bound or range check raises.
 """
 from __future__ import annotations
 
@@ -29,6 +30,21 @@ class Refused(ValueError):
     The command line reports it as one ``refused:`` line with exit code 2;
     any other exception is a fault and keeps its traceback.
     """
+
+
+def approx(ln: float, digits: int) -> str:
+    """``f"{x:.{digits}e}"`` of the x whose natural log is ``ln``.
+
+    A refusal's cost estimate is given by its log (n! as
+    ``math.lgamma(n + 1)``), so an x past float range (171! and up) is
+    written without being formed.  ``ln = -math.inf`` gives 0.
+    """
+    try:
+        return f"{math.exp(ln):.{digits}e}"
+    except OverflowError:
+        whole, frac = divmod(ln / math.log(10), 1)
+        mantissa, carry = f"{10**frac:.{digits}e}".split("e")
+        return f"{mantissa}e+{int(whole) + int(carry)}"
 
 
 class Permutation:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Permutation, Refused
+from .algebra import Permutation
 
 
 def json_int(value, what: str) -> int:
@@ -29,11 +29,16 @@ def json_list(value, what: str) -> list:
     return value
 
 
+def json_object(value, what: str) -> Mapping:
+    """``value`` when it is a JSON object; an array or a string is refused."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{what} must be a JSON object")
+    return value
+
+
 def json_keys(data: Mapping, allowed, what: str) -> None:
     """Refuse ``data`` when it holds a key outside ``allowed``, naming each one."""
-    if not isinstance(data, Mapping):
-        raise TypeError(f"{what} must be a JSON object")
-    unknown = [key for key in data if key not in allowed]
+    unknown = [key for key in json_object(data, what) if key not in allowed]
     if unknown:
         raise ValueError(f"{what}: unknown keys {', '.join(map(json.dumps, unknown))}")
 
@@ -74,10 +79,11 @@ class Bubble:
     def from_json(cls, data: Mapping) -> "Bubble":
         json_keys(data, ("d", "n", "colors"), "bubble")
         d, n = json_int(data["d"], "d"), json_int(data["n"], "n")
-        colors = (json_list(data["colors"][str(c)], f"color map {c}") for c in range(1, d + 1))
-        maps = tuple(Permutation([json_int(x, "color map entry") for x in cm]) for cm in colors)
+        colors = json_object(data["colors"], "colors")
+        lists = (json_list(colors[str(c)], f"color map {c}") for c in range(1, d + 1))
+        maps = tuple(Permutation([json_int(x, "color map entry") for x in cm]) for cm in lists)
         # Every colour 1..d was found, so d is at most the number of keys.
-        json_keys(data["colors"], {str(c) for c in range(1, d + 1)}, "colors")
+        json_keys(colors, {str(c) for c in range(1, d + 1)}, "colors")
         return cls(d, n, maps)
 
     def save(self, path) -> None:
@@ -155,13 +161,10 @@ def _walk(gs: list[list[int]], start: int, label: list[int]) -> list[int]:
 
 
 def validate(b: Bubble) -> Diagnostics:
-    """Check bijectivity of every color map and connectivity of the graph."""
+    """Check connectivity of the graph; every color map is a bijection, as
+    the ``Permutation`` type enforces."""
     problems = []
-    # Bijectivity is enforced by the Permutation type; re-check defensively.
-    for c in range(1, b.d + 1):
-        if sorted(b.tau(c).images) != list(range(1, b.n + 1)):
-            problems.append(f"color {c} is not a bijection")
-    if not problems and b.n > 0:
+    if b.n > 0:
         gs = _white_maps(b)
         label = [-1] * b.n  # each walk marks the whites it reaches
         components = [_walk(gs, w, label) for w in range(b.n) if label[w] < 0]
@@ -237,10 +240,6 @@ class ChainDecomposition:
     @property
     def m(self) -> int:
         return len(self.chain_lengths)
-
-
-class NotChainExpressible(Refused):
-    """The bubble is not a word in MM^dagger for the given split."""
 
 
 def chain_obstruction(b: Bubble, split: ColorSplit) -> Optional[str]:

@@ -19,7 +19,7 @@ import time
 from .algebra import LaurentPoly, Refused, catalan, partitions_of
 from .bubbles import Bubble, ColorSplit
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
-from .oracle import DEFAULT_N_MAX, check_size, expectation, gaussian_expectation
+from .oracle import DEFAULT_N_MAX, check_size, gaussian_expectation
 from .trees import D as TREE_D
 from .trees import CornerLabeledTree, enumerate_trees, glue, glued_bubble, glued_key
 from .weingarten import weingarten_table
@@ -61,14 +61,22 @@ def cmd_expect(args) -> int:
     bubble = _load(Bubble, args.bubble)
     if args.numeric_N is not None and args.numeric_N < 1:
         raise Refused(f"--numeric-N must be positive, got {args.numeric_N}")
-    result = expectation(bubble, alpha=args.alpha)
-    exp, count = result.raw.leading_term()
-    report = result.to_json()
-    report["dominant"] = {"exp": exp, "count": int(count)}
-    report["raw_str"] = str(result.raw)
-    report["scaled_str"] = str(result.scaled)
+    # Covariance N^-alpha scales every pairing by N^(-alpha n).
+    raw = gaussian_expectation(bubble)
+    scaled = raw.shift(-args.alpha * bubble.n)
+    exp, coeff = scaled.leading_term()
+    dominant, count = raw.leading_term()
+    report = {
+        "raw": raw.to_records(),
+        "alpha": args.alpha,
+        "scaled": scaled.to_records(),
+        "leading": {"exp": exp, "coeff": str(coeff)},
+        "dominant": {"exp": dominant, "count": int(count)},
+        "raw_str": str(raw),
+        "scaled_str": str(scaled),
+    }
     if args.numeric_N is not None:
-        report["value_at_N"] = int(result.raw.evaluate(args.numeric_N))
+        report["value_at_N"] = int(raw.evaluate(args.numeric_N))
     _emit(json.dumps(report, indent=1), args)
     return 0
 

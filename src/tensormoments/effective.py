@@ -39,6 +39,7 @@ from .algebra import (
     _hook_product,
     _poly_divmod,
     _polynomial_at,
+    approx,
     catalan,
     partitions_of,
     poly_gcd,
@@ -47,7 +48,6 @@ from .bubbles import (
     Bubble,
     ChainDecomposition,
     ColorSplit,
-    NotChainExpressible,
     chain_decomposition,
     chain_obstruction,
 )
@@ -91,12 +91,12 @@ def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
     """The chain decomposition of ``b``, refused over the angular bound."""
     decomp = chain_decomposition(b, split)
     if decomp is None:
-        raise NotChainExpressible(f"not chain-expressible: {chain_obstruction(b, split)}")
+        raise Refused(f"not chain-expressible: {chain_obstruction(b, split)}")
     if decomp.m > ANGULAR_M_MAX:
         raise Refused(
             f"{decomp.m} chains exceed the angular bound {ANGULAR_M_MAX}: "
             f"{math.factorial(decomp.m)} sigma steps plus {math.factorial(decomp.m)} tau steps "
-            f"per sigma-orbit, up to ~{math.factorial(decomp.m) ** 2:.1e}"
+            f"per sigma-orbit, up to ~{approx(2 * math.lgamma(decomp.m + 1), 1)}"
         )
     return decomp
 
@@ -154,9 +154,9 @@ def effective_observable(b: Bubble, split: ColorSplit) -> PowerSumExpansion:
     Sums Wg_{N^q}(sigma tau^{-1}) * prod_rows N^{#cycles(pi_c sigma)} over
     sigma, tau in S_m, attaching p_{sum of chain lengths} per cycle of tau;
     the pairs are counted by ``_orbit_weights``.  A bubble that is not
-    chain-expressible for ``split``, or whose d is not the split's, raises
-    ``NotChainExpressible`` and more than ``ANGULAR_M_MAX`` chains raise
-    ``Refused``, both before any walk.  The expansion records ``split``.
+    chain-expressible for ``split``, or whose d is not the split's, or that
+    has more than ``ANGULAR_M_MAX`` chains, is refused before any walk.  The
+    expansion records ``split``.
     """
     decomp = _decompose(b, split)
     weights = _orbit_weights(decomp, split.row_colors)

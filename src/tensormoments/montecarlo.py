@@ -52,7 +52,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Refused
+from .algebra import Refused, approx
 from .bubbles import Bubble
 
 DEFAULT_CHUNK = 512
@@ -223,16 +223,19 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
             axes = max(axes, len(out))
         terms.append(out)
         keys.append(key)
-    if axes > AXES_MAX:
-        raise Refused(
-            f"d={b.d}, n={b.n} at N={N}: an array of the plan has {axes} axes, over "
-            f"numpy's {AXES_MAX}; the plan costs {flops:.2e} FLOPs per chunk"
-        )
-    if largest > INTERMEDIATE_MAX:
+    if axes > AXES_MAX or largest > INTERMEDIATE_MAX:
+        # Written from their logs: at a large N the counts are past float range.
+        log_flops = math.log(flops) if flops else -math.inf
+        cost = f"the plan costs {approx(log_flops, 2)} FLOPs per chunk"
+        if axes > AXES_MAX:
+            raise Refused(
+                f"d={b.d}, n={b.n} at N={N}: an array of the plan has {axes} axes, over "
+                f"numpy's {AXES_MAX}; {cost}"
+            )
         raise Refused(
             f"d={b.d}, n={b.n} at N={N}: the largest array of a {batch}-sample "
-            f"chunk holds {largest:.2e} elements, over INTERMEDIATE_MAX = "
-            f"{INTERMEDIATE_MAX:.2e}; the plan costs {flops:.2e} FLOPs per chunk"
+            f"chunk holds {approx(math.log(largest), 2)} elements, over INTERMEDIATE_MAX = "
+            f"{INTERMEDIATE_MAX:.2e}; {cost}"
         )
     return steps, flops, largest
 

@@ -22,12 +22,11 @@ d*n <= 255, which ``check_size`` requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations
 from typing import Sequence
 
-from .algebra import LaurentPoly, Refused
+from .algebra import LaurentPoly, Refused, approx
 from .bubbles import Bubble
 
 DEFAULT_N_MAX = 9
@@ -44,45 +43,17 @@ K = 6
 COSETS_PER_BLOCK = 32
 
 
-class BubbleTooLarge(Refused):
-    def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
-        pairings = math.factorial(n)
-        cosets = pairings // math.factorial(K)
-        super().__init__(
-            f"n={n} exceeds n_max={DEFAULT_N_MAX}: ~{cosets:.2e} cosets x {d} cycle walks "
-            f"plus ~{pairings:.2e} table entries; use the Monte Carlo estimator instead"
-        )
-
-
-@dataclass(frozen=True)
-class ExpectationResult:
-    """Raw (covariance 1) and rescaled expectation of a bubble."""
-
-    raw: LaurentPoly
-    alpha: int
-    n: int
-
-    @property
-    def scaled(self) -> LaurentPoly:
-        return self.raw.shift(-self.alpha * self.n)
-
-    def to_json(self) -> dict:
-        exp, coeff = self.scaled.leading_term()
-        return {
-            "raw": self.raw.to_records(),
-            "alpha": self.alpha,
-            "scaled": self.scaled.to_records(),
-            "leading": {"exp": exp, "coeff": str(coeff)},
-        }
-
-
 def check_size(n: int, d: int) -> None:
     """Refuse n over ``DEFAULT_N_MAX``, or d*n over one byte's 255 (a
     pairing's total in ``wick_histogram``): the one place the oracle's
     bounds are checked."""
     if n > DEFAULT_N_MAX:
-        raise BubbleTooLarge(n, d)
+        pairings = math.lgamma(n + 1)  # n! by its log, as ``approx`` takes it
+        cosets = pairings - math.lgamma(K + 1)
+        raise Refused(
+            f"n={n} exceeds n_max={DEFAULT_N_MAX}: ~{approx(cosets, 2)} cosets x {d} cycle walks "
+            f"plus ~{approx(pairings, 2)} table entries; use the Monte Carlo estimator instead"
+        )
     if d * n > 255:
         raise Refused(
             f"d*n={d * n} exceeds 255: the Wick oracle holds a pairing's total cycle count in one byte"
@@ -204,11 +175,6 @@ def gaussian_expectation(b: Bubble) -> LaurentPoly:
     """Exact unit-covariance expectation of the bubble polynomial."""
     check_size(b.n, b.d)
     return LaurentPoly(wick_histogram(b))
-
-
-def expectation(b: Bubble, alpha: int = 0) -> ExpectationResult:
-    """Expectation with covariance N^{-alpha} (applied as N^{-alpha n})."""
-    return ExpectationResult(raw=gaussian_expectation(b), alpha=alpha, n=b.n)
 
 
 def per_color_dimensions(b: Bubble, dims: Sequence[int]) -> int:

@@ -91,7 +91,7 @@ class CornerLabeledTree:
         children = json_list(data.get("children", []), "children")
         return cls(
             color=json_int(data["color"], "color"),
-            labels=tuple(json_int(x, "corner label") for x in data["labels"]),
+            labels=tuple(json_int(x, "corner label") for x in json_list(data["labels"], "labels")),
             children=tuple(cls.from_json(c) for c in children),
         )
 
@@ -106,29 +106,26 @@ class CornerLabeledTree:
             return cls.from_json(json.load(fh))
 
 
-def _glue(
-    node: CornerLabeledTree, white_of: dict[int, list[int]], spans: list[tuple[int, int]]
-) -> int:
+def _glue(node: CornerLabeledTree, white_of: dict[int, list[int]]) -> int:
     """Append the necklace of ``node`` and everything below it, 0-indexed.
 
     ``white_of[c][black]`` is the white that the row-colour-c edge at
     ``black`` joins (column colours are the identity).  The necklace of
     length k starts at ``base``, black j joining white j + 1 (mod k), so
     the edge at black base + s - 1 is row slot s and slot k is the open
-    edge.  ``spans`` gets each vertex's (first, last) white, 1-indexed, in
-    preorder.  Returns the last black, whose edge of ``node.color`` is the
-    open edge.
+    edge.  The necklaces are appended in preorder, each vertex's k whites
+    after those of the vertices before it.  Returns the last black, whose
+    edge of ``node.color`` is the open edge.
     """
     k = node.k
     base = len(white_of[1])
     cycle = [*range(base + 1, base + k), base]
     for row in white_of.values():
         row.extend(cycle)
-    spans.append((base + 1, base + k))
     s = 0
     for child, gap in zip(node.children, node.labels):
         s += gap
-        end = _glue(child, white_of, spans)
+        end = _glue(child, white_of)
         # Cut the slot's edge and the child's open edge and cross-connect
         # them: one swap.  A later child at this slot reads the new entry.
         row, slot = white_of[child.color], base + (s - 1) % k
@@ -145,7 +142,7 @@ def glue(t: CornerLabeledTree) -> tuple[list[int], list[int]]:
     if t.color != 1:
         raise Refused(f"root insertion color must be 1, got {t.color}")
     white_of: dict[int, list[int]] = {c: [] for c in ROW_COLORS}
-    _glue(t, white_of, [])
+    _glue(t, white_of)
     return white_of[1], white_of[3]
 
 
@@ -184,10 +181,14 @@ def tree_to_bubble(t: CornerLabeledTree) -> Bubble:
 
 
 def tree_vertex_spans(t: CornerLabeledTree) -> list[tuple[CornerLabeledTree, tuple[int, int]]]:
-    """Pair each tree vertex with its (first, last) white labels in the bubble."""
-    spans: list[tuple[int, int]] = []
-    _glue(t, {c: [] for c in ROW_COLORS}, spans)
-    return list(zip(t.vertices(), spans))
+    """Pair each tree vertex with its (first, last) white labels in the bubble.
+
+    ``_glue`` gives each vertex, in preorder, the next k_v whites."""
+    spans, last = [], 0
+    for v in t.vertices():
+        spans.append((v, (last + 1, last + v.k)))
+        last += v.k
+    return spans
 
 
 def catalan_product(t: CornerLabeledTree) -> int:

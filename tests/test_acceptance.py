@@ -25,7 +25,7 @@ from tensormoments.effective import (
     wishart_moment_exact,
 )
 from tensormoments.montecarlo import SampleSpec, estimate_expectation
-from tensormoments.oracle import expectation, gaussian_expectation, per_color_dimensions
+from tensormoments.oracle import gaussian_expectation, per_color_dimensions
 from tensormoments.weingarten import (
     _gram_counts,
     weingarten_exact,
@@ -166,8 +166,8 @@ def run_scaled_leading():
         for l in range(1, 5):
             if k + l > 5:
                 continue
-            result = expectation(edge_tree_bubble(k, l), alpha=2)
-            lead = result.scaled.leading_term()
+            b = edge_tree_bubble(k, l)
+            lead = gaussian_expectation(b).shift(-2 * b.n).leading_term()
             assert lead == (3, catalan(k) * catalan(l)), (k, l, lead)
             lines.append(f"({k},{l}): leading {lead}")
     return "\n".join(lines)

@@ -296,6 +296,14 @@ MALFORMED = {
     # A tree's children are a JSON array, never an object or a string.
     "tree_children_object": ("tree", '{"color": 1, "labels": [2], "children": {}}', ()),
     "tree_children_string": ("tree", '{"color": 1, "labels": [2], "children": ""}', ()),
+    # n = 171: n! ~ 1.2e309 is past float range, so the refusal writes its
+    # cost from a log.  effective checks the oracle's bound first.
+    "expect_n171": (
+        "expect", json.dumps({"d": 1, "n": 171, "colors": {"1": list(range(1, 172))}}), ()
+    ),
+    "effective_n171": ("effective", json.dumps(necklace(4, SPLIT, 171).to_json()), ()),
+    # N = 10^80: the plan's largest array and its FLOPs are past float range.
+    "mc_numeric_N_huge": ("mc", DIPOLE, ("--numeric-N", str(10**80), "--samples", "10")),
     # 700 nested vertices: deeper than the reader's recursion limit.
     "tree_nested_too_deep": (
         "tree",
@@ -337,8 +345,9 @@ def _forbid(monkeypatch, module, *names):
 
 
 def malformed_argv(case, tmp_path):
-    """The command line of a MALFORMED case, its input written to a file."""
-    command, text, extra = MALFORMED[case]
+    """The command line of a MALFORMED case, named or given as its
+    (command, text, extra), its input written to a file."""
+    command, text, extra = MALFORMED[case] if isinstance(case, str) else case
     path = tmp_path / "input.json"
     if text is not None:
         path.write_text(text)
@@ -370,12 +379,73 @@ REFUSED_ARGV = {
     "tree_enumerate_over_pairing_budget": ("tree", "--enumerate", "4", "9"),
     # Millions of trees: refused at the tree that passes the budget.
     "tree_enumerate_9_9": ("tree", "--enumerate", "9", "9"),
+    # K = 10^6 is over the oracle's bound; the refusal does not form 10^6!.
+    "tree_enumerate_huge_K": ("tree", "--enumerate", "1", "1000000"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_ARGV))
 def test_out_of_range_arguments_refused(case, capsys):
     assert_refused(main(list(REFUSED_ARGV[case])), capsys)
+
+
+# A label of 10^9 runs only in a child process: a refusal that formed 10^9!
+# would not end, and the child's timeout cuts it.
+TREE_LABEL_HUGE = ("tree", '{"color": 1, "labels": [1000000000]}', ())
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "effective_n171",
+        "expect_n171",
+        "mc_numeric_N_huge",
+        "tree_enumerate_huge_K",
+        "tree_label_huge",
+    ],
+)
+def test_huge_sizes_refused_within_a_second(case, tmp_path):
+    # Each refusal writes its cost from a log: no overflow past float range
+    # and no factorial too large to form.  main's own "done in" line times it.
+    if case in REFUSED_ARGV:
+        argv = list(REFUSED_ARGV[case])
+    else:
+        argv = malformed_argv(TREE_LABEL_HUGE if case == "tree_label_huge" else case, tmp_path)
+    src = str(Path(tensormoments.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensormoments.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    # One refusal, then "done in 0.001s (exit 2)": nothing else, no traceback.
+    reason, done = proc.stderr.splitlines()
+    assert reason.startswith("refused: ") and done.startswith("done in ")
+    assert float(done.split()[2].rstrip("s")) < 1.0
+
+
+# A container of the wrong JSON type is refused by its field's name, not by
+# the error Python raises reading it.
+WRONG_CONTAINER = {
+    "colors_array": ("expect", '{"d": 1, "n": 1, "colors": [[1]]}', "colors"),
+    "colors_string": ("expect", '{"d": 1, "n": 1, "colors": "abc"}', "colors"),
+    "labels_int": ("tree", '{"color": 1, "labels": 5}', "labels"),
+    "labels_object": ("tree", '{"color": 1, "labels": {"3": 1}}', "labels"),
+    "labels_string": ("tree", '{"color": 1, "labels": "7"}', "labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_CONTAINER))
+def test_wrong_container_refused_by_its_field(case, capsys, tmp_path):
+    command, text, field = WRONG_CONTAINER[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main([command, str(path)])
+    reason = capsys.readouterr().err.splitlines()[0]
+    assert code == 2
+    assert reason.startswith(f"refused: {command}: {path}: {field} must be a JSON "), reason
 
 
 def test_enumeration_budget_checked_while_enumerating(capsys, monkeypatch):
@@ -426,6 +496,7 @@ def test_refusal_raised_at_its_origin(case, tmp_path):
     args = build_parser().parse_args(argv)
     with pytest.raises(Refused) as info:
         args.func(args)
+    assert type(info.value) is Refused
     assert info.value.__context__ is None or info.traceback[-1].name in PARSE_SITES
 
 

@@ -22,6 +22,7 @@ from tensormoments.algebra import (
     LaurentPoly,
     Permutation,
     RationalFunc,
+    Refused,
     _character,
     _contents,
     _cycle_type,
@@ -33,7 +34,6 @@ from tensormoments.algebra import (
 from tensormoments.bubbles import (
     Bubble,
     ColorSplit,
-    NotChainExpressible,
     bubble_from_chains,
     chain_decomposition,
     necklace,
@@ -102,7 +102,7 @@ class TestEffectiveObservable:
                 Permutation.identity(2),
             ),
         )
-        with pytest.raises(NotChainExpressible, match="disagree"):
+        with pytest.raises(Refused, match="disagree"):
             effective_observable(b, SPLIT)
 
     @pytest.mark.parametrize("route", [effective_observable])
@@ -114,7 +114,7 @@ class TestEffectiveObservable:
     def test_split_for_another_d_refused(self, route, split):
         # Refused where the split meets the bubble, before any colour of the
         # split is looked up in it.
-        with pytest.raises(NotChainExpressible, match=f"split is for d={split.d}, bubble has d=4"):
+        with pytest.raises(Refused, match=f"split is for d={split.d}, bubble has d=4"):
             route(edge_tree_bubble(2, 1), split)
 
     @pytest.mark.parametrize("route", [effective_observable])

@@ -17,8 +17,6 @@ from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, neckla
 from tensormoments.effective import effective_observable, laguerre_reconstruct
 from tensormoments.oracle import (
     K,
-    BubbleTooLarge,
-    expectation,
     gaussian_expectation,
     per_color_dimensions,
     wick_histogram,
@@ -60,9 +58,10 @@ class TestGaussianExpectation:
         assert gaussian_expectation(edge_tree_bubble(1, 1)) == LaurentPoly({7: 1, 5: 1})
 
     def test_scaled_alpha2(self):
-        result = expectation(edge_tree_bubble(1, 1), alpha=2)
-        assert result.scaled == LaurentPoly({3: 1, 1: 1})
-        assert result.scaled.leading_term() == (3, 1)
+        b = edge_tree_bubble(1, 1)
+        scaled = gaussian_expectation(b).shift(-2 * b.n)
+        assert scaled == LaurentPoly({3: 1, 1: 1})
+        assert scaled.leading_term() == (3, 1)
 
     def test_empty_bubble_is_one(self):
         empty = Bubble(4, 0, tuple(Permutation.identity(0) for _ in range(4)))
@@ -71,7 +70,7 @@ class TestGaussianExpectation:
 
     def test_refusal_with_cost_estimate(self):
         big = necklace(4, SPLIT, 12)
-        with pytest.raises(BubbleTooLarge, match="Monte Carlo"):
+        with pytest.raises(Refused, match="Monte Carlo"):
             gaussian_expectation(big)
 
     def test_positive_coefficients(self):
