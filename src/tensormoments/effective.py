@@ -93,10 +93,11 @@ def _decompose(b: Bubble, split: ColorSplit) -> ChainDecomposition:
     if decomp is None:
         raise Refused(f"not chain-expressible: {chain_obstruction(b, split)}")
     if decomp.m > ANGULAR_M_MAX:
+        steps = approx(math.lgamma(decomp.m + 1), 1)  # m!, from its log
         raise Refused(
             f"{decomp.m} chains exceed the angular bound {ANGULAR_M_MAX}: "
-            f"{math.factorial(decomp.m)} sigma steps plus {math.factorial(decomp.m)} tau steps "
-            f"per sigma-orbit, up to ~{approx(2 * math.lgamma(decomp.m + 1), 1)}"
+            f"{steps} sigma steps plus {steps} tau steps per sigma-orbit, "
+            f"up to ~{approx(2 * math.lgamma(decomp.m + 1), 1)}"
         )
     return decomp
 

@@ -41,6 +41,15 @@ it into place, so no conjugate batch stays alive.  The budget
 ``INTERMEDIATE_MAX`` is still counted on one whole complex
 ``DEFAULT_CHUNK``-sample chunk.
 
+Every factor copy and product of a piece goes into the worker's arena, one
+buffer that ``_layout`` lays out once per plan by the arrays' lives and
+each worker allocates once per estimate, and each piece's values go
+straight into the worker's chunk vector; so no step allocates, and a fresh
+process does not fault in pages again piece after piece.  Small complex
+matrix products take turns: a step ``_plan`` marks from its shape runs its
+matmul holding one module lock (``_TURN``), since two threads' small BLAS
+products run slower together than one thread's alone.
+
 Exactness lives elsewhere; this module is double precision by design.
 """
 from __future__ import annotations
@@ -177,13 +186,14 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
 
     Returns (steps, FLOPs per chunk as ``np.einsum_path`` counts them,
     largest array in elements), where a step is (i, j, left, right, groups,
-    same): ``left`` and ``right`` permute terms j and i, ``groups`` is the
-    number of j's own, summed and i's own labels, and ``same`` is the index,
-    once the pair is removed, of the live term equal to the product, else
-    None.  FLOPs and the largest array count computed steps only, and the
-    largest array includes the sampled batch.  A plan whose largest array
-    exceeds ``INTERMEDIATE_MAX`` elements, or any of whose arrays has more
-    than ``AXES_MAX`` axes, raises ``Refused``.
+    turn, same): ``left`` and ``right`` permute terms j and i, ``groups`` is
+    the number of j's own, summed and i's own labels, ``turn`` marks a
+    matrix product small enough to run one worker at a time (``_TURN``), and
+    ``same`` is the index, once the pair is removed, of the live term equal
+    to the product, else None.  FLOPs and the largest array count computed
+    steps only, and the largest array includes the sampled batch.  A plan
+    whose largest array exceeds ``INTERMEDIATE_MAX`` elements, or any of
+    whose arrays has more than ``AXES_MAX`` axes, raises ``Refused``.
     """
     def size(labels, dim=N):  # a term of this many labels, the sample's among them
         return batch * dim ** (labels - 1)
@@ -212,10 +222,13 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
         left = (0, *map(c.index, own_c), *map(c.index, summed))
         right = (0, *map(a.index, summed), *map(a.index, own_a))
         groups = (len(own_c), len(summed), len(own_a))
+        rows, inner, cols = (N**g for g in groups)
+        # A small matrix product of two matrices takes its turn (see _TURN).
+        turn = inner > 1 and rows > 1 and cols > 1 and rows * inner * cols < 2048
         key = (keys[i], keys[j], left, right, groups)
         del terms[j], terms[i], keys[j], keys[i]
         same = keys.index(key) if key in keys else None
-        steps.append((i, j, left, right, groups, same))
+        steps.append((i, j, left, right, groups, turn, same))
         out = (0, *own_c, *own_a)
         if same is None:
             flops += size(len(out) + len(summed)) * (2 if summed else 1)
@@ -240,38 +253,161 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     return steps, flops, largest
 
 
-def _factor(operand, batch: np.ndarray, axes: tuple, shape: tuple) -> np.ndarray:
-    """``operand`` with its axes permuted and grouped into ``shape``.  None
-    stands for the conjugate of ``batch``, which is formed here in the same
-    pass, C-ordered as the copy numpy makes, so no conjugate batch stays
-    alive across steps."""
-    if operand is None:
-        return np.conjugate(batch.transpose(axes), order="C").reshape(shape)
-    return operand.transpose(axes).reshape(shape)
+def _layout(n: int, N: int, steps: list) -> tuple[list, int]:
+    """Where ``_contract`` puts each array it makes, laid out once per plan:
+    a slot of a worker's arena, one buffer, for every factor copy and every
+    product but the last, which goes to ``out``.
 
+    Every operand is C-ordered, so a factor's reshape is a view exactly
+    where N = 1 or each group of its permuted axes is adjacent and
+    increasing in memory.  Elsewhere, and for every black tensor, whose
+    conjugate is formed in the copy, the factor is copied into a slot in C
+    order, as numpy's own copy is.  Step t copies its left factor at time
+    3t, its right at 3t + 1, and multiplies at 3t + 2.  A copy lives from
+    its time to 3t + 2; a product from 3t + 2 to the last time a step reads
+    it, through ``same`` too.  Slots of arrays whose lives meet do not
+    overlap, so a product never overwrites its factors or a live operand,
+    and no copy overwrites an array still to be read.  Each slot is as long
+    as its array.  Slots are placed largest first, each at the lowest offset
+    where it fits, ties going earliest first in one pass and longest-lived
+    first in another; the shorter arena is kept.
 
-def _contract(batch: np.ndarray, n: int, steps: list) -> np.ndarray:
-    """The bubble's value on each tensor of ``batch``, as numpy's two-operand
-    einsum computes each step, with no einsum call: the left factor is
-    permuted to (sample, own, summed) and reshaped to one matrix per sample,
-    the right to (sample, summed, own), and the two are multiplied by
-    ``np.matmul``.  Where no summed axis is longer than 1 (every step at
-    N = 1), ``np.multiply`` broadcasts them instead, as numpy does, since a
-    matmul changes the bits there.  A step whose product a live operand
-    already holds is not computed.  No name holds a consumed operand into
-    the next step, so it is freed once the pair is removed."""
-    N = batch.shape[-1] if batch.ndim > 1 else 1
-    operands = [batch] * n + [None] * n  # None: a black tensor, see _factor
-    for i, j, left, right, (own_j, summed, own_i), same in steps:
+    Returns (moves, length): ``moves[t]`` is None for a step not computed,
+    else the offsets of its (left copy, right copy, product), None for a
+    factor that is a view and for the last product; ``length`` is the
+    arena's.  Offsets and length count elements per sample.
+    """
+    def copied(axes, cut, black):  # axes[1:cut] and axes[cut:] are the groups
+        groups = (axes[1:cut], axes[cut:])
+        return black or (N > 1 and any(b != a + 1 for g in groups for a, b in zip(g, g[1:])))
+
+    # lives[(t, k)]: [first time, last time, length] of step t's left copy
+    # (k = 0), right copy (1) or product (2).
+    terms, lives = ["T"] * n + ["C"] * n, {}
+    for t, (i, j, left, right, (own_j, summed, own_i), _, same) in enumerate(steps):
         if same is None:
-            k = N**summed
-            product = (np.matmul if k > 1 else np.multiply)(
-                _factor(operands[j], batch, left, (-1, N**own_j, k)),
-                _factor(operands[i], batch, right, (-1, k, N**own_i)),
-            ).reshape((-1,) + (N,) * (own_j + own_i))
+            factors = ((0, terms[j], left, 1 + own_j), (1, terms[i], right, 1 + summed))
+            for k, term, axes, cut in factors:
+                read = 3 * t + 2
+                if copied(axes, cut, term == "C"):
+                    read = 3 * t + k
+                    lives[t, k] = [read, 3 * t + 2, N ** (len(axes) - 1)]
+                if type(term) is int:
+                    lives[term, 2][1] = read  # reads come in time order
+            if t < len(steps) - 1:
+                lives[t, 2] = [3 * t + 2, 3 * t + 2, N ** (own_j + own_i)]
+        del terms[j], terms[i]
+        terms.append(t if same is None else terms[same])
+
+    def place(order):
+        offsets = {}
+        for key in sorted(lives, key=order):
+            start, end, length = lives[key]
+            clash = [
+                (offsets[other], lives[other][2])
+                for other in offsets
+                if lives[other][0] <= end and start <= lives[other][1]
+            ]
+            offsets[key] = min(
+                at
+                for at in {0, *(o + size for o, size in clash)}
+                if all(at + length <= o or o + size <= at for o, size in clash)
+            )
+        return max((offsets[key] + lives[key][2] for key in offsets), default=0), offsets
+
+    length, offsets = min(
+        (
+            place(lambda key: (-lives[key][2], lives[key][0], key)),
+            place(lambda key: (-lives[key][2], lives[key][0] - lives[key][1], key)),
+        ),
+        key=lambda placed: placed[0],
+    )
+    moves = [
+        None if same is not None else tuple(offsets.get((t, k)) for k in range(3))
+        for t, (*_, same) in enumerate(steps)
+    ]
+    return moves, length
+
+
+def _arena(layout: tuple, batch: int) -> tuple[list, np.ndarray]:
+    """A worker's arena for pieces of at most ``batch`` samples: the moves of
+    ``layout`` and one buffer they all fall in."""
+    moves, length = layout
+    return moves, np.empty(batch * length, complex)
+
+
+# Small complex matrix products take turns: a step ``_plan`` marks runs its
+# np.matmul holding this lock, while draws, copies and every other step stay
+# parallel.  With OPENBLAS_NUM_THREADS=1, two threads multiplying
+# (512, M, K) and (512, K, P) complex128 stacks gave this throughput against
+# one thread (2-vCPU Xeon VM, numpy 2.4, OpenBLAS 0.3.31; two processes
+# gave 1.5-1.9x on 4 4 4 to 9 9 9, and matmul releases the GIL, so the
+# contention is inside BLAS):
+#   M K P      2 2 2  4 2 4  4 4 4  6 6 6  8 8 8  9 9 9  12 12 12
+#   two/one    0.69   0.48   0.43   0.50   0.57   0.78   0.76
+#   M K P      6 36 6  36 6 6  32 2 32  27 3 27  16 16 16  36 36 36
+#   two/one    0.89    0.86    1.17     1.28     1.44      1.90
+# Inner products (M = P = 1, K = 36..1296) gave 1.7-2.0x, and products of a
+# matrix and a vector (M = 1 or P = 1) 1.3-2.0x.  So a product with M, K,
+# P > 1 and M*K*P < 2048 takes its turn; the others run in parallel.
+_TURN = threading.Lock()
+
+
+def _factor(operand, batch: np.ndarray, axes: tuple, shape: tuple, buffer, offset) -> np.ndarray:
+    """``operand`` with its axes permuted and grouped into ``shape``: a view,
+    or, where ``offset`` is not None, a C-ordered copy at that offset per
+    sample of ``buffer``.  None stands for the conjugate of ``batch``, which
+    is formed in the copy, so no conjugate batch stays alive across steps."""
+    view = (batch if operand is None else operand).transpose(axes)
+    if offset is not None:
+        start = offset * len(batch)
+        copy = buffer[start : start + view.size].reshape(view.shape)
+        if operand is None:
+            np.conjugate(view, out=copy)
+        else:
+            np.copyto(copy, view)
+        view = copy
+    return view.reshape(shape)
+
+
+def _contract(batch: np.ndarray, n: int, steps: list, arena: tuple, out=None) -> np.ndarray:
+    """The bubble's value on each tensor of ``batch``, written to ``out`` (a
+    new vector by default) and returned, as numpy's two-operand einsum
+    computes each step, with no einsum call: the left factor is permuted to
+    (sample, own, summed) and reshaped to one matrix per sample, the right
+    to (sample, summed, own), and the two are multiplied by ``np.matmul``.
+    Where no summed axis is longer than 1 (every step at N = 1),
+    ``np.multiply`` broadcasts them instead, as numpy does, since a matmul
+    changes the bits there.  A step whose product a live operand already
+    holds is not computed.  Every copy and product but the last is written
+    into the slot of ``arena`` (``_arena``) that ``_layout`` gave it, which
+    holds at least ``len(batch)`` samples; the last into ``out``."""
+    moves, buffer = arena
+    B = len(batch)
+    N = batch.shape[-1] if batch.ndim > 1 else 1
+    out = np.empty(B, complex) if out is None else out
+    operands = [batch] * n + [None] * n  # None: a black tensor, see _factor
+    for (i, j, left, right, (own_j, summed, own_i), turn, same), move in zip(steps, moves):
+        if same is None:
+            x, y, at = move
+            rows, inner, cols = N**own_j, N**summed, N**own_i
+            left_factor = _factor(operands[j], batch, left, (B, rows, inner), buffer, x)
+            right_factor = _factor(operands[i], batch, right, (B, inner, cols), buffer, y)
+            product = out if at is None else buffer[at * B : (at + rows * cols) * B]
+            matrices = product.reshape(B, rows, cols)
+            if inner == 1:
+                np.multiply(left_factor, right_factor, out=matrices)
+            elif turn:
+                with _TURN:
+                    np.matmul(left_factor, right_factor, out=matrices)
+            else:
+                np.matmul(left_factor, right_factor, out=matrices)
+            product = product.reshape((B,) + (N,) * (own_j + own_i))
         del operands[j], operands[i]
         operands.append(product if same is None else operands[same])
-    return operands[0] if n else np.ones(len(batch), dtype=complex)
+    if not n:
+        out.fill(1)
+    return out
 
 
 def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
@@ -285,7 +421,8 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     other chunk; a chunk is drawn and contracted in pieces whose largest
     array holds at most ``PIECE_ELEMENTS`` elements (one sample where a
     sample alone holds more).  Each worker allocates once a float buffer
-    for a chunk's real parts and one complex piece buffer, and holds no
+    for a chunk's real parts, one complex piece buffer, its arena for the
+    plan's ``_layout`` and a vector for a chunk's values, and holds no
     whole complex chunk; where a chunk is one piece, the float buffer holds
     at most ``PIECE_ELEMENTS`` floats.  The draws and every contraction step
     are per sample, so the values equal those of ``sample_batch``'s whole
@@ -295,6 +432,7 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     lowest-indexed failed chunk is raised here.
     """
     steps, _, largest = _plan(b, spec.N, DEFAULT_CHUNK)
+    layout = _layout(b.n, spec.N, steps)
     piece = max(1, min(DEFAULT_CHUNK, PIECE_ELEMENTS // (largest // DEFAULT_CHUNK)))
     takes = [
         min(DEFAULT_CHUNK, spec.samples - done) for done in range(0, spec.samples, DEFAULT_CHUNK)
@@ -305,22 +443,24 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
 
     def work(first):
         # Chunks first, first + 2, ..., each drawn piece by piece into this
-        # worker's piece buffer, its real parts waiting in ``reals``; both
-        # are allocated once.  A fault is kept for the caller to raise.
+        # worker's piece buffer, its real parts waiting in ``reals``, and
+        # contracted in its arena into ``values``; all four are allocated
+        # once.  A fault is kept for the caller to raise.
         index = first
         try:
-            pieces = np.empty((min(piece, takes[0]),) + (spec.N,) * b.d, complex)
+            size = min(piece, takes[0])
+            pieces = np.empty((size,) + (spec.N,) * b.d, complex)
             reals = np.empty(takes[0] * spec.N**b.d)
+            arena = _arena(layout, size)
+            values = np.empty(takes[0], complex)
             for index in range(first, len(takes), 2):
                 if stop.is_set():
                     return
-                take = takes[index]
-                chunk = np.concatenate(
-                    [
-                        _contract(batch, b.n, steps)
-                        for batch in _draw_pieces(spec, b.d, index, take, pieces, reals)
-                    ]
-                )
+                take, done = takes[index], 0
+                for batch in _draw_pieces(spec, b.d, index, take, pieces, reals):
+                    _contract(batch, b.n, steps, arena, values[done : done + len(batch)])
+                    done += len(batch)
+                chunk = values[:take]
                 scale = np.abs(chunk)
                 rel = np.divide(np.abs(chunk.imag), scale, out=np.zeros(take), where=scale > 0)
                 re = chunk.real

@@ -586,6 +586,12 @@ GOLDEN_ARGV = {
     "mc_d4_n5_N3": (
         "mc", "bubble_d4_n5.json", "--numeric-N", "3", "--samples", "600", "--seed", "7"
     ),
+    # The 3-necklace at N = 6: chunks contracted in pieces of 50 samples, the
+    # last piece of each chunk short, and two of five steps reusing a
+    # product through ``same``, whose arena slot stays live meanwhile.
+    "mc_necklace3_N6": (
+        "mc", "necklace_3.json", "--numeric-N", "6", "--samples", "1100", "--seed", "7"
+    ),
 }
 
 

@@ -128,6 +128,18 @@ class TestEffectiveObservable:
             route(b, SPLIT)
         assert time.perf_counter() - start < 1.0
 
+    def test_two_thousand_chains_refused_with_their_cost(self):
+        # 2000! has 5736 digits, past Python's int-to-str limit: the step
+        # counts are written from their log, as every refusal's cost is.
+        shift = Permutation([*range(2, 2001), 1])
+        b = bubble_from_chains(4, SPLIT, (1,) * 2000, {1: Permutation.identity(2000), 3: shift})
+        text = r"2000 chains exceed the angular bound 6: 3\.3e\+5735 sigma steps"
+        start = time.perf_counter()
+        with pytest.raises(Refused, match=text) as info:
+            effective_observable(b, SPLIT)
+        assert type(info.value) is Refused
+        assert time.perf_counter() - start < 1.0
+
 
 def wishart_brute_force(lengths, row, col):
     """sum over pi in S_L of row^{#cyc(gamma pi)} col^{#cyc(pi)}, with gamma

@@ -1,10 +1,14 @@
 """Monte Carlo sampling: reproducibility, invariances, statistical accuracy."""
+import json
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,10 +140,17 @@ def rank_one(N, seed):
     return np.einsum("i,j,k,l->ijkl", *us), np.prod([np.linalg.norm(u) ** 2 for u in us])
 
 
+def arena(b, N, steps, batch):
+    """A worker's arena for the plan ``steps`` of ``b`` at N and pieces of
+    ``batch`` samples."""
+    return montecarlo._arena(montecarlo._layout(b.n, N, steps), batch)
+
+
 def evaluate_bubble(b, tensor):
     """The bubble on one tensor, by the plan and contraction estimate_expectation runs."""
     steps, _, _ = _plan(b, tensor.shape[0], 1)
-    return complex(montecarlo._contract(tensor[None], b.n, steps)[0])
+    work = arena(b, tensor.shape[0], steps, 1)
+    return complex(montecarlo._contract(tensor[None], b.n, steps, work)[0])
 
 
 class TestEvaluateBubble:
@@ -281,7 +292,9 @@ def serial_estimate(b, spec):
     mean, m2, max_rel_imag = 0.0, 0.0, 0.0
     for index, done in enumerate(range(0, spec.samples, DEFAULT_CHUNK)):
         take = min(DEFAULT_CHUNK, spec.samples - done)
-        values = montecarlo._contract(sample_batch(spec, b.d, index, take), b.n, steps)
+        values = montecarlo._contract(
+            sample_batch(spec, b.d, index, take), b.n, steps, arena(b, spec.N, steps, take)
+        )
         scale = np.abs(values)
         rel = np.divide(np.abs(values.imag), scale, out=np.zeros(take), where=scale > 0)
         max_rel_imag = max(max_rel_imag, float(np.max(rel)))
@@ -368,10 +381,13 @@ def test_pieces_change_no_bits(N):
         steps, _, largest = _plan(b, N, DEFAULT_CHUNK)
         computed = max(1, min(DEFAULT_CHUNK, PIECE_ELEMENTS // (largest // DEFAULT_CHUNK)))
         x = sample_batch(SampleSpec(N=N, samples=2, seed=43), b.d, 0, DEFAULT_CHUNK)
-        whole = montecarlo._contract(x, b.n, steps).tobytes()
+        whole = montecarlo._contract(x, b.n, steps, arena(b, N, steps, len(x))).tobytes()
         for piece in sorted({1, 7, computed}):
             parts = [slice(start, start + piece) for start in range(0, len(x), piece)]
-            values = np.concatenate([montecarlo._contract(x[part], b.n, steps) for part in parts])
+            work = arena(b, N, steps, piece)
+            values = np.concatenate(
+                [montecarlo._contract(x[part], b.n, steps, work) for part in parts]
+            )
             assert values.tobytes() == whole, (b.n, piece)
 
 
@@ -441,7 +457,8 @@ def assert_bitwise_einsum(b, N, batch, steps):
         )
         del operands[j], operands[i]
         operands.append(product)
-    assert montecarlo._contract(x, b.n, steps).tobytes() == operands[0].tobytes()
+    values = montecarlo._contract(x, b.n, steps, arena(b, N, steps, batch))
+    assert values.tobytes() == operands[0].tobytes()
 
 
 class TestPlan:
@@ -544,3 +561,169 @@ class TestPlan:
         b = from_images([rng.sample(range(1, 10), 9) for _ in range(28)])
         with pytest.raises(Refused, match="axes, over numpy's 64"):
             estimate_expectation(b, spec)
+
+
+def replay_in_arena(b, N, steps, batch):
+    """The plan replayed on views of a worker's arena, computing no values.
+
+    Checks that a factor the layout leaves as a view is one numpy's reshape
+    views, and that nothing is written over an array still to be read: a
+    left copy over any product a term holds, a right copy over the left
+    factor, its own source or a product held after the step, a product over
+    its factors or a product held after the step.  Returns the arena's
+    length and the most elements the plan held at once with a new array for
+    every copy and product, as before the arena: the products terms hold,
+    the last product made, the step's copies and its product.  Both count
+    elements per sample."""
+    layout = montecarlo._layout(b.n, N, steps)
+    moves, buffer = montecarlo._arena(layout, batch)
+    x = np.empty((batch,) + (N,) * b.d, complex)
+    operands = [x] * b.n + [None] * b.n  # None: a black tensor
+    last, peak = None, 0
+
+    def products(terms):
+        return {id(a): a for a in terms if a is not None and a is not x}
+
+    def overlaps(a, arrays):
+        return any(np.may_share_memory(a, other) for other in arrays)
+
+    for t, ((i, j, left, right, (own_j, summed, own_i), _, same), move) in enumerate(
+        zip(steps, moves)
+    ):
+        if same is None:
+            held = products(operands)
+            after = products([a for k, a in enumerate(operands) if k not in (i, j)])
+            factors, copies = [], 0
+            for operand, axes, groups, at in [
+                (operands[j], left, (own_j, summed), move[0]),
+                (operands[i], right, (summed, own_i), move[1]),
+            ]:
+                shape = (batch,) + tuple(N**g for g in groups)
+                if operand is None:
+                    assert at is not None, t
+                else:
+                    view = operand.transpose(axes).reshape(shape)
+                    assert np.may_share_memory(view, operand) == (at is None), t
+                if at is None:
+                    factors.append(operand)
+                    continue
+                size = batch * N ** (len(axes) - 1)
+                copy = buffer[at * batch : at * batch + size]
+                # The left copy is made while every held product is still to
+                # be read; the right one after the left factor is made.
+                unread = held.values() if not factors else [*factors, operand, *after.values()]
+                assert not overlaps(copy, [a for a in unread if a is not None]), t
+                factors.append(copy)
+                copies += size
+            if t < len(steps) - 1:
+                assert move[2] is not None, t
+                shape = (batch,) + (N,) * (own_j + own_i)
+                product = buffer[move[2] * batch :][: math.prod(shape)].reshape(shape)
+                unread = [a for a in factors + list(after.values()) if a is not None]
+                assert not overlaps(product, unread), t
+            else:
+                assert move[2] is None
+                product = np.empty(batch, complex)
+            stale = [] if last is None or id(last) in held else [last]
+            alive = sum(a.size for a in [*held.values(), *stale, product]) + copies
+            peak = max(peak, alive // batch)
+            last = product
+        del operands[j], operands[i]
+        operands.append(product if same is None else operands[same])
+    return layout[1], peak
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+def test_arena_aliases_nothing_live_and_fits_the_old_peak(N):
+    # No product or copy in a worker's arena overwrites an array still to be
+    # read, a product a live term holds through ``same`` included, and the
+    # arena is no longer than the most elements the plan held at once with a
+    # new array for every copy and product.
+    rng = random.Random(f"arena:{N}")
+    sizes = range(1, 9) if N < 6 else range(1, 4)
+    bubbles = [necklace(4, SPLIT, 3)] + [from_images(RANDOM_N8)] * (N < 6) + [
+        from_images([list(range(1, n + 1))] + [rng.sample(range(1, n + 1), n) for _ in range(3)])
+        for n in sizes
+        for _ in range(4)
+    ]
+    for b in bubbles:
+        steps = _plan(b, N, DEFAULT_CHUNK)[0]
+        for batch in (1, 3):
+            length, peak = replay_in_arena(b, N, steps, batch)
+            assert length <= peak, (b.n, batch)
+    # The 3-necklace at N = 6: three arrays of one sample, 1 MiB in a piece.
+    steps = _plan(necklace(4, SPLIT, 3), 6, DEFAULT_CHUNK)[0]
+    assert montecarlo._layout(3, 6, steps)[1] == 3 * 6**4
+
+
+def test_small_matrix_products_take_turns():
+    # Every matrix product of the random n = 8 plan at N = 2 takes its turn
+    # but the last, an inner product; no step of the 3-necklace at N = 6 does,
+    # nor any step at N = 1, where every step is a broadcast multiply.
+    steps = _plan(from_images(RANDOM_N8), 2, DEFAULT_CHUNK)[0]
+    computed = [(groups, turn) for *_, groups, turn, same in steps if same is None]
+    assert [turn for _, turn in computed] == [True] * (len(computed) - 1) + [False]
+    assert computed[-1][0][0] == computed[-1][0][2] == 0
+    for b, N in [(necklace(4, SPLIT, 3), 6), (from_images(RANDOM_N8), 1)]:
+        assert not any(turn for *_, turn, _ in _plan(b, N, DEFAULT_CHUNK)[0])
+
+
+def test_fault_in_a_step_taking_its_turn_stops_both_workers(monkeypatch):
+    # The other worker's first chunk, 1, faults inside a step that holds the
+    # turn lock: the lock is released, the calling thread's worker stops
+    # before its next chunk, the thread is joined, and a second estimate
+    # in this process finishes.
+    b = from_images(RANDOM_N8)
+    assert all(turn for *_, turn, same in _plan(b, 2, DEFAULT_CHUNK)[0][:-1] if same is None)
+    drawn = []
+    draw_pieces, matmul = montecarlo._draw_pieces, np.matmul
+
+    def draw(spec, d, index, count, out, reals):
+        drawn.append(index)
+        return draw_pieces(spec, d, index, count, out, reals)
+
+    def fault(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            assert montecarlo._TURN.locked()
+            raise ValueError("injected fault in a step taking its turn")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_draw_pieces", draw)
+    monkeypatch.setattr(np, "matmul", fault)
+    threads = threading.active_count()
+    spec = SampleSpec(N=2, samples=200 * DEFAULT_CHUNK, seed=5)
+    with pytest.raises(ValueError, match="injected fault in a step taking its turn"):
+        estimate_expectation(b, spec)
+    assert threading.active_count() == threads
+    assert not montecarlo._TURN.locked()
+    assert len(drawn) <= 8
+    monkeypatch.undo()
+    spec = SampleSpec(N=2, samples=4 * DEFAULT_CHUNK, seed=5)
+    assert estimate_expectation(b, spec) == serial_estimate(b, spec)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts pages on Linux")
+def test_first_estimate_in_a_fresh_process_pays_no_extra_faults():
+    # Each worker's arena is allocated once per estimate, so the first
+    # estimate in a process faults in about the pages a second one does; with
+    # a new array per step, glibc handed freed ones back until its mmap
+    # threshold rose, and the first took 10-30 times the faults.
+    code = (
+        "import json, resource\n"
+        "from tensormoments.bubbles import ColorSplit, necklace\n"
+        "from tensormoments.montecarlo import SampleSpec, estimate_expectation\n"
+        "b = necklace(4, ColorSplit(4, [2, 4]), 3)\n"
+        "faults = []\n"
+        "for seed in (1, 2):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    estimate_expectation(b, SampleSpec(N=6, samples=12288, seed=seed))\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(json.dumps(faults))\n"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    first, second = json.loads(run.stdout)
+    assert first <= 3 * second, (first, second)
