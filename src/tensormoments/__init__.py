@@ -33,12 +33,7 @@ from .effective import (
 )
 from .oracle import gaussian_expectation, per_color_dimensions
 from .trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
-from .weingarten import (
-    gram_matrix,
-    weingarten_asymptotic,
-    weingarten_exact,
-    weingarten_table,
-)
+from .weingarten import weingarten_asymptotic, weingarten_exact, weingarten_table
 
 __version__ = "0.1.0"
 

@@ -65,14 +65,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        images = list(range(1, n + 1))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-                images[a - 1] = b
-        return cls(images)
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -115,11 +107,6 @@ def _cycles(images: Sequence[int]) -> list[list[int]]:
             i = images[i]
         out.append(cyc)
     return out
-
-
-def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths of a 0-indexed image table, weakly decreasing."""
-    return tuple(sorted(map(len, _cycles(images)), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -371,12 +358,6 @@ class LaurentPoly:
         """Multiply by N^k."""
         return LaurentPoly({e + k: c for e, c in self.terms.items()})
 
-    def substitute_power(self, k: int) -> "LaurentPoly":
-        """Replace N by N^k (k >= 1)."""
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        return LaurentPoly({e * k: c for e, c in self.terms.items()})
-
     def evaluate(self, x: Rational) -> Fraction:
         x = Fraction(_exact(x))  # a float or a string is refused as a coefficient is
         if x == 0 and self.terms and self.min_exp < 0:
@@ -529,10 +510,6 @@ class RationalFunc:
 
     def is_polynomial(self) -> bool:
         return self.den == LaurentPoly.one()
-
-    def substitute_power(self, k: int) -> "RationalFunc":
-        """Replace N by N^k in numerator and denominator."""
-        return RationalFunc(self.num.substitute_power(k), self.den.substitute_power(k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunc):

@@ -2,9 +2,9 @@
 
 A bubble on n white / n black vertices carries one permutation per color;
 color c joins white vertex i to black vertex ``color_maps[c](i)``.  This
-module provides validation, isomorphism-class keys, the necklace
-constructor, and the chain decomposition with respect to a color split and
-its inverse.
+module provides validation, the isomorphism-class key of a connected bubble
+from its white maps, the necklace constructor, and the chain decomposition
+with respect to a color split and its inverse.
 """
 from __future__ import annotations
 
@@ -174,26 +174,17 @@ def validate(b: Bubble) -> Diagnostics:
     return Diagnostics(ok=not problems, problems=tuple(problems))
 
 
-def canonical_key(b: Bubble):
-    """A hashable key equal for two bubbles exactly when they are isomorphic.
-
-    Relabelling whites by alpha and blacks by beta conjugates every
-    g_c = tau_1^{-1} tau_c (c = 2..d) by alpha, and simultaneously conjugate
-    tuples (g_2..g_d) give isomorphic bubbles, so the key is
-    ``white_maps_key`` of those maps.  A disconnected (or empty) bubble is
-    its own key, so it is equal only to itself.
-    """
-    key = white_maps_key(b.d, b.n, _white_maps(b))
-    return b if key is None else key
-
-
 def white_maps_key(d: int, n: int, gs: list[list[int]]):
-    """``canonical_key`` of the connected bubble whose white maps are ``gs``.
+    """A key of the connected bubble whose white maps are ``gs``, equal for
+    two bubbles exactly when they are isomorphic.
 
-    ``gs`` holds g_2..g_d, 0-indexed, as ``_white_maps`` builds them.  From
-    each start white, the whites are renumbered in breadth-first order,
-    colours in order; the key is (d, n, the smallest renumbered tuple).
-    None when the bubble is disconnected or empty.  O(n^2 d).
+    ``gs`` holds g_2..g_d, 0-indexed, as ``_white_maps`` builds them.
+    Relabelling whites by alpha and blacks by beta conjugates every
+    g_c = tau_1^{-1} tau_c by alpha, and simultaneously conjugate tuples
+    (g_2..g_d) give isomorphic bubbles.  So from each start white, the whites
+    are renumbered in breadth-first order, colours in order; the key is
+    (d, n, the smallest renumbered tuple).  None when the bubble is
+    disconnected or empty.  O(n^2 d).
 
     Each tuple opens with 0 when g_2 fixes the start and with 1 otherwise,
     so when g_2 fixes some white only those starts are walked.

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .algebra import LaurentPoly, Refused, catalan, partitions_of
+from .algebra import LaurentPoly, Refused, approx, catalan, partitions_of
 from .bubbles import Bubble, ColorSplit
 from .effective import effective_observable, laguerre_reconstruct, wishart_moment_exact
 from .oracle import DEFAULT_N_MAX, check_size, gaussian_expectation
@@ -268,8 +268,14 @@ def cmd_mc(args) -> int:
     report = estimate.to_json()
     ok = True
     if bubble.n <= DEFAULT_N_MAX:
-        exact = gaussian_expectation(bubble).evaluate(args.numeric_N)
-        report["exact"] = float(exact) * args.variance**bubble.n
+        exact = float(gaussian_expectation(bubble).evaluate(args.numeric_N))
+        try:
+            report["exact"] = exact * args.variance**bubble.n
+        except OverflowError:  # variance**n past a double
+            report["exact"] = math.inf
+        if report["exact"] == math.inf:
+            ln = math.log(exact) + bubble.n * math.log(args.variance)
+            raise Refused(f"the exact value {approx(ln, 3)} overflows a double")
         ok = abs(estimate.mean - report["exact"]) <= 5 * estimate.stderr
         report["within_5_sigma"] = "PASS" if ok else "FAIL"
     _emit(json.dumps(report, indent=1), args)

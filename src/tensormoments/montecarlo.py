@@ -329,13 +329,6 @@ def _layout(n: int, N: int, steps: list) -> tuple[list, int]:
     return moves, length
 
 
-def _arena(layout: tuple, batch: int) -> tuple[list, np.ndarray]:
-    """A worker's arena for pieces of at most ``batch`` samples: the moves of
-    ``layout`` and one buffer they all fall in."""
-    moves, length = layout
-    return moves, np.empty(batch * length, complex)
-
-
 # Small complex matrix products take turns: a step ``_plan`` marks runs its
 # np.matmul holding this lock, while draws, copies and every other step stay
 # parallel.  With OPENBLAS_NUM_THREADS=1, two threads multiplying
@@ -379,9 +372,10 @@ def _contract(batch: np.ndarray, n: int, steps: list, arena: tuple, out=None) ->
     Where no summed axis is longer than 1 (every step at N = 1),
     ``np.multiply`` broadcasts them instead, as numpy does, since a matmul
     changes the bits there.  A step whose product a live operand already
-    holds is not computed.  Every copy and product but the last is written
-    into the slot of ``arena`` (``_arena``) that ``_layout`` gave it, which
-    holds at least ``len(batch)`` samples; the last into ``out``."""
+    holds is not computed.  ``arena`` is a worker's (moves, buffer): every
+    copy and product but the last is written into the slot of the buffer
+    that ``_layout``'s moves gave it, which holds at least ``len(batch)``
+    samples; the last into ``out``."""
     moves, buffer = arena
     B = len(batch)
     N = batch.shape[-1] if batch.ndim > 1 else 1
@@ -432,7 +426,7 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     lowest-indexed failed chunk is raised here.
     """
     steps, _, largest = _plan(b, spec.N, DEFAULT_CHUNK)
-    layout = _layout(b.n, spec.N, steps)
+    moves, length = _layout(b.n, spec.N, steps)
     piece = max(1, min(DEFAULT_CHUNK, PIECE_ELEMENTS // (largest // DEFAULT_CHUNK)))
     takes = [
         min(DEFAULT_CHUNK, spec.samples - done) for done in range(0, spec.samples, DEFAULT_CHUNK)
@@ -451,7 +445,7 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
             size = min(piece, takes[0])
             pieces = np.empty((size,) + (spec.N,) * b.d, complex)
             reals = np.empty(takes[0] * spec.N**b.d)
-            arena = _arena(layout, size)
+            arena = moves, np.empty(size * length, complex)
             values = np.empty(takes[0], complex)
             for index in range(first, len(takes), 2):
                 if stop.is_set():
@@ -493,9 +487,20 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
         m2 += chunk_m2 + delta * delta * done * take / (done + take)
         done += take
     n = spec.samples
+    stderr = math.sqrt(m2 / (n - 1) / n)
+    # A value, a sum or a squared deviation past a double gives inf or nan,
+    # which no report may print.  |B(T)| <= |T|^(2n), and |T|^2 / variance
+    # is Gamma(N^d)-distributed, so E|T|^(2n) = variance^n (N^d)_n.
+    if not all(map(math.isfinite, (mean, stderr, max_rel_imag))):
+        size = spec.N**b.d
+        ln = b.n * math.log(spec.variance) + math.lgamma(size + b.n) - math.lgamma(size)
+        raise Refused(
+            f"d={b.d}, n={b.n} at N={spec.N}, variance {spec.variance}: the estimate "
+            f"overflows a double; a sample is at most |T|^(2n), of mean {approx(ln, 2)}"
+        )
     return Estimate(
         mean=mean,
-        stderr=math.sqrt(m2 / (n - 1) / n),
+        stderr=stderr,
         samples=n,
         seed=spec.seed,
         max_rel_imag=max_rel_imag,

@@ -6,8 +6,10 @@ cutting open necklaces into the parent, with the labels giving the number
 of color-2 edges between consecutive insertion points.  With each row
 colour stored as a black-to-white list, one insertion (cut the parent's
 edge and the child's open edge, then cross-connect them) is a swap of two
-entries.  The large-N expectation of the resulting observable is the
-product of Catalan numbers of the per-vertex lengths.
+entries.  ``glued_key`` keys the bubble's isomorphism class from the two
+lists, without building the bubble.  The large-N expectation of the
+resulting observable is the product of Catalan numbers of the per-vertex
+lengths.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .algebra import Permutation, Refused, catalan
 from .bubbles import Bubble, json_int, json_keys, json_list, white_maps_key
 
 ROW_COLORS = (1, 3)
-COLUMN_COLORS = (2, 4)
 D = 4
 
 
@@ -61,10 +62,6 @@ class CornerLabeledTree:
         yield self
         for child in self.children:
             yield from child.vertices()
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(1 for _ in self.vertices())
 
     @property
     def total_label(self) -> int:
@@ -147,7 +144,7 @@ def glue(t: CornerLabeledTree) -> tuple[list[int], list[int]]:
 
 
 def glued_key(rows: tuple[list[int], list[int]]):
-    """``canonical_key`` of the bubble that ``glue`` gave ``rows``, not built.
+    """``white_maps_key`` of the bubble that ``glue`` gave ``rows``, not built.
 
     Colour c joins white w to black tau_c(w), and the colour-c list is
     tau_c^-1.  The columns are the identity, so g_2 = g_4 = the colour-1
@@ -178,17 +175,6 @@ def glued_bubble(rows: tuple[list[int], list[int]]) -> Bubble:
 def tree_to_bubble(t: CornerLabeledTree) -> Bubble:
     """The d=4 bubble obtained by recursive open-necklace insertion."""
     return glued_bubble(glue(t))
-
-
-def tree_vertex_spans(t: CornerLabeledTree) -> list[tuple[CornerLabeledTree, tuple[int, int]]]:
-    """Pair each tree vertex with its (first, last) white labels in the bubble.
-
-    ``_glue`` gives each vertex, in preorder, the next k_v whites."""
-    spans, last = [], 0
-    for v in t.vertices():
-        spans.append((v, (last + 1, last + v.k)))
-        last += v.k
-    return spans
 
 
 def catalan_product(t: CornerLabeledTree) -> int:
@@ -225,15 +211,11 @@ def _trees_exact(color: int, v: int, s: int) -> tuple[CornerLabeledTree, ...]:
                 for ssplit in _compositions(s - k_root - v + 1, nch):
                     sizes = [vs + extra for vs, extra in zip(vsplit, ssplit)]
                     pools = [
-                        [
-                            _trees_exact(c, vi, si)
-                            for c in ROW_COLORS
-                        ]
+                        _trees_exact(1, vi, si) + _trees_exact(3, vi, si)
                         for vi, si in zip(vsplit, sizes)
                     ]
-                    flat_pools = [tuple(t for sub in p for t in sub) for p in pools]
                     for labels in _compositions(k_root, nch + 1):
-                        for children in product(*flat_pools):
+                        for children in product(*pools):
                             out.append(CornerLabeledTree(color, labels, children))
     return tuple(out)
 

@@ -4,9 +4,9 @@ Values come from one cached table per (n, dimension), built from the
 characters of S_n (Collins & Sniady 2006) in integer content polynomials: a
 numerator per class over one shared denominator, each a ``LaurentPoly`` in N
 (a constant for an integer dimension, whose values are returned as
-Fractions); ``weingarten_exact`` alone reduces a value.
-``gram_matrix`` (dim^{#cycles} over the symmetric group) is the system the
-values solve; the tests check it.
+Fractions); ``weingarten_exact`` alone reduces a value.  The tests check
+the table against the Gram system it inverts: sum over tau of
+dim^{#cycles(sigma tau^{-1})} Wg(tau) = [sigma = id].
 """
 from __future__ import annotations
 
@@ -14,20 +14,16 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import Union
 
 from .algebra import (
     LaurentPoly,
-    N,
     Partition,
-    Permutation,
     RationalFunc,
     Refused,
     _character,
     _content_polynomial,
     _contents,
-    _cycle_type,
     _hook_product,
     _polynomial_at,
     catalan,
@@ -36,53 +32,7 @@ from .algebra import (
 
 DEFAULT_N_MAX = 8
 
-
-def class_representative(p: Partition) -> Permutation:
-    """The permutation with cycles (1..a_1)(a_1+1..a_1+a_2)..."""
-    cycles = []
-    start = 1
-    for part in p.parts:
-        cycles.append(tuple(range(start, start + part)))
-        start += part
-    return Permutation.from_cycles(p.n, cycles)
-
-
-@lru_cache(maxsize=None)
-def _gram_counts(n: int) -> tuple[tuple[Partition, ...], list[list[dict[Partition, int]]]]:
-    """counts[a][b][type] = #{tau in class b : cycle_type(sigma_a tau^{-1}) = type}."""
-    classes = tuple(partitions_of(n))
-    index = {p.parts: i for i, p in enumerate(classes)}
-    reps = [class_representative(p)._zero_indexed() for p in classes]
-    counts: list[list[dict[Partition, int]]] = [[{} for _ in classes] for _ in classes]
-    # tau -> tau^{-1} maps class b onto itself, so count sigma_a tau instead.
-    for tau in permutations(range(n)):
-        b = index[_cycle_type(tau)]
-        for sigma, cells in zip(reps, counts):
-            t = classes[index[_cycle_type([sigma[i] for i in tau])]]
-            cells[b][t] = cells[b].get(t, 0) + 1
-    return classes, counts
-
-
 Dim = Union[int, LaurentPoly]
-
-
-def gram_matrix(n: int, dim: Dim = None) -> list[list[LaurentPoly]]:
-    """Class-algebra Gram matrix of dim^{#cycles}, indexed by the classes
-    of S_n in the order of partitions_of(n).
-
-    Entry (a, b) sums dim^{#cycles(sigma_a tau^{-1})} over all tau in class
-    b, with sigma_a a fixed representative of class a.  ``dim`` defaults to
-    the symbol N; an integer gives exact rational entries.
-    """
-    if dim is None:
-        dim = N
-    elif isinstance(dim, int):
-        dim = Fraction(dim)
-    _, counts = _gram_counts(n)
-    return [
-        [sum((cnt * dim**t.num_parts for t, cnt in cell.items()), dim * 0) for cell in row]
-        for row in counts
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -97,8 +47,7 @@ def _weingarten_table(n: int, dim: Dim) -> tuple[dict, LaurentPoly]:
     the most boxes of content c in any lam).  f^lam / n! = 1 / H_lam, so with
     H the lcm of the hook products each numerator is an integer polynomial
     in dim, sum_lam chi^lam(mu) (H / H_lam) * cofactor_lam, divided by H once
-    when dim is put in.  Nothing is reduced here.  The values solve
-    gram_matrix(n, dim) x = delta.
+    when dim is put in.  Nothing is reduced here.
     """
     lams = [lam.parts for lam in partitions_of(n)]
     mults = [Counter(_contents(lam)) for lam in lams]

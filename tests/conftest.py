@@ -1,12 +1,32 @@
+"""References the tests share: brute-force walks over S_n and the slow
+algorithms the library's fast paths are checked against, none of which a
+command, a route or the benchmark runs."""
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterator
 
 import pytest
 
-from tensormoments.algebra import LaurentPoly, Partition, Permutation, _cycle_type, _cycles
-from tensormoments.bubbles import Bubble, ChainDecomposition, ColorSplit, bubble_from_chains
+from tensormoments.algebra import (
+    LaurentPoly,
+    N,
+    Partition,
+    Permutation,
+    RationalFunc,
+    _cycles,
+    partitions_of,
+)
+from tensormoments.bubbles import (
+    Bubble,
+    ChainDecomposition,
+    ColorSplit,
+    _white_maps,
+    bubble_from_chains,
+    white_maps_key,
+)
+from tensormoments.trees import CornerLabeledTree
 
 
 @pytest.fixture
@@ -52,8 +72,116 @@ def cycle_count(p: Permutation) -> int:
     return len(_cycles(p._zero_indexed()))
 
 
+def cycle_lengths(images) -> tuple[int, ...]:
+    """Cycle lengths of a 0-indexed image table, weakly decreasing."""
+    return tuple(sorted(map(len, _cycles(images)), reverse=True))
+
+
 def cycle_type(p: Permutation) -> Partition:
-    return Partition(_cycle_type(p._zero_indexed()))
+    return Partition(cycle_lengths(p._zero_indexed()))
+
+
+def from_cycles(n: int, cycles) -> Permutation:
+    """The permutation of 1..n with the given cycles, each a tuple or list."""
+    images = list(range(1, n + 1))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
+            images[a - 1] = b
+    return Permutation(images)
+
+
+def class_representative(p: Partition) -> Permutation:
+    """The permutation with cycles (1..a_1)(a_1+1..a_1+a_2)..."""
+    cycles = []
+    start = 1
+    for part in p.parts:
+        cycles.append(tuple(range(start, start + part)))
+        start += part
+    return from_cycles(p.n, cycles)
+
+
+@lru_cache(maxsize=None)
+def _gram_counts(n: int) -> tuple[tuple[Partition, ...], list[list[dict[Partition, int]]]]:
+    """counts[a][b][type] = #{tau in class b : cycle_type(sigma_a tau^{-1}) = type}."""
+    classes = tuple(partitions_of(n))
+    index = {p.parts: i for i, p in enumerate(classes)}
+    reps = [class_representative(p)._zero_indexed() for p in classes]
+    counts: list[list[dict[Partition, int]]] = [[{} for _ in classes] for _ in classes]
+    # tau -> tau^{-1} maps class b onto itself, so count sigma_a tau instead.
+    for tau in permutations(range(n)):
+        b = index[cycle_lengths(tau)]
+        for sigma, cells in zip(reps, counts):
+            t = classes[index[cycle_lengths([sigma[i] for i in tau])]]
+            cells[b][t] = cells[b].get(t, 0) + 1
+    return classes, counts
+
+
+def gram_matrix(n: int, dim=None) -> list[list[LaurentPoly]]:
+    """Class-algebra Gram matrix of dim^{#cycles}, indexed by the classes
+    of S_n in the order of partitions_of(n).
+
+    Entry (a, b) sums dim^{#cycles(sigma_a tau^{-1})} over all tau in class
+    b, with sigma_a a fixed representative of class a.  ``dim`` defaults to
+    the symbol N; an integer gives exact rational entries.  The Weingarten
+    values solve gram_matrix(n, dim) x = delta.
+    """
+    if dim is None:
+        dim = N
+    elif isinstance(dim, int):
+        dim = Fraction(dim)
+    _, counts = _gram_counts(n)
+    return [
+        [sum((cnt * dim**t.num_parts for t, cnt in cell.items()), dim * 0) for cell in row]
+        for row in counts
+    ]
+
+
+def gram_times_class_function(n, dim, values):
+    """gram_matrix(n, dim) times the class-algebra matrix of the class
+    function ``values`` (entry (b, c) sums values over sigma_b tau^{-1},
+    tau in class c): the identity when ``values`` is the Weingarten table."""
+    _, counts = _gram_counts(n)
+    gram = gram_matrix(n, dim)
+    wmat = [[sum(cnt * values[t] for t, cnt in cell.items()) for cell in row] for row in counts]
+    size = len(counts)
+    return [
+        [sum(gram[a][b] * wmat[b][c] for b in range(size)) for c in range(size)]
+        for a in range(size)
+    ]
+
+
+def substitute_power(f, k: int):
+    """``f`` with N replaced by N^k (k >= 1): a LaurentPoly, or a
+    RationalFunc in its numerator and denominator."""
+    if isinstance(f, RationalFunc):
+        return RationalFunc(substitute_power(f.num, k), substitute_power(f.den, k))
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    return LaurentPoly({e * k: c for e, c in f.terms.items()})
+
+
+def canonical_key(b: Bubble):
+    """A hashable key equal for two bubbles exactly when they are isomorphic:
+    ``white_maps_key`` of the maps g_c = tau_1^{-1} tau_c (c = 2..d).  A
+    disconnected (or empty) bubble is its own key, so it is equal only to
+    itself."""
+    key = white_maps_key(b.d, b.n, _white_maps(b))
+    return b if key is None else key
+
+
+def vertex_count(t: CornerLabeledTree) -> int:
+    return sum(1 for _ in t.vertices())
+
+
+def tree_vertex_spans(t: CornerLabeledTree) -> list[tuple[CornerLabeledTree, tuple[int, int]]]:
+    """Pair each tree vertex with its (first, last) white labels in the bubble.
+
+    ``trees._glue`` gives each vertex, in preorder, the next k_v whites."""
+    spans, last = [], 0
+    for v in t.vertices():
+        spans.append((v, (last + 1, last + v.k)))
+        last += v.k
+    return spans
 
 
 def top_sigmas(decomp: ChainDecomposition, split: ColorSplit) -> tuple[int, list[Permutation]]:

@@ -26,20 +26,17 @@ from tensormoments.effective import (
 )
 from tensormoments.montecarlo import SampleSpec, estimate_expectation
 from tensormoments.oracle import gaussian_expectation, per_color_dimensions
-from tensormoments.weingarten import (
-    _gram_counts,
-    weingarten_exact,
-    weingarten_table,
-)
-from tensormoments.trees import (
-    CornerLabeledTree,
-    catalan_product,
-    enumerate_trees,
-    tree_to_bubble,
-    tree_vertex_spans,
-)
+from tensormoments.weingarten import weingarten_exact, weingarten_table
+from tensormoments.trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 
-from conftest import edge_tree_bubble, top_sigmas
+from conftest import (
+    edge_tree_bubble,
+    gram_times_class_function,
+    substitute_power,
+    top_sigmas,
+    tree_vertex_spans,
+    vertex_count,
+)
 
 SPLIT = ColorSplit(4, [2, 4])
 N = LaurentPoly.monomial(1)
@@ -88,34 +85,18 @@ def run_weingarten_n2():
         got = weingarten_exact(cls, N)
         assert got == expected, cls
         # specialization used by the angular integral: dimension N^2
-        assert weingarten_exact(cls, N2) == expected.substitute_power(2)
+        assert weingarten_exact(cls, N2) == substitute_power(expected, 2)
         lines.append(f"{cls.parts}: {got}")
     return "\n".join(lines)
 
 
 def run_orthogonality():
-    from fractions import Fraction
-
     lines = []
     for n in (1, 2, 3, 4):
         for dim in (7, 11):
-            classes, counts = _gram_counts(n)
-            wg = weingarten_table(n, dim)
-            m = len(classes)
-            gram = [
-                [
-                    sum(cnt * Fraction(dim) ** t.num_parts for t, cnt in cell.items())
-                    for cell in row
-                ]
-                for row in counts
-            ]
-            wmat = [
-                [sum(cnt * wg[t] for t, cnt in cell.items()) for cell in row]
-                for row in counts
-            ]
-            for a in range(m):
-                for c in range(m):
-                    entry = sum(gram[a][b] * wmat[b][c] for b in range(m))
+            product = gram_times_class_function(n, dim, weingarten_table(n, dim))
+            for a, row in enumerate(product):
+                for c, entry in enumerate(row):
                     assert entry == (1 if a == c else 0), (n, dim, a, c)
             lines.append(f"n={n} dim={dim}: identity")
     return "\n".join(lines)
@@ -200,7 +181,7 @@ def run_dominance():
     lines = []
     checked = 0
     for t in enumerate_trees(3, 4):
-        if t.vertex_count < 2:
+        if vertex_count(t) < 2:
             continue
         b = tree_to_bubble(t)
         decomp = chain_decomposition(b, SPLIT)

@@ -22,7 +22,16 @@ from tensormoments.algebra import (
     poly_gcd,
 )
 
-from conftest import class_size, compose, cycle_type, cycles, exact_coefficients, symmetric_group
+from conftest import (
+    class_size,
+    compose,
+    cycle_type,
+    cycles,
+    exact_coefficients,
+    from_cycles,
+    substitute_power,
+    symmetric_group,
+)
 
 
 class TestPermutation:
@@ -82,7 +91,7 @@ class TestPermutation:
             assert compose(compose(p, q), r) == compose(p, compose(q, r))
 
     def test_from_cycles(self):
-        p = Permutation.from_cycles(4, [(1, 2, 3)])
+        p = from_cycles(4, [(1, 2, 3)])
         assert p.images == (2, 3, 1, 4)
         assert cycles(p) == [(1, 2, 3), (4,)]
 
@@ -223,7 +232,7 @@ class TestLaurentPoly:
 
     def test_substitute_power(self):
         p = LaurentPoly({2: 1, -1: 3})
-        assert p.substitute_power(2) == LaurentPoly({4: 1, -2: 3})
+        assert substitute_power(p, 2) == LaurentPoly({4: 1, -2: 3})
 
     def test_str(self):
         assert str(LaurentPoly({3: 1, 1: 1})) == "N^3 + N^1"
@@ -422,7 +431,7 @@ class TestRationalFunc:
     def test_substitute_power(self):
         n = LaurentPoly.monomial(1)
         r = RationalFunc(1, n * n - 1)
-        assert r.substitute_power(2) == RationalFunc(1, LaurentPoly({4: 1, 0: -1}))
+        assert substitute_power(r, 2) == RationalFunc(1, LaurentPoly({4: 1, 0: -1}))
 
     def test_records_round_trip(self):
         n = LaurentPoly.monomial(1)

@@ -9,7 +9,6 @@ from tensormoments.bubbles import (
     Bubble,
     ColorSplit,
     bubble_from_chains,
-    canonical_key,
     chain_decomposition,
     chain_obstruction,
     necklace,
@@ -17,6 +16,7 @@ from tensormoments.bubbles import (
 )
 
 from conftest import (
+    canonical_key,
     compose,
     edge_tree_bubble,
     histogram_brute_force,

@@ -15,12 +15,12 @@ import pytest
 import tensormoments
 from tensormoments import cli, effective, montecarlo, oracle
 from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc, Refused
-from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, canonical_key, necklace
+from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
 from tensormoments.cli import build_parser, main
 from tensormoments.trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from tensormoments.weingarten import _weingarten_table
 
-from conftest import edge_tree_bubble
+from conftest import canonical_key, edge_tree_bubble
 
 SPLIT = ColorSplit(4, [2, 4])
 N = LaurentPoly.monomial(1)
@@ -387,6 +387,36 @@ REFUSED_ARGV = {
 @pytest.mark.parametrize("case", sorted(REFUSED_ARGV))
 def test_out_of_range_arguments_refused(case, capsys):
     assert_refused(main(list(REFUSED_ARGV[case])), capsys)
+
+
+# Monte Carlo past a double: a sample's square (variance 1e30), a sample
+# (1e70), or the squared deviations of a d = 1 bubble of 120 dipoles, and
+# the exact value alone (1e70, the estimate replaced by a finite one).
+MC_OVERFLOW = {
+    "squares_variance_1e30": ("bubble_d4_n5", "2", "1e30", False),
+    "samples_variance_1e70": ("bubble_d4_n5", "2", "1e70", False),
+    "deviations_d1_n120": ("d1_n120", "10", "1", False),
+    "exact_variance_1e70": ("bubble_d4_n5", "2", "1e70", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MC_OVERFLOW))
+def test_mc_overflow_refused(case, capsys, bubble_file, monkeypatch):
+    name, dim, variance, finite_estimate = MC_OVERFLOW[case]
+    if name == "d1_n120":
+        path = bubble_file(Bubble(1, 120, (Permutation.identity(120),)))
+    else:
+        path = str(GOLDEN / f"{name}.json")
+    if finite_estimate:
+        fake = montecarlo.Estimate(mean=1.0, stderr=1.0, samples=64, seed=7)
+        monkeypatch.setattr(montecarlo, "estimate_expectation", lambda b, spec: fake)
+    argv = ["mc", path, "--numeric-N", dim, "--samples", "64", "--seed", "7"]
+    code = main(argv + ["--variance", variance])
+    out, err = capsys.readouterr()
+    # No report, so no Infinity or NaN on stdout; one refusal, no traceback.
+    assert (code, out) == (2, "") and "Traceback" not in err
+    (reason,) = [line for line in err.splitlines() if line.startswith("refused: ")]
+    assert reason.startswith("refused: mc: ") and "overflows a double" in reason
 
 
 # A label of 10^9 runs only in a child process: a refusal that formed 10^9!

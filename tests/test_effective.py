@@ -25,7 +25,6 @@ from tensormoments.algebra import (
     Refused,
     _character,
     _contents,
-    _cycle_type,
     _cycles,
     _hook_product,
     catalan,
@@ -53,6 +52,7 @@ from tensormoments.trees import CornerLabeledTree, enumerate_trees, tree_to_bubb
 from conftest import (
     compose,
     cycle_count,
+    cycle_lengths,
     cycle_type,
     cycles,
     edge_tree_bubble,
@@ -492,7 +492,7 @@ def _angular_terms(decomp, rows):
     for sigma in group:
         f_rows = [len(_cycles([end[i] for i in sigma])) for end in ends]
         for powers, tau_inv in taus:
-            yield f_rows, powers, _cycle_type([sigma[i] for i in tau_inv])
+            yield f_rows, powers, cycle_lengths([sigma[i] for i in tau_inv])
 
 
 def pair_walk_weights(decomp, rows):

@@ -1,9 +1,10 @@
-"""Every name the package exports has a reason to be public.
+"""Every top-level name of the package has a reader outside the tests.
 
-A name that ``tensormoments/__init__.py`` exports must be read by another
-module of the package (outside its own definition), by the benchmark in
-``perfbench/``, or by the acceptance suite.  A name that only unit tests
-call belongs in ``tests/`` as a reference, or goes.
+A name defined at the top level of a module of ``tensormoments`` (other
+than ``__init__.py``), exported or not, must be read by another top-level
+statement of the package or named by the benchmark in ``perfbench/``.  A
+name that only tests call belongs in ``tests/conftest.py`` as a reference,
+or goes.
 """
 import ast
 import re
@@ -14,14 +15,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tensormoments"
 
-# Exported with no reader above, each for a stated reason.
+# Defined with no reader above, each for a stated reason.
 ALLOWED = {
     "weingarten_asymptotic": "leading monomial of a Weingarten value; the planned "
     "leading-order angular route (ROADMAP item 8) is built on it",
     "wishart_moment_leading": "leading coefficient of a Wishart moment; the planned "
     "leading-order angular route (ROADMAP item 8) is built on it",
-    "gram_matrix": "the linear system the Weingarten values solve, the reference "
-    "the Weingarten tests check the tables against",
 }
 
 
@@ -53,32 +52,48 @@ def test_lazy_exports_are_listed_and_served():
         tensormoments.missing
 
 
-def package_reads() -> set[str]:
-    """Names read in the package's modules, each top-level definition's own
-    name not counted inside it."""
-    names = set()
+def defined(stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def test_every_top_level_name_has_a_reader():
+    # Every (module, name) defined at the top level, and every one another
+    # top-level statement reads: a name read in a module stands for that
+    # module's own definition, or for the one it imports from another
+    # module of the package, under an alias or not.  perfbench names traced
+    # functions in strings, so its files are searched as text.
+    names, reads = set(), set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text()).body:
-            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
-            names |= {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} - own
-    return names
-
-
-def test_every_export_has_a_reader():
-    # perfbench names traced functions in strings, so its files are searched
-    # as text.
+        module = ast.parse(path.read_text())
+        where = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(module)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for stmt in module.body:
+            where.update((name, (path.stem, name)) for name in defined(stmt))
+        for stmt in module.body:
+            own = defined(stmt)
+            names |= {(path.stem, name) for name in own}
+            read = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} - own
+            reads |= {where[name] for name in read if name in where}
     texts = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    texts.append((ROOT / "tests" / "test_acceptance.py").read_text())
-    reads = package_reads()
-    names = exported()
     unread = [
-        name
-        for name in names
-        if name not in reads
-        and name not in ALLOWED
+        f"{module}.{name}"
+        for module, name in sorted(names - reads)
+        if name not in ALLOWED
         and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
     ]
     assert unread == []
-    assert set(ALLOWED) <= set(names)
+    assert set(ALLOWED) <= set(exported()) & {name for _, name in names}

@@ -143,7 +143,8 @@ def rank_one(N, seed):
 def arena(b, N, steps, batch):
     """A worker's arena for the plan ``steps`` of ``b`` at N and pieces of
     ``batch`` samples."""
-    return montecarlo._arena(montecarlo._layout(b.n, N, steps), batch)
+    moves, length = montecarlo._layout(b.n, N, steps)
+    return moves, np.empty(batch * length, complex)
 
 
 def evaluate_bubble(b, tensor):
@@ -575,8 +576,8 @@ def replay_in_arena(b, N, steps, batch):
     every copy and product, as before the arena: the products terms hold,
     the last product made, the step's copies and its product.  Both count
     elements per sample."""
-    layout = montecarlo._layout(b.n, N, steps)
-    moves, buffer = montecarlo._arena(layout, batch)
+    moves, length = montecarlo._layout(b.n, N, steps)
+    buffer = np.empty(batch * length, complex)
     x = np.empty((batch,) + (N,) * b.d, complex)
     operands = [x] * b.n + [None] * b.n  # None: a black tensor
     last, peak = None, 0
@@ -630,7 +631,7 @@ def replay_in_arena(b, N, steps, batch):
             last = product
         del operands[j], operands[i]
         operands.append(product if same is None else operands[same])
-    return layout[1], peak
+    return length, peak
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 6])

@@ -8,7 +8,6 @@ import pytest
 from tensormoments.algebra import catalan
 from tensormoments.bubbles import (
     ColorSplit,
-    canonical_key,
     chain_decomposition,
     necklace,
     validate,
@@ -21,10 +20,9 @@ from tensormoments.trees import (
     glue,
     glued_key,
     tree_to_bubble,
-    tree_vertex_spans,
 )
 
-from conftest import edge_tree_bubble
+from conftest import canonical_key, edge_tree_bubble, tree_vertex_spans, vertex_count
 
 SPLIT = ColorSplit(4, [2, 4])
 
@@ -168,7 +166,7 @@ class TestEnumeration:
         # hand count: (1,), (2,), and 2 label compositions x 2 colors at v=2
         assert len(trees) == 6
         assert len(set(trees)) == 6
-        assert all(t.vertex_count <= 2 and t.total_label <= 2 for t in trees)
+        assert all(vertex_count(t) <= 2 and t.total_label <= 2 for t in trees)
 
     def test_no_duplicates_and_valid(self):
         trees = list(enumerate_trees(3, 4))

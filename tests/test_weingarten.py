@@ -16,20 +16,16 @@ from tensormoments.algebra import (
     partitions_of,
     poly_gcd,
 )
-from tensormoments.weingarten import (
-    _gram_counts,
-    class_representative,
-    gram_matrix,
-    weingarten_asymptotic,
-    weingarten_exact,
-    weingarten_table,
-)
+from tensormoments.weingarten import weingarten_asymptotic, weingarten_exact, weingarten_table
 
 from conftest import (
+    class_representative,
     class_size,
     compose,
     cycle_count,
     cycle_type,
+    gram_matrix,
+    gram_times_class_function,
     is_identity,
     symmetric_group,
 )
@@ -142,25 +138,10 @@ class TestOrthogonality:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("dim", [7, 11, 13])
     def test_gram_times_weingarten_is_identity(self, n, dim):
-        classes, counts = _gram_counts(n)
-        wg = weingarten_table(n, dim)
-        m = len(classes)
-        gram = [
-            [
-                sum(cnt * Fraction(dim) ** t.num_parts for t, cnt in cell.items())
-                for cell in row
-            ]
-            for row in counts
-        ]
-        wmat = [
-            [sum(cnt * wg[t] for t, cnt in cell.items()) for cell in row]
-            for row in counts
-        ]
-        for a in range(m):
-            for c in range(m):
-                entry = sum(gram[a][b] * wmat[b][c] for b in range(m))
+        product = gram_times_class_function(n, dim, weingarten_table(n, dim))
+        for a, row in enumerate(product):
+            for c, entry in enumerate(row):
                 assert entry == (1 if a == c else 0)
-
 
     @pytest.mark.parametrize("n,dim", [(6, 6), (6, 11), (7, 7), (7, 11), (8, 8), (8, 11)])
     def test_gram_matrix_times_weingarten_is_identity(self, n, dim):
@@ -186,20 +167,6 @@ class TestOrthogonality:
         zero = LaurentPoly.zero()
         expected = [[den if a == c else zero for c in range(size)] for a in range(size)]
         assert gram_times_class_function(n, N, cleared) == expected
-
-
-def gram_times_class_function(n, dim, values):
-    """gram_matrix(n, dim) times the class-algebra matrix of the class
-    function ``values`` (entry (b, c) sums values over sigma_b tau^{-1},
-    tau in class c)."""
-    _, counts = _gram_counts(n)
-    gram = gram_matrix(n, dim)
-    wmat = [[sum(cnt * values[t] for t, cnt in cell.items()) for cell in row] for row in counts]
-    size = len(counts)
-    return [
-        [sum(gram[a][b] * wmat[b][c] for b in range(size)) for c in range(size)]
-        for a in range(size)
-    ]
 
 
 class TestAsymptotics:
