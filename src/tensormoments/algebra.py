@@ -8,8 +8,11 @@ polynomial type: it keeps a whole coefficient as an int and any other as a
 Fraction, and refuses anything else, so integer polynomials (a content
 polynomial at a dimension N^k) are summed and multiplied in ints.  A
 ``RationalFunc`` holds one reduced value and has no arithmetic.  Division
-with remainder and the gcd that reduces it run on dense coefficient lists,
-each result wrapped once as a LaurentPoly.  No floating point anywhere but
+with remainder, the gcd that reduces a value and the products of integer
+polynomials run on dense int coefficient lists: denominators are cleared
+once, division is pseudo-division, the gcd is the primitive remainder
+sequence (Brown 1971), and a Fraction is formed only where a result is
+wrapped as a LaurentPoly, once per coefficient.  No floating point anywhere but
 in ``approx``, the text of a refusal's cost estimate.  Also ``Refused``, the
 one exception a size bound or range check raises.
 """
@@ -205,15 +208,6 @@ def _content_polynomial(contents: Iterable[int]) -> list[int]:
     for c in contents:
         coeffs = [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
-
-
-def _polynomial_at(coeffs: Sequence[Rational], x) -> LaurentPoly:
-    """sum_k coeffs[k] x^k, by Horner, for x an int, a Fraction or a
-    LaurentPoly (a number gives a constant polynomial)."""
-    out = LaurentPoly.zero()
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 def _exact(c: Rational) -> Rational:
@@ -418,56 +412,101 @@ class LaurentPoly:
 N = LaurentPoly.monomial(1)
 
 
-def _coefficient_lists(a: LaurentPoly, b: LaurentPoly) -> tuple[list, list]:
-    """Dense coefficients of ``a`` and ``b``, constant term first; a zero
-    ``b`` or a negative exponent is refused."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if (a.terms and a.min_exp < 0) or b.min_exp < 0:
+def _integer_list(p: LaurentPoly, low: int = 0) -> tuple[list[int], int]:
+    """(coeffs, d) with p = N^low sum_k coeffs[k] N^k / d: integer
+    coefficients, constant term first, over d, the lcm of p's denominators.
+    An exponent under ``low`` is refused."""
+    if p.terms and p.min_exp < low:
         raise ValueError("divmod requires non-negative exponents")
-    lists = []
-    for p in (a, b):
-        coeffs = [0] * (max(p.terms, default=-1) + 1)
-        for e, c in p.terms.items():
-            coeffs[e] = c
-        lists.append(coeffs)
-    return lists[0], lists[1]
+    d = math.lcm(*(c.denominator for c in p.terms.values()))
+    coeffs = [0] * (max(p.terms, default=low - 1) - low + 1)
+    for e, c in p.terms.items():
+        coeffs[e - low] = c.numerator * (d // c.denominator)
+    return coeffs, d
 
 
-def _divmod_lists(a: list, b: list) -> tuple[list, list]:
-    """Long division of coefficient lists (constant term first, ``b``'s last
-    entry nonzero); the remainder has no trailing zeros."""
-    db = len(b) - 1
-    inv = 1 / Fraction(b[-1])  # a Fraction, so no quotient term is a float
+def _wrapped(coeffs: Sequence[int], num: int, den: int, low: int = 0) -> LaurentPoly:
+    """N^low sum_k coeffs[k] num / den N^k, one Fraction per coefficient."""
+    if abs(den) == 1:
+        return LaurentPoly({e + low: c * num * den for e, c in enumerate(coeffs) if c})
+    return LaurentPoly({e + low: Fraction(c * num, den) for e, c in enumerate(coeffs) if c})
+
+
+def _list_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two nonempty coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + len(b)] = [s + x * y for s, y in zip(out[i : i + len(b)], b)]
+    return out
+
+
+def _at_dimension(coeffs: Sequence[int], dim) -> list[int]:
+    """r^deg sum_k coeffs[k] dim^k as a coefficient list, for integer
+    ``coeffs`` at dim = N^q (q >= 1) or a number p / r (r = 1 for an int)."""
+    if isinstance(dim, LaurentPoly):
+        if list(dim.terms.values()) != [1] or dim.max_exp < 1:
+            raise Refused(f"symbolic dimension must be N^k with k >= 1, got {dim}")
+        out = [0] * (dim.max_exp * (len(coeffs) - 1) + 1)
+        out[:: dim.max_exp] = coeffs
+        return out
+    dim = _exact(dim)
+    p, r, deg = dim.numerator, dim.denominator, len(coeffs) - 1
+    return [sum(c * p**k * r ** (deg - k) for k, c in enumerate(coeffs))]
+
+
+def _divmod_lists(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer lists (``b``'s last entry nonzero): (quo,
+    rem, s) with s a = quo b + rem, rem without trailing zeros.  A step whose
+    term b's leading coefficient lc does not divide scales all by lc first, so
+    s is 1 where every step divides, as for a monic b."""
+    db, lc, s = len(b) - 1, b[-1], 1
     rem = list(a)
     quo = [0] * max(len(a) - db, 0)
     for k in reversed(range(len(quo))):
-        t = rem[k + db] * inv
+        t = rem[k + db]
         if t:
-            t = quo[k] = _exact(t)
+            if t % lc:
+                s *= lc
+                quo = [c * lc for c in quo]
+                rem[: k + db] = [c * lc for c in rem[: k + db]]
+            else:
+                t //= lc
+            quo[k] = t
             rem[k : k + db] = [r - t * c for r, c in zip(rem[k : k + db], b)]
     del rem[db:]
     while rem and not rem[-1]:
         rem.pop()
-    return quo, rem
+    return quo, rem, s
+
+
+def _gcd_lists(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of integer lists by the primitive remainder sequence
+    (Brown 1971): each pseudo-remainder is divided by its content."""
+    while b:
+        g = math.gcd(*b)
+        a, b = b, _divmod_lists(a, [c // g for c in b])[1]
+    g = math.gcd(*a)
+    return [c // g for c in a]
 
 
 def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division with remainder for ordinary polynomials (exponents >= 0)."""
-    quo, rem = _divmod_lists(*_coefficient_lists(a, b))
-    return LaurentPoly(dict(enumerate(quo))), LaurentPoly(dict(enumerate(rem)))
+    """Division with remainder for ordinary polynomials (exponents >= 0), by
+    integer pseudo-division, each result rescaled once."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    (x, dx), (y, dy) = _integer_list(a), _integer_list(b)
+    quo, rem, s = _divmod_lists(x, y)
+    return _wrapped(quo, dy, s * dx), _wrapped(rem, 1, s * dx)
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic GCD of ordinary polynomials over the rationals, by Euclid's
-    remainder sequence on coefficient lists."""
+    """Monic GCD of ordinary polynomials over the rationals, by the primitive
+    remainder sequence on integer coefficient lists."""
     if b.is_zero():
         return a * Fraction(1, a.leading_term()[1]) if a else a
-    x, y = _coefficient_lists(a, b)
-    while y:
-        x, y = y, _divmod_lists(x, y)[1]
-    inv = 1 / Fraction(x[-1])
-    return LaurentPoly({e: c * inv for e, c in enumerate(x)})
+    g = _gcd_lists(_integer_list(a)[0], _integer_list(b)[0])
+    return _wrapped(g, 1, g[-1])
 
 
 class RationalFunc:
@@ -497,16 +536,12 @@ class RationalFunc:
         if num.is_zero():
             return LaurentPoly.zero(), LaurentPoly.one()
         a, b = num.min_exp, den.min_exp
-        nu, de = num.shift(-a), den.shift(-b)
-        g = poly_gcd(nu, de)
-        if g.max_exp > 0 or g.leading_term()[1] != 1:
-            nu, _ = _poly_divmod(nu, g)
-            de, _ = _poly_divmod(de, g)
-        _, lc = de.leading_term()
-        inv = Fraction(1, lc)
-        nu = nu * inv
-        de = de * inv
-        return nu.shift(a - b), de
+        (nu, dn), (de, dd) = _integer_list(num, a), _integer_list(den, b)
+        g = _gcd_lists(nu, de)
+        if len(g) > 1:  # g is primitive, so it divides both exactly (Gauss's lemma)
+            nu, de = _divmod_lists(nu, g)[0], _divmod_lists(de, g)[0]
+        # num / den = N^(a-b) (nu / dn) / (de / dd), over de's leading coefficient.
+        return _wrapped(nu, dd, dn * de[-1], a - b), _wrapped(de, 1, de[-1])
 
     def is_polynomial(self) -> bool:
         return self.den == LaurentPoly.one()

@@ -8,14 +8,14 @@ Gaussian expectation.  The expansion counts the pairs (sigma, tau) of
 S_m x S_m by sigma-orbits: one walk over sigma, then one walk over tau per
 orbit under conjugation by the length-keeping permutations.  Each
 coefficient is reduced once, from numerators over the shared denominator of
-a ``weingarten`` table, by a gcd on coefficient lists (``algebra.poly_gcd``).
-Wishart moments are character sums over S_L of integer content polynomials
-put in at the dimensions (``LaurentPoly``s, whose whole coefficients are
-ints), so this route never calls the Wick oracle it is checked against.  The
-expansion records its colour split, which alone gives the Weingarten
+a ``weingarten`` table, by a gcd on integer coefficient lists.  Wishart
+moments are character sums over S_L of integer content polynomials put in
+at the dimensions N^q as lists, each weight one list product and the sum
+one int list, so this route never calls the Wick oracle it is checked
+against.  The expansion records its colour split, which alone gives the Weingarten
 dimension N^q and the N^q x N^{|C|} Wishart matrix (q row colours); the
 reconstruction takes the lcm of the coefficients' denominators and ends in
-one exact polynomial division, its gcds and divisions on coefficient lists.
+one exact polynomial division, its gcds and divisions on integer lists.
 """
 from __future__ import annotations
 
@@ -32,13 +32,15 @@ from .algebra import (
     Partition,
     RationalFunc,
     Refused,
+    _at_dimension,
     _character,
     _content_polynomial,
     _contents,
     _cycles,
     _hook_product,
+    _list_product,
     _poly_divmod,
-    _polynomial_at,
+    _wrapped,
     approx,
     catalan,
     partitions_of,
@@ -182,13 +184,13 @@ def wishart_moment_exact(
     """<prod_j tr W^{l_j}> in the complex Wishart ensemble, unit covariance.
 
     W = M M^dagger with M of size row_dim x col_dim.  Dimensions may be
-    exact numbers or Laurent polynomials in N; the result is symbolic as
-    soon as either one is.  By characters (Hanlon, Stanley & Stembridge
+    exact numbers or powers N^k (k >= 1); the result is symbolic as soon as
+    either one is.  By characters (Hanlon, Stanley & Stembridge
     1992), with L = sum(lengths) and P_lam(x) = prod_{box in lam} (x + c):
 
         sum_{lam |- L} chi^lam(lengths) P_lam(row) P_lam(col) / H_lam,
 
-    summed in integers over H = lcm_lam H_lam and divided by H once.
+    summed in one integer list over H = lcm_lam H_lam and divided by H once.
     """
     lens = tuple(sorted((int(l) for l in lengths), reverse=True))
     if any(l < 1 for l in lens):
@@ -196,28 +198,32 @@ def wishart_moment_exact(
     L = sum(lens)
     if L > WISHART_L_MAX:
         raise Refused(f"total degree {L} exceeds the bound {WISHART_L_MAX}")
-    H, weights = _wishart_weights(L, row_dim, col_dim)
-    total = LaurentPoly.zero()
+    den, weights = _wishart_weights(L, row_dim, col_dim)
+    total = [0] * len(weights[0][1])
     for lam, w in weights:
-        total = total + _character(lam, lens) * w
+        chi = _character(lam, lens)
+        if chi:
+            total = [t + chi * x for t, x in zip(total, w)]
     if isinstance(row_dim, LaurentPoly) or isinstance(col_dim, LaurentPoly):
-        return total * Fraction(1, H)
-    return Fraction(total.terms.get(0, 0), H)
+        return _wrapped(total, 1, den)
+    return Fraction(total[0], den)
 
 
 @lru_cache(maxsize=None)
 def _wishart_weights(L: int, row: DimLike, col: DimLike) -> tuple:
-    """(H, ((lam, (H / H_lam) P_lam(row) P_lam(col)) for every lam |- L)),
-    with H the lcm of the hook products and each weight a LaurentPoly:
-    integer coefficients for integer or N^k dimensions."""
+    """(D, ((lam, w_lam) for every lam |- L)), w_lam the integer list of
+    D P_lam(row) P_lam(col) / H_lam, one list product; D = H r^L, with H the
+    lcm of the hook products and r the numeric dimensions' denominators."""
     lams = [p.parts for p in partitions_of(L)]
     hooks = [_hook_product(lam) for lam in lams]
     H = math.lcm(*hooks)
     out = []
     for lam, h in zip(lams, hooks):
         content = _content_polynomial(_contents(lam))
-        out.append((lam, _polynomial_at(content, row) * _polynomial_at(content, col) * (H // h)))
-    return H, tuple(out)
+        row_at = [H // h * c for c in _at_dimension(content, row)]
+        out.append((lam, _list_product(row_at, _at_dimension(content, col))))
+    r = math.prod(x.denominator for x in (row, col) if not isinstance(x, LaurentPoly))
+    return H * r**L, tuple(out)
 
 
 def wishart_moment_leading(l: int, balance: str) -> int:

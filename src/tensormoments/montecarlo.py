@@ -54,6 +54,7 @@ Exactness lives elsewhere; this module is double precision by design.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from dataclasses import asdict, dataclass
@@ -201,19 +202,26 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
     # At N = 1 every order costs the same; ranking pairs as at N = 2 keeps
     # each step's label count small.
     rank_dim = max(N, 2)
+
+    def cost(a, c):  # the product keeps the sample label and every label not shared
+        kept = len(a) + len(c) + 1 - 2 * len(set(a).intersection(c))
+        return size(kept, rank_dim) - size(len(a), rank_dim) - size(len(c), rank_dim)
+
     terms = _labels(b)
     keys = ["T"] * b.n + ["C"] * b.n
+    # Each term has an id in creation order, the order of the live list, so
+    # the heap's (cost, id, id) order is (cost, i, j) order; a pair with a
+    # term already used is skipped when it comes up.
+    ids, used = list(range(2 * b.n)), set()
+    pairs = [(cost(terms[i], terms[j]), i, j) for i, j in combinations(ids, 2)]
+    heapq.heapify(pairs)
     steps, flops, largest, axes = [], 0, batch * N**b.d, b.d + 1
     while len(terms) > 1:
-        best = None
-        for i, j in combinations(range(len(terms)), 2):
-            a, c = terms[i], terms[j]
-            # The product keeps the sample label and every label not shared.
-            kept = len(a) + len(c) + 1 - 2 * len(set(a).intersection(c))
-            cost = size(kept, rank_dim) - size(len(a), rank_dim) - size(len(c), rank_dim)
-            if best is None or cost < best[0]:
-                best = (cost, i, j)
-        _, i, j = best
+        _, u, v = heapq.heappop(pairs)
+        if u in used or v in used:
+            continue
+        used.update((u, v))
+        i, j = ids.index(u), ids.index(v)
         a, c = terms[i], terms[j]
         # The sample label 0 comes first on every term.
         own_c = [x for x in c if x not in a]
@@ -226,7 +234,7 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
         # A small matrix product of two matrices takes its turn (see _TURN).
         turn = inner > 1 and rows > 1 and cols > 1 and rows * inner * cols < 2048
         key = (keys[i], keys[j], left, right, groups)
-        del terms[j], terms[i], keys[j], keys[i]
+        del terms[j], terms[i], keys[j], keys[i], ids[j], ids[i]
         same = keys.index(key) if key in keys else None
         steps.append((i, j, left, right, groups, turn, same))
         out = (0, *own_c, *own_a)
@@ -234,8 +242,12 @@ def _plan(b: Bubble, N: int, batch: int) -> tuple[list, int, int]:
             flops += size(len(out) + len(summed)) * (2 if summed else 1)
             largest = max(largest, size(len(out)))
             axes = max(axes, len(out))
+        new = 2 * b.n + len(steps) - 1  # the product's id
+        for t, u in zip(terms, ids):
+            heapq.heappush(pairs, (cost(t, out), u, new))
         terms.append(out)
         keys.append(key)
+        ids.append(new)
     if axes > AXES_MAX or largest > INTERMEDIATE_MAX:
         # Written from their logs: at a large N the counts are past float range.
         log_flops = math.log(flops) if flops else -math.inf
@@ -447,21 +459,24 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
             reals = np.empty(takes[0] * spec.N**b.d)
             arena = moves, np.empty(size * length, complex)
             values = np.empty(takes[0], complex)
-            for index in range(first, len(takes), 2):
-                if stop.is_set():
-                    return
-                take, done = takes[index], 0
-                for batch in _draw_pieces(spec, b.d, index, take, pieces, reals):
-                    _contract(batch, b.n, steps, arena, values[done : done + len(batch)])
-                    done += len(batch)
-                chunk = values[:take]
-                scale = np.abs(chunk)
-                rel = np.divide(np.abs(chunk.imag), scale, out=np.zeros(take), where=scale > 0)
-                re = chunk.real
-                chunk_mean = float(np.mean(re))
-                chunks[index] = (
-                    chunk_mean, float(np.sum((re - chunk_mean) ** 2)), float(np.max(rel))
-                )
+            # Past a double a value is inf or nan, which the merged estimate
+            # refuses; numpy's error state is per thread, so each worker sets it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for index in range(first, len(takes), 2):
+                    if stop.is_set():
+                        return
+                    take, done = takes[index], 0
+                    for batch in _draw_pieces(spec, b.d, index, take, pieces, reals):
+                        _contract(batch, b.n, steps, arena, values[done : done + len(batch)])
+                        done += len(batch)
+                    chunk = values[:take]
+                    scale = np.abs(chunk)
+                    rel = np.divide(np.abs(chunk.imag), scale, out=np.zeros(take), where=scale > 0)
+                    re = chunk.real
+                    chunk_mean = float(np.mean(re))
+                    chunks[index] = (
+                        chunk_mean, float(np.sum((re - chunk_mean) ** 2)), float(np.max(rel))
+                    )
         except Exception as error:
             faults[index] = error
             stop.set()

@@ -21,11 +21,12 @@ from .algebra import (
     Partition,
     RationalFunc,
     Refused,
+    _at_dimension,
     _character,
     _content_polynomial,
     _contents,
     _hook_product,
-    _polynomial_at,
+    _wrapped,
     catalan,
     partitions_of,
 )
@@ -65,8 +66,8 @@ def _weingarten_table(n: int, dim: Dim) -> tuple[dict, LaurentPoly]:
         for lam, w in zip(lams, weights):
             chi = _character(lam, cls.parts)
             coeffs = [s + chi * a for s, a in zip(coeffs, w)]
-        nums[cls] = _polynomial_at(coeffs, dim) * Fraction(1, H)
-    return nums, _polynomial_at(_content_polynomial(top.elements()), dim)
+        nums[cls] = _wrapped(_at_dimension(coeffs, dim), 1, H)
+    return nums, _wrapped(_at_dimension(_content_polynomial(top.elements()), dim), 1, 1)
 
 
 def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
@@ -79,14 +80,11 @@ def weingarten_exact(cls: Partition, dim: Dim) -> Union[RationalFunc, Fraction]:
     n = cls.n
     if n > DEFAULT_N_MAX:
         raise Refused(f"class size {n} exceeds n_max={DEFAULT_N_MAX}")
-    if isinstance(dim, int):
-        if dim < n:
-            raise Refused(
-                f"numeric dimension {dim} < n={n}: Gram matrix not invertible"
-            )
-    elif list(dim.terms.values()) != [1] or dim.max_exp < 1:
-        raise Refused(f"symbolic dimension must be N^k with k >= 1, got {dim}")
-    nums, den = _weingarten_table(n, dim)
+    if not isinstance(dim, (int, LaurentPoly)):
+        raise Refused(f"dimension must be an integer or N^k, got {dim!r}")
+    if isinstance(dim, int) and dim < n:
+        raise Refused(f"numeric dimension {dim} < n={n}: Gram matrix not invertible")
+    nums, den = _weingarten_table(n, dim)  # refuses a symbolic dim other than N^k
     if isinstance(dim, int):
         return Fraction(nums[cls].terms.get(0, 0), den.terms[0])
     return RationalFunc(nums[cls], den)

@@ -15,7 +15,11 @@ from tensormoments.algebra import (
     Partition,
     Permutation,
     RationalFunc,
+    _character,
+    _content_polynomial,
+    _contents,
     _cycles,
+    _hook_product,
     partitions_of,
 )
 from tensormoments.bubbles import (
@@ -158,6 +162,41 @@ def substitute_power(f, k: int):
     if k < 1:
         raise ValueError("power must be >= 1")
     return LaurentPoly({e * k: c for e, c in f.terms.items()})
+
+
+@lru_cache(maxsize=None)
+def _laurent_wishart_weights(L: int, row, col) -> tuple:
+    """(H, ((lam, (H / H_lam) P_lam(row) P_lam(col)) for every lam |- L)), each
+    content polynomial put in at each dimension by Horner on LaurentPolys."""
+
+    def at(coeffs, x):
+        out = LaurentPoly.zero()
+        for c in reversed(coeffs):
+            out = out * x + c
+        return out
+
+    lams = [p.parts for p in partitions_of(L)]
+    hooks = [_hook_product(lam) for lam in lams]
+    H = math.lcm(*hooks)
+    weights = []
+    for lam, h in zip(lams, hooks):
+        content = _content_polynomial(_contents(lam))
+        weights.append((lam, at(content, row) * at(content, col) * (H // h)))
+    return H, tuple(weights)
+
+
+def wishart_laurent(lengths, row, col):
+    """``wishart_moment_exact`` as LaurentPoly arithmetic: the character sum of
+    the weights as LaurentPolys, over H once.  The reference for the
+    integer-list weights."""
+    lens = tuple(sorted(lengths, reverse=True))
+    H, weights = _laurent_wishart_weights(sum(lens), row, col)
+    total = LaurentPoly.zero()
+    for lam, w in weights:
+        total = total + _character(lam, lens) * w
+    if isinstance(row, LaurentPoly) or isinstance(col, LaurentPoly):
+        return total * Fraction(1, H)
+    return Fraction(total.terms.get(0, 0), H)
 
 
 def canonical_key(b: Bubble):

@@ -305,6 +305,17 @@ def _reference_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a * Fraction(1, lc)
 
 
+def _reference_canonical(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """RationalFunc's canonical (num, den) by the reference kernels: the
+    powers of N shifted out, the gcd divided out, the denominator monic."""
+    a, b = num.min_exp, den.min_exp
+    nu, de = num.shift(-a), den.shift(-b)
+    g = _reference_gcd(nu, de)
+    nu, de = _reference_divmod(nu, g)[0], _reference_divmod(de, g)[0]
+    inv = Fraction(1, de.leading_term()[1])
+    return (nu * inv).shift(a - b), de * inv
+
+
 def _random_poly(rng: random.Random, degree: int, whole: bool) -> LaurentPoly:
     """An ordinary polynomial of exactly this degree, with int coefficients
     when ``whole``, else Fractions; the leading one is never 1."""
@@ -339,6 +350,47 @@ def _division_cases():
             roots = rng.sample(range(-8, 9), 5)
             lin = [LaurentPoly({1: 1, 0: -r}) * rng.choice([1, Fraction(3, 2), -2]) for r in roots]
             cases.append((lin[0] * lin[1] * lin[2], lin[3] * lin[4]))  # coprime
+    return cases + _integer_kernel_cases(rng)
+
+
+def _integer_kernel_cases(rng: random.Random):
+    """(a, b) pairs aimed at the integer pseudo-division and the primitive
+    remainder sequence: divisors led by 1, -1 and 6, integer content > 1,
+    Fractions over mixed denominators, and degree >= 16 products of the
+    Weingarten denominator's factors (N^q + c)."""
+    def led(degree, lead):  # int coefficients, this leading one
+        return LaurentPoly({**{e: rng.randint(-9, 9) for e in range(degree)}, degree: lead})
+
+    cases = []
+    for lead in (1, -1, 6):  # no pseudo-division step scales for +-1; 6 does
+        for _ in range(6):
+            b = led(rng.randint(1, 5), lead)
+            cases.append((led(rng.randint(0, 10), rng.choice([1, -1, 6, 7])), b))
+            cases.append((LaurentPoly.zero(), b))
+            cases.append((b * led(rng.randint(0, 4), rng.choice([1, 6])), b))  # exact multiple
+            g = led(rng.randint(1, 3), lead)
+            cases.append((g * led(rng.randint(0, 3), 6), g * led(rng.randint(0, 3), lead)))
+    for _ in range(6):  # integer content > 1, with and without a common factor
+        g = led(rng.randint(0, 2), rng.choice([1, 2, 3]))
+        a = g * led(rng.randint(0, 5), 4) * rng.choice([2, 6, 35])
+        cases.append((a, g * led(rng.randint(0, 4), 6) * rng.choice([3, 10, 12])))
+        cases.append((a, led(rng.randint(1, 4), 1) * 4))
+    def mixed(degree):  # Fraction coefficients over mixed denominators
+        lead = Fraction(rng.choice([-5, 1, 3, 7]), rng.choice([1, 4, 9]))
+        body = {e: Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 5, 7, 12])) for e in range(degree)}
+        return LaurentPoly({**body, degree: lead})
+
+    for _ in range(6):
+        a, b = mixed(rng.randint(0, 7)), mixed(rng.randint(1, 4))
+        cases += [(a, b), (a * b, b), (a * b * b, a * b)]
+    for q in (1, 2, 3):  # prod (N^q + c)^k of degree >= 16, and a divisor of it
+        factors = [LaurentPoly({q: 1, 0: c}) for c in range(-4, 5)]
+        picks = [rng.choice(factors) for _ in range(-(-16 // q) + 2)]
+        den = math.prod(picks, start=LaurentPoly.one())
+        part = math.prod(rng.sample(picks, len(picks) // 2), start=LaurentPoly.one())
+        other = math.prod(rng.sample(factors, 4), start=LaurentPoly.one())
+        num = led(rng.randint(0, 3 * q), 6) * Fraction(1, rng.choice([1, 24, 720]))
+        cases += [(den, part), (num * part, den), (den, other), (num * other * part, den)]
     return cases
 
 
@@ -352,6 +404,10 @@ class TestDivisionKernels:
             assert g == _reference_gcd(a, b)
             assert g.leading_term()[1] == 1
             assert all(exact_coefficients(p) for p in (quo, rem, g))
+            if a:
+                r = RationalFunc(a, b)
+                assert (r.num, r.den) == _reference_canonical(a, b)
+                assert exact_coefficients(r.num) and exact_coefficients(r.den)
 
     def test_gcd_with_a_zero_operand(self):
         a = LaurentPoly({3: Fraction(2, 3), -1: 4})

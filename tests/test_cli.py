@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -411,10 +412,15 @@ def test_mc_overflow_refused(case, capsys, bubble_file, monkeypatch):
         fake = montecarlo.Estimate(mean=1.0, stderr=1.0, samples=64, seed=7)
         monkeypatch.setattr(montecarlo, "estimate_expectation", lambda b, spec: fake)
     argv = ["mc", path, "--numeric-N", dim, "--samples", "64", "--seed", "7"]
-    code = main(argv + ["--variance", variance])
+    # Both workers' numpy warnings land here: the warnings filters are global.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--variance", variance])
     out, err = capsys.readouterr()
-    # No report, so no Infinity or NaN on stdout; one refusal, no traceback.
+    # No report, so no Infinity or NaN on stdout; one refusal, no traceback
+    # and no numpy overflow warning before it.
     assert (code, out) == (2, "") and "Traceback" not in err
+    assert [str(w.message) for w in caught] == [] and "RuntimeWarning" not in err
     (reason,) = [line for line in err.splitlines() if line.startswith("refused: ")]
     assert reason.startswith("refused: mc: ") and "overflows a double" in reason
 

@@ -59,6 +59,7 @@ from conftest import (
     exact_coefficients,
     symmetric_group,
     top_sigmas,
+    wishart_laurent,
 )
 
 SPLIT = ColorSplit(4, [2, 4])
@@ -212,6 +213,23 @@ class TestWishartMoments:
             got = wishart_moment_exact(lengths, row, col)
             expected = wishart_reference(lengths, row, col)
             assert (got, type(got)) == (expected, type(expected)), lengths
+
+    @pytest.mark.parametrize(
+        "row, col",
+        [(N, N), (N, N2), (N**3, N), (N2, 3), (2, 3), (Fraction(7, 2), N2)],
+        ids=["N-N", "N-N2", "N3-N", "N2-3", "2-3", "7/2-N2"],
+    )
+    def test_equals_the_laurent_poly_sum(self, row, col):
+        for lengths in (p.parts for L in range(1, 10) for p in partitions_of(L)):
+            got = wishart_moment_exact(lengths, row, col)
+            expected = wishart_laurent(lengths, row, col)
+            assert (got, type(got)) == (expected, type(expected)), lengths
+            assert not isinstance(got, LaurentPoly) or exact_coefficients(got)
+
+    def test_symbolic_dimension_other_than_a_power_of_N_refused(self):
+        for dim in (N + 1, 2 * N, LaurentPoly.one(), LaurentPoly.monomial(-1)):
+            with pytest.raises(Refused, match="N\\^k with k >= 1"):
+                wishart_moment_exact((2, 1), N, dim)
 
     def test_catalan_limit_numeric(self):
         # <tr W^l> / m^{l+1} -> Cat_l for square m x m

@@ -9,6 +9,7 @@ from tensormoments.algebra import (
     LaurentPoly,
     Partition,
     RationalFunc,
+    Refused,
     _character,
     _contents,
     _hook_product,
@@ -114,6 +115,11 @@ class TestExactValues:
     def test_small_numeric_dim_rejected(self):
         with pytest.raises(ValueError):
             weingarten_exact(Partition([2, 1]), 2)
+
+    def test_dimension_other_than_an_integer_or_a_power_of_N_refused(self):
+        for dim in (Fraction(7, 2), N + 1, 2 * N, LaurentPoly.one()):
+            with pytest.raises(Refused):
+                weingarten_exact(Partition([2, 1]), dim)
 
     def test_n_max_enforced(self):
         with pytest.raises(ValueError):
