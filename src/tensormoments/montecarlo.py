@@ -1,7 +1,9 @@
 """Statistical ground truth: sample Gaussian tensors, contract, estimate.
 
-Sampling uses the counter-based Philox generator keyed by (seed, chunk
-index), so results are reproducible and independent of evaluation order.
+Sampling uses an SFC64 generator seeded by ``SeedSequence(seed,
+spawn_key=(chunk index,))``, one stream per chunk, so results are
+reproducible and independent of evaluation order, and distinct seeds give
+distinct streams.
 A ``SampleSpec`` holds N, the sample count, the seed and the variance; the
 bubble fixes the tensor's rank d.
 
@@ -30,12 +32,11 @@ reduces each to its (mean, sum of squared deviations, max_rel_imag), which
 the calling thread merges in index order after the join.  A chunk is drawn
 and contracted in pieces whose largest array holds at most
 ``PIECE_ELEMENTS`` elements, so a piece's intermediates stay in a core's L2
-cache.  A chunk's stream gives every real part before any imaginary part:
-a worker draws the chunk's real parts into a float buffer, then fills its
-one complex piece buffer piece by piece, each piece's imaginary parts drawn
-into the real parts it has consumed (``_draw_pieces``, the one draw path;
-``sample_batch`` is its one-piece case).  So a worker holds
-half a complex chunk, one piece and that piece's intermediates.  A black
+cache.  A chunk's stream gives each entry's real and imaginary parts in
+turn, so a worker draws each piece straight into its one complex piece
+buffer, viewed as floats, and scales it there (``_draw_pieces``, the one
+draw path; ``sample_batch`` is its one-piece case).  So a worker holds one
+piece, that piece's intermediates and a chunk's values.  A black
 tensor's conjugate is formed where a step uses it, in the pass that copies
 it into place, so no conjugate batch stays alive.  The budget
 ``INTERMEDIATE_MAX`` is still counted on one whole complex
@@ -89,6 +90,8 @@ class SampleSpec:
             raise Refused("N must be >= 1")
         if self.samples < 2:
             raise Refused("need at least 2 samples")
+        if self.seed < 0:
+            raise Refused(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.variance < math.inf:
             raise Refused(f"variance must be finite and positive, got {self.variance}")
 
@@ -106,8 +109,7 @@ class Estimate:
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def sample_batch(spec: SampleSpec, d: int, index: int, count: int) -> np.ndarray:
@@ -116,33 +118,28 @@ def sample_batch(spec: SampleSpec, d: int, index: int, count: int) -> np.ndarray
     The whole batch as one piece of ``_draw_pieces``, into a new array.
     """
     out = np.empty((count,) + (spec.N,) * d, complex)
-    (batch,) = _draw_pieces(spec, d, index, count, out, np.empty(count * spec.N**d))
+    (batch,) = _draw_pieces(spec, d, index, count, out)
     return batch
 
 
-def _draw_pieces(spec: SampleSpec, d: int, index: int, count: int, out: np.ndarray, reals):
+def _draw_pieces(spec: SampleSpec, d: int, index: int, count: int, out: np.ndarray):
     """Yield the ``count`` tensors keyed (seed, index) in pieces of
     ``len(out)`` samples, each drawn into the front of ``out``.
 
-    The stream gives every real part, then every imaginary part.  ``reals``,
-    a float64 array of at least ``count * N**d`` elements, first receives
-    every real part, raw; each piece's real parts are then scaled into
-    ``out``, and its imaginary parts drawn into the real parts it has just
-    consumed and scaled in turn.  The draws and multiplies are the same for
-    any piece length, so pieces change no bits.
+    The stream gives each entry's real part, then its imaginary part, entry
+    after entry: a piece's draws go straight into its complex buffer, viewed
+    as re, im, re, im, ..., and are scaled there.  A stream read in pieces
+    gives the values it gives read whole, so pieces change no bits.
     """
     rng = _rng(spec.seed, index)
     scale = math.sqrt(spec.variance / 2.0)
-    size, step = spec.N**d, len(out)
-    rng.standard_normal(out=reals[: count * size])
+    step = len(out)
     for start in range(0, count, step):
-        take = min(step, count - start)
-        flat = out[:take].reshape(-1).view(np.float64)  # re, im, re, im, ...
-        draws = reals[start * size : (start + take) * size]
-        np.multiply(draws, scale, out=flat[0::2])
-        rng.standard_normal(out=draws)
-        np.multiply(draws, scale, out=flat[1::2])
-        yield out[:take]
+        piece = out[: min(step, count - start)]
+        flat = piece.reshape(-1).view(np.float64)
+        rng.standard_normal(out=flat)
+        flat *= scale
+        yield piece
 
 
 def _labels(b: Bubble) -> list[tuple[int, ...]]:
@@ -426,14 +423,13 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
     calling thread and one thread, each draw, contract and reduce every
     other chunk; a chunk is drawn and contracted in pieces whose largest
     array holds at most ``PIECE_ELEMENTS`` elements (one sample where a
-    sample alone holds more).  Each worker allocates once a float buffer
-    for a chunk's real parts, one complex piece buffer, its arena for the
-    plan's ``_layout`` and a vector for a chunk's values, and holds no
-    whole complex chunk; where a chunk is one piece, the float buffer holds
-    at most ``PIECE_ELEMENTS`` floats.  The draws and every contraction step
-    are per sample, so the values equal those of ``sample_batch``'s whole
-    chunk.  The chunks are merged in index order once both are done.  A
-    fault in either worker stops the other before its next chunk; the
+    sample alone holds more).  Each worker allocates once one complex
+    piece buffer, its arena for the plan's ``_layout`` and a vector for a
+    chunk's values, and holds no whole chunk: each piece is drawn straight
+    into the piece buffer.  The draws and every contraction step are per
+    sample, so the values equal those of ``sample_batch``'s whole chunk.
+    The chunks are merged in index order once both are done.  A fault in
+    either worker stops the other before its next chunk; the
     thread is joined before this returns or raises, and the fault of the
     lowest-indexed failed chunk is raised here.
     """
@@ -449,14 +445,13 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
 
     def work(first):
         # Chunks first, first + 2, ..., each drawn piece by piece into this
-        # worker's piece buffer, its real parts waiting in ``reals``, and
-        # contracted in its arena into ``values``; all four are allocated
-        # once.  A fault is kept for the caller to raise.
+        # worker's piece buffer and contracted in its arena into ``values``;
+        # all three are allocated once.  A fault is kept for the caller to
+        # raise.
         index = first
         try:
             size = min(piece, takes[0])
             pieces = np.empty((size,) + (spec.N,) * b.d, complex)
-            reals = np.empty(takes[0] * spec.N**b.d)
             arena = moves, np.empty(size * length, complex)
             values = np.empty(takes[0], complex)
             # Past a double a value is inf or nan, which the merged estimate
@@ -466,7 +461,7 @@ def estimate_expectation(b: Bubble, spec: SampleSpec) -> Estimate:
                     if stop.is_set():
                         return
                     take, done = takes[index], 0
-                    for batch in _draw_pieces(spec, b.d, index, take, pieces, reals):
+                    for batch in _draw_pieces(spec, b.d, index, take, pieces):
                         _contract(batch, b.n, steps, arena, values[done : done + len(batch)])
                         done += len(batch)
                     chunk = values[:take]

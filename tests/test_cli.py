@@ -25,6 +25,7 @@ from conftest import canonical_key, edge_tree_bubble
 
 SPLIT = ColorSplit(4, [2, 4])
 N = LaurentPoly.monomial(1)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -382,6 +383,11 @@ REFUSED_ARGV = {
     "tree_enumerate_9_9": ("tree", "--enumerate", "9", "9"),
     # K = 10^6 is over the oracle's bound; the refusal does not form 10^6!.
     "tree_enumerate_huge_K": ("tree", "--enumerate", "1", "1000000"),
+    # A seed keys its stream whole, so a negative one is refused, not
+    # wrapped modulo 2^64 onto another seed's stream.
+    "mc_negative_seed": (
+        "mc", str(GOLDEN / "bubble_d4_n5.json"), "--numeric-N", "2", "--seed", "-1"
+    ),
 }
 
 
@@ -391,12 +397,16 @@ def test_out_of_range_arguments_refused(case, capsys):
 
 
 # Monte Carlo past a double: a sample's square (variance 1e30), a sample
-# (1e70), or the squared deviations of a d = 1 bubble of 120 dipoles, and
-# the exact value alone (1e70, the estimate replaced by a finite one).
+# (1e70), or the squared deviations of a d = 1 bubble of 200 dipoles, and
+# the exact value alone (1e70, the estimate replaced by a finite one).  At
+# d = 1, N = 10 a sample is (|T|^2)^200 with |T|^2 ~ Gamma(10): the squared
+# deviations overflow once any |T|^2 > 5.9, and all 64 draws stay below it
+# with p < 1e-70; a sample overflows itself past 34.8, and then the mean.
+# So the refusal holds on every seed, not on a lucky one.
 MC_OVERFLOW = {
     "squares_variance_1e30": ("bubble_d4_n5", "2", "1e30", False),
     "samples_variance_1e70": ("bubble_d4_n5", "2", "1e70", False),
-    "deviations_d1_n120": ("d1_n120", "10", "1", False),
+    "deviations_d1_n200": ("d1_n200", "10", "1", False),
     "exact_variance_1e70": ("bubble_d4_n5", "2", "1e70", True),
 }
 
@@ -404,8 +414,8 @@ MC_OVERFLOW = {
 @pytest.mark.parametrize("case", sorted(MC_OVERFLOW))
 def test_mc_overflow_refused(case, capsys, bubble_file, monkeypatch):
     name, dim, variance, finite_estimate = MC_OVERFLOW[case]
-    if name == "d1_n120":
-        path = bubble_file(Bubble(1, 120, (Permutation.identity(120),)))
+    if name == "d1_n200":
+        path = bubble_file(Bubble(1, 200, (Permutation.identity(200),)))
     else:
         path = str(GOLDEN / f"{name}.json")
     if finite_estimate:
@@ -541,13 +551,13 @@ def _inject_fault(*args, **kwargs):
 
 
 def _fault_after_first_chunk(
-    spec, d, index, count, out, reals, draw_pieces=montecarlo._draw_pieces
+    spec, d, index, count, out, draw_pieces=montecarlo._draw_pieces
 ):
     # Chunk 0 is drawn by the calling thread's worker and chunk 1 by the
     # other worker's thread; its fault stops the calling thread before its
     # next chunk and is raised in the caller.
     if index == 0:
-        return draw_pieces(spec, d, index, count, out, reals)
+        return draw_pieces(spec, d, index, count, out)
     raise ValueError("injected fault")
 
 
@@ -591,7 +601,6 @@ def test_empty_bubble_is_one_on_all_three_routes(capsys, tmp_path):
     assert code == 0 and (report["mean"], report["stderr"], report["exact"]) == (1.0, 0.0, 1.0)
 
 
-GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_ARGV = {
     "weingarten_5_N2": ("weingarten", "5", "--dim", "N^2"),
     "weingarten_5_11": ("weingarten", "5", "--dim", "11"),
@@ -621,6 +630,11 @@ GOLDEN_ARGV = {
     # the short chunk 1 of 88 in one piece.
     "mc_d4_n5_N3": (
         "mc", "bubble_d4_n5.json", "--numeric-N", "3", "--samples", "600", "--seed", "7"
+    ),
+    # Variance 0.6: each piece's draws scaled in place by sqrt(0.3).
+    "mc_d4_n5_var0.6": (
+        "mc", "bubble_d4_n5.json", "--numeric-N", "2", "--samples", "1024", "--seed", "7",
+        "--variance", "0.6",
     ),
     # The 3-necklace at N = 6: chunks contracted in pieces of 50 samples, the
     # last piece of each chunk short, and two of five steps reusing a

@@ -97,26 +97,32 @@ class TestSampling:
         var = float(np.mean(np.abs(batch) ** 2))
         assert abs(var - 2.0) < 0.05
 
-    def test_batch_is_scaled_real_then_imaginary_draws(self):
-        # Reference: the two draws combined as complex temporaries.
+    def test_batch_is_scaled_interleaved_draws(self):
+        # Reference: one draw of every real and imaginary part, entry after
+        # entry (re, im, re, im, ...), scaled and read as complex.
         cases = [(2, 4, 0.3, 7), (3, 3, 1.0, 7), (6, 4, 2.5, 7), (8, 4, 0.7, 33)]
         for N, d, variance, count in cases:
             spec = SampleSpec(N=N, samples=2, seed=19, variance=variance)
             rng = montecarlo._rng(spec.seed, 5)
-            shape = (count,) + (N,) * d
-            re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-            expected = np.sqrt(variance / 2) * (re + 1j * im)
+            draws = rng.standard_normal(2 * count * N**d)
+            expected = (np.sqrt(variance / 2) * draws).view(complex)
             assert sample_batch(spec, d, 5, count).tobytes() == expected.tobytes()
 
+    def test_seeds_past_64_bits_draw_their_own_streams(self):
+        # The whole seed keys the stream, not the seed modulo 2**64.
+        for seed in (0, 7):
+            a = sample_batch(SampleSpec(N=2, samples=2, seed=seed), 4, 0, 3)
+            b = sample_batch(SampleSpec(N=2, samples=2, seed=seed + 2**64), 4, 0, 3)
+            assert not np.array_equal(a, b), seed
+
     def test_draws_into_a_used_buffer_equal_a_fresh_batch(self):
-        # A full chunk and a short last one, each drawn in one piece into
-        # buffers that hold an earlier chunk, as a worker reuses its piece
-        # buffer and its buffer of real parts.
+        # A full chunk and a short last one, each drawn in one piece into a
+        # buffer that holds an earlier chunk, as a worker reuses its piece
+        # buffer.
         spec = SampleSpec(N=2, samples=1300, seed=3)
         buffer = sample_batch(spec, 4, 0, DEFAULT_CHUNK)
-        reals = np.random.default_rng(0).standard_normal(DEFAULT_CHUNK * 2**4)
         for index, count in [(2, DEFAULT_CHUNK), (3, 276)]:
-            (drawn,) = montecarlo._draw_pieces(spec, 4, index, count, buffer, reals)
+            (drawn,) = montecarlo._draw_pieces(spec, 4, index, count, buffer)
             assert np.shares_memory(drawn, buffer)
             assert drawn.tobytes() == sample_batch(spec, 4, index, count).tobytes()
 
@@ -354,11 +360,11 @@ def test_fault_stops_both_workers(failing, monkeypatch):
     drawn = []
     draw_pieces = montecarlo._draw_pieces
 
-    def fault(spec, d, index, count, out, reals):
+    def fault(spec, d, index, count, out):
         drawn.append(index)
         if index == 1 or (failing == "every_chunk_after_0" and index > 1):
             raise ValueError(f"injected fault at chunk {index}")
-        return draw_pieces(spec, d, index, count, out, reals)
+        return draw_pieces(spec, d, index, count, out)
 
     monkeypatch.setattr(montecarlo, "_draw_pieces", fault)
     threads = threading.active_count()
@@ -394,8 +400,7 @@ def test_pieces_change_no_bits(N):
 
 @pytest.mark.parametrize("N", [2, 3, 6])
 def test_drawn_pieces_are_the_batch_bitwise(N):
-    # A worker draws a chunk's real parts into one float buffer, then each
-    # piece's imaginary parts into the real parts that piece has consumed.
+    # A worker draws each piece of a chunk straight into its piece buffer.
     # The pieces of a full chunk and of a short last one (276 samples),
     # concatenated, are sample_batch's batch byte for byte.
     b = necklace(4, SPLIT, 3)
@@ -404,19 +409,18 @@ def test_drawn_pieces_are_the_batch_bitwise(N):
     if N == 6:
         assert computed == 50
     spec = SampleSpec(N=N, samples=2 * DEFAULT_CHUNK + 276, seed=29, variance=0.6)
-    reals = np.empty(DEFAULT_CHUNK * N**4)
     for index, count in [(0, DEFAULT_CHUNK), (2, 276)]:
         whole = sample_batch(spec, b.d, index, count).tobytes()
         for piece in sorted({1, 7, computed}):
             out = np.empty((piece,) + (N,) * b.d, complex)
-            drawn = montecarlo._draw_pieces(spec, b.d, index, count, out, reals)
+            drawn = montecarlo._draw_pieces(spec, b.d, index, count, out)
             assert np.concatenate([batch.copy() for batch in drawn]).tobytes() == whole, piece
 
 
-def test_workers_hold_real_parts_and_one_piece():
-    # Each worker holds its chunk's real parts, half a complex chunk, plus
-    # one piece and that piece's intermediates; holding a whole complex chunk
-    # each, the two would read more than two chunks.
+def test_workers_hold_one_piece():
+    # Each worker draws each piece straight into its piece buffer, so it
+    # holds one piece, that piece's intermediates and a chunk's values: the
+    # two together read 0.43 to 0.48 of a complex chunk on this plan.
     N = 7
     chunk_bytes = 16 * DEFAULT_CHUNK * N**4
     spec = SampleSpec(N=N, samples=2 * DEFAULT_CHUNK, seed=47)
@@ -430,7 +434,7 @@ def test_workers_hold_real_parts_and_one_piece():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 1.75 * chunk_bytes, peak / chunk_bytes
+    assert peak < 0.75 * chunk_bytes, peak / chunk_bytes
 
 
 def einsum_steps(b, steps):
@@ -679,9 +683,9 @@ def test_fault_in_a_step_taking_its_turn_stops_both_workers(monkeypatch):
     drawn = []
     draw_pieces, matmul = montecarlo._draw_pieces, np.matmul
 
-    def draw(spec, d, index, count, out, reals):
+    def draw(spec, d, index, count, out):
         drawn.append(index)
-        return draw_pieces(spec, d, index, count, out, reals)
+        return draw_pieces(spec, d, index, count, out)
 
     def fault(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
