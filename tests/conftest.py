@@ -1,14 +1,20 @@
 """References the tests share: brute-force walks over S_n and the slow
 algorithms the library's fast paths are checked against, none of which a
-command, a route or the benchmark runs."""
+command, a route or the benchmark runs; and the one way a test starts a
+fresh Python process."""
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
+import tensormoments
 from tensormoments.algebra import (
     LaurentPoly,
     N,
@@ -31,6 +37,25 @@ from tensormoments.bubbles import (
     white_maps_key,
 )
 from tensormoments.trees import CornerLabeledTree
+
+
+def fresh_process(args, one_cpu=False, timeout=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new process that imports the package from
+    this checkout, pinned to one CPU if ``one_cpu``; its stdout and stderr
+    are captured as text."""
+
+    def pin():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    src = str(Path(tensormoments.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=pin if one_cpu else None,
+    )
 
 
 @pytest.fixture

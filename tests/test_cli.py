@@ -2,9 +2,7 @@
 import argparse
 import hashlib
 import json
-import os
 import random
-import subprocess
 import sys
 import threading
 import time
@@ -13,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import tensormoments
 from tensormoments import cli, effective, montecarlo, oracle
 from tensormoments.algebra import LaurentPoly, Permutation, RationalFunc, Refused
 from tensormoments.bubbles import Bubble, ColorSplit, bubble_from_chains, necklace
@@ -21,7 +18,7 @@ from tensormoments.cli import build_parser, main
 from tensormoments.trees import CornerLabeledTree, catalan_product, enumerate_trees, tree_to_bubble
 from tensormoments.weingarten import _weingarten_table
 
-from conftest import canonical_key, edge_tree_bubble
+from conftest import canonical_key, edge_tree_bubble, fresh_process
 
 SPLIT = ColorSplit(4, [2, 4])
 N = LaurentPoly.monomial(1)
@@ -457,18 +454,11 @@ def test_huge_sizes_refused_within_a_second(case, tmp_path):
         argv = list(REFUSED_ARGV[case])
     else:
         argv = malformed_argv(TREE_LABEL_HUGE if case == "tree_label_huge" else case, tmp_path)
-    src = str(Path(tensormoments.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "tensormoments.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
+    proc = fresh_process(["-m", "tensormoments.cli", *argv], timeout=10)
     assert proc.returncode == 2, proc.stderr
     # One refusal, then "done in 0.001s (exit 2)": nothing else, no traceback.
     reason, done = proc.stderr.splitlines()
-    assert reason.startswith("refused: ") and done.startswith("done in ")
+    assert reason.startswith(f"refused: {argv[0]}: ") and done.startswith("done in ")
     assert float(done.split()[2].rstrip("s")) < 1.0
 
 
@@ -645,22 +635,33 @@ GOLDEN_ARGV = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
-def test_stdout_matches_golden_file(case, capsys):
-    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_ARGV[case]]
-    code, out = run(capsys, *argv)
-    assert code == 0
-    assert out == (GOLDEN / f"{case}.out").read_text()
+def golden_argv(case: str) -> list[str]:
+    return [str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_ARGV[case]]
 
 
-def fresh_interpreter(code: str) -> str:
-    """Run ``code`` in a new Python process that imports the package from
-    this checkout; return its stdout."""
-    src = str(Path(tensormoments.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
+def test_golden_files_are_the_golden_cases():
+    # GOLDEN_ARGV is the one list of goldens: no file in golden/ is outside it.
+    assert {p.stem for p in GOLDEN.glob("*.out")} == set(GOLDEN_ARGV)
+    named = {a for argv in GOLDEN_ARGV.values() for a in argv if a.endswith(".json")}
+    assert {p.name for p in GOLDEN.glob("*.json")} == named
+
+
+# Each case as a user runs it, in a new process; each mc case also with its
+# two workers (the calling thread and one thread) sharing one CPU, where the
+# chunks are still reduced on their own and merged in index order.
+@pytest.mark.parametrize(
+    "case, one_cpu",
+    [pytest.param(case, False, id=case) for case in sorted(GOLDEN_ARGV)]
+    + [
+        pytest.param(case, True, id=f"{case}-one_cpu")
+        for case in sorted(GOLDEN_ARGV)
+        if GOLDEN_ARGV[case][0] == "mc"
+    ],
+)
+def test_stdout_matches_golden_file(case, one_cpu):
+    proc = fresh_process(["-m", "tensormoments.cli", *golden_argv(case)], one_cpu=one_cpu)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{case}.out").read_text()
 
 
 def test_exact_commands_never_load_numpy():
@@ -670,7 +671,7 @@ def test_exact_commands_never_load_numpy():
     assert {GOLDEN_ARGV[case][0] for case in cases} == {
         "expect", "effective", "tree", "weingarten", "wishart"
     }
-    runs = [[str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_ARGV[c]] for c in cases]
+    runs = [golden_argv(c) for c in cases]
     code = (
         "import contextlib, io, json, sys\n"
         "from tensormoments import cli\n"
@@ -682,13 +683,15 @@ def test_exact_commands_never_load_numpy():
         "    outs.append(buf.getvalue())\n"
         "print(json.dumps(['numpy' in sys.modules, outs]))\n"
     )
-    loaded, outs = json.loads(fresh_interpreter(code))
+    proc = fresh_process(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    loaded, outs = json.loads(proc.stdout)
     assert loaded is False
     assert outs == [(GOLDEN / f"{case}.out").read_text() for case in cases]
 
 
 def test_mc_and_the_lazy_exports_load_numpy():
-    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_ARGV["mc_d4_n5"]]
+    argv = golden_argv("mc_d4_n5")
     code = (
         "import contextlib, io, json, sys\n"
         "from tensormoments import cli\n"
@@ -699,7 +702,9 @@ def test_mc_and_the_lazy_exports_load_numpy():
         "from tensormoments import Estimate, SampleSpec, estimate_expectation\n"
         "print(json.dumps([before, 'numpy' in sys.modules, buf.getvalue()]))\n"
     )
-    before, after, out = json.loads(fresh_interpreter(code))
+    proc = fresh_process(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    before, after, out = json.loads(proc.stdout)
     assert (before, after) == (False, True)
     assert out == (GOLDEN / "mc_d4_n5.out").read_text()
 

@@ -1,14 +1,11 @@
 """Monte Carlo sampling: reproducibility, invariances, statistical accuracy."""
 import json
 import math
-import os
 import random
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +26,7 @@ from tensormoments.montecarlo import (
 )
 from tensormoments.oracle import per_color_dimensions
 
-from conftest import edge_tree_bubble
+from conftest import edge_tree_bubble, fresh_process
 
 SPLIT = ColorSplit(4, [2, 4])
 # A connected d = 4, n = 14 bubble: colour 1 the identity, the others drawn
@@ -725,10 +722,7 @@ def test_first_estimate_in_a_fresh_process_pays_no_extra_faults():
         "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         "print(json.dumps(faults))\n"
     )
-    src = str(Path(montecarlo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    first, second = json.loads(run.stdout)
+    proc = fresh_process(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout)
     assert first <= 3 * second, (first, second)

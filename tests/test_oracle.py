@@ -1,15 +1,9 @@
 """Wick-enumeration oracle: exact expectations, dominant contractions."""
 import math
-import os
 import random
-import subprocess
-import sys
 from itertools import permutations
-from pathlib import Path
 
 import pytest
-
-import tensormoments
 
 from tensormoments import oracle
 from tensormoments.algebra import LaurentPoly, Permutation, Refused, _cycles
@@ -23,7 +17,7 @@ from tensormoments.oracle import (
 )
 from tensormoments.trees import CornerLabeledTree, enumerate_trees, tree_to_bubble
 
-from conftest import edge_tree_bubble, histogram_brute_force
+from conftest import edge_tree_bubble, fresh_process, histogram_brute_force
 
 SPLIT = ColorSplit(4, [2, 4])
 
@@ -289,10 +283,8 @@ class TestTranspositionWalk:
             "oracle.wick_histogram(necklace(4, ColorSplit(4, [2, 4]), 7))\n"
             "print(oracle._row.cache_info().currsize)\n"
         )
-        src = str(Path(tensormoments.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout.split("\n")
+        proc = fresh_process(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.split("\n")
         assert int(out[0]) == 0
         assert int(out[1]) > 0
