@@ -83,8 +83,18 @@ def cmd_expect(args) -> int:
 
 def cmd_effective(args) -> int:
     bubble = _load(Bubble, args.bubble)
+    items = args.split.split(",")
     try:
-        split = ColorSplit(bubble.d, [int(c) for c in args.split.split(",")])
+        colors = {int(c) for c in items}
+    except ValueError:
+        colors = set()
+    # An empty item or a repeated colour leaves fewer colours than items.
+    if len(colors) < len(items):
+        raise Refused(
+            f"--split {args.split!r}: expected comma-separated distinct colours in 1..{bubble.d}"
+        )
+    try:
+        split = ColorSplit(bubble.d, colors)
     except ValueError as exc:
         raise Refused(f"--split {args.split}: {exc}") from None
     # Refusals before any enumeration: the oracle's size bound (which also

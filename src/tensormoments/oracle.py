@@ -3,19 +3,21 @@
 The Gaussian expectation of a bubble polynomial at unit covariance is the
 sum over pairings pi in S_n of prod_c N^{#cycles(tau_c pi)} (pi -> pi^{-1}
 is a bijection of S_n, so this equals the sum over tau_c pi^{-1}).  One
-serial walk over S_n, one coset pi S_k at a time (S_k permutes positions
-0..k-1, k = min(n, K)), gives each coset one row of k! cycle counts per
-colour: one cycle walk per colour and coset (``_fold``), then a row of
-S_k's table.  A row of S_k is joined from k rows of S_{k-1} by the same
-walk one level down (``_row``), and so on to the one row of S_0, so the
-kernel counts cycles only through ``_fold``.  Each row is built the first
-time a walk needs it; nothing is built at import.
+serial walk descends S_n > S_{n-1} > ... > S_k (S_m permutes positions
+0..m-1, k = min(n, K)) and reaches each coset pi S_k once.  Its one step,
+``_drop``, takes a colour's map in S_m to one in S_{m-1} and counts the
+cycle it closes, if any; a drop is shared by every coset below it.  At S_k
+each colour's map gives one row of k! cycle counts from S_k's table.  A row
+of S_k is joined from k drops to rows of S_{k-1} (``_row``), and so on to
+the one row of S_0, so the kernel counts cycles only through ``_drop``.
+Each row is built the first time a walk needs it; nothing is built at
+import.
 
 Every colour has the same dimension N, so the result needs only each
 pairing's total, the sum over colours of its cycle counts.
 ``wick_histogram`` adds a coset's d rows as little-endian integers: one
 big-int addition per colour sums all k! pairings, one byte each, and one
-more adds the cycles the walks closed outside S_k to every byte.  A byte
+more adds the cycles the drops closed above S_k to every byte.  A byte
 holds at most d*n, so no carry crosses into the next pairing while
 d*n <= 255, which ``check_size`` requires.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import islice
 from typing import Sequence
 
 from .algebra import LaurentPoly, Refused, approx
@@ -31,11 +33,11 @@ from .bubbles import Bubble
 
 DEFAULT_N_MAX = 9
 # Positions permuted within a coset.  Kernel at n = 9, random d = 4 bubble,
-# rows warm, one core of a 2-vCPU VM: K = 5 40 ms, K = 6 24 ms (504 cosets
-# of S_6 against 3024 of S_5).  ``_row`` joins each row of S_k from k rows
-# of S_{k-1}: all 720 rows of S_6 (0.5 MB) take 15-30 ms cold, S_1..S_5
-# included, against 1.3 s for one cycle walk per entry; S_5's 120 rows
-# alone take 2-4 ms.
+# rows warm, one core of a 2-vCPU VM, in its day of one cycle walk per colour
+# and coset: K = 5 40 ms, K = 6 24 ms (504 cosets of S_6 against 3024 of
+# S_5).  ``_row`` joins each row of S_k from k drops to rows of S_{k-1}: all
+# 720 rows of S_6 (0.5 MB) take 4-6 ms cold, S_1..S_5 included, against
+# 1.3 s for one cycle walk per entry.
 K = 6
 # Cosets whose totals ``wick_histogram`` counts at a time (23040 bytes at
 # K = 6).  At n = 9 and K = 5 the count took the same time for 16 to 512
@@ -60,39 +62,21 @@ def check_size(n: int, d: int) -> None:
         )
 
 
-def _cosets(n: int, k: int):
-    """A representative pi of each coset pi S_k of S_n (S_k permutes
-    positions 0..k-1): pi fixes the images of positions k..n-1 (the tail,
-    in ``itertools.permutations`` order) and sends 0..k-1 to the remaining
-    vertices in order."""
-    vertices = set(range(n))
-    for tail in permutations(range(n), n - k):
-        yield sorted(vertices.difference(tail)) + list(tail)
+def _drop(g: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int]:
+    """(f, closed) with #cycles(g pi_j rho) = closed + #cycles(f rho) for
+    every rho in S_{k-1}, g in S_k, where pi_j sends 0..k-2 to the other
+    points in order and k-1 to j.
 
-
-def _fold(sigma: list[int], k: int) -> tuple[tuple[int, ...], int]:
-    """(f, closed) with #cycles(sigma rho) = closed + #cycles(f rho) for
-    every rho in S_k, sigma in S_n.
-
-    ``closed`` counts the cycles of sigma that avoid A = {0..k-1}; f in S_k
-    follows sigma from each p in A until it returns to A.
+    f is g with position j taken out and the entry k-1 replaced by g[j]:
+    the walk from each p < k-1 passes through k-1 at most once.  If g[j] is
+    k-1 itself, k-1 is a fixed point of g pi_j and closes one cycle.
     """
-    seen = [False] * len(sigma)
-    f = []
-    for x in sigma[:k]:
-        while x >= k:
-            seen[x] = True
-            x = sigma[x]
-        f.append(x)
-    closed = 0
-    for start in range(k, len(sigma)):
-        if not seen[start]:
-            closed += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = sigma[x]
-    return tuple(f), closed
+    top = len(g) - 1
+    f = g[:j] + g[j + 1 :]
+    if g[j] == top:
+        return f, 1
+    i = f.index(top)
+    return f[:i] + (g[j],) + f[i + 1 :], 0
 
 
 @lru_cache(maxsize=None)
@@ -106,40 +90,45 @@ def _row(g: tuple[int, ...]) -> bytes:
     """#cycles(g rho) for rho in S_k, k = len(g) <= K.
 
     The row of S_0 is the one empty permutation's 0 cycles.  For k >= 1 it
-    joins k pieces, one per coset pi_j S_{k-1} (tails j in
-    ``_cosets(k, k - 1)`` order): the walk of ``_coset_rows`` one level
-    down, ``_fold`` of g pi_j, gives the row of S_{k-1} that counts
-    #cycles(g pi_j rho') for every rho' in S_{k-1}, shifted by its closed
-    count through ``_shift``.  So rho runs over pi_j rho', j outer and rho'
-    in the join order of S_{k-1} inner; that order is the same for every g
-    of one k, which is all a coset's sum needs.
+    joins k pieces, one per coset pi_j S_{k-1}, j = 0..k-1: ``_drop(g, j)``
+    gives the row of S_{k-1} that counts #cycles(g pi_j rho') for every
+    rho' in S_{k-1}, shifted by its closed count through ``_shift``.  So rho
+    runs over pi_j rho', j outer and rho' in the join order of S_{k-1}
+    inner; that order is the same for every g of one k, which is all a
+    coset's sum needs.
     """
     if not g:
         return b"\x00"
-    k = len(g)
     pieces = []
-    for pi in _cosets(k, k - 1):
-        f, c = _fold([g[p] for p in pi], k - 1)
-        pieces.append(_row(f).translate(_shift(c)))
+    for j in range(len(g)):
+        f, closed = _drop(g, j)
+        pieces.append(_row(f).translate(_shift(closed)))
     return b"".join(pieces)
 
 
 def _coset_rows(b: Bubble):
-    """Each coset's d (row, closed) pairs: the colours' cycle counts of its
-    k! pairings, k = min(n, K).
+    """Each coset's d rows and its closed count: the colours' cycle counts
+    of its k! pairings, k = min(n, K), are closed + the sum of the rows.
 
-    Per colour, ``_fold`` of sigma = tau_c pi gives f and ``closed``, so
-    closed + ``_row(f)`` holds the colour's count for all k! pairings
-    pi rho of the coset.
+    The walk descends S_n > S_{n-1} > ... > S_k.  At each level it drops
+    position j = 0..m-1 from every colour's map in S_m and descends with
+    the closed cycles summed, so one drop serves every coset below it; at
+    S_k, ``_row`` of each colour's map holds its counts for the coset.
     """
-    n, k = b.n, min(b.n, K)
-    taus = [[img - 1 for img in b.tau(c).images] for c in range(1, b.d + 1)]
-    for pi in _cosets(n, k):
-        rows = []
-        for tau in taus:
-            f, closed = _fold([tau[p] for p in pi], k)
-            rows.append((_row(f), closed))
-        yield rows
+    # Made from lists: a tuple made from a generator is resized once filled,
+    # and for n <= K these tuples stay in the row cache as keys; made so,
+    # they raised the trees workload's peak RSS by 1 MiB.
+    taus = [tuple([img - 1 for img in b.tau(c).images]) for c in range(1, b.d + 1)]
+
+    def walk(gs, m, closed):
+        if m <= K:
+            yield [_row(g) for g in gs], closed
+            return
+        for j in range(m):
+            drops = [_drop(g, j) for g in gs]
+            yield from walk([f for f, _ in drops], m - 1, closed + sum(c for _, c in drops))
+
+    return walk(taus, b.n, 0)
 
 
 def wick_histogram(b: Bubble) -> dict[int, int]:
@@ -148,21 +137,24 @@ def wick_histogram(b: Bubble) -> dict[int, int]:
     A coset's rows, added as little-endian integers, and its closed cycles,
     added once as that many copies of a row of ones, give its k! totals as
     bytes.  They are counted by byte value a block of cosets at a time, so
-    the n! totals are never held at once.
+    the n! totals are never held at once.  A block's scan starts at its
+    least closed count plus d: each entry of a row of S_k, k >= 1, is at
+    least one cycle.
     """
     width = math.factorial(min(b.n, K))
     ones = int.from_bytes(b"\x01" * width, "little")
+    least = b.d if b.n else 0
     walk = _coset_rows(b)
     hist: dict[int, int] = {}
     while cosets := list(islice(walk, COSETS_PER_BLOCK)):
         block = bytearray()
-        for rows in cosets:
-            sums = closed = 0
-            for row, c in rows:
+        for rows, closed in cosets:
+            sums = closed * ones
+            for row in rows:
                 sums += int.from_bytes(row, "little")
-                closed += c
-            block += (sums + closed * ones).to_bytes(width, "little")
-        total, left = 0, len(block)
+            block += sums.to_bytes(width, "little")
+        total = least + min(closed for _, closed in cosets)
+        left = len(block)
         while left:
             if count := block.count(total):
                 hist[total] = hist.get(total, 0) + count

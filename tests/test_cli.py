@@ -385,6 +385,12 @@ REFUSED_ARGV = {
     "mc_negative_seed": (
         "mc", str(GOLDEN / "bubble_d4_n5.json"), "--numeric-N", "2", "--seed", "-1"
     ),
+    # A repeated colour is not merged into one, and an empty item is no colour.
+    "effective_split_repeated_color": (
+        "effective", str(GOLDEN / "bubble_d4_n5.json"), "--split", "2,2"
+    ),
+    "effective_split_empty_item": ("effective", str(GOLDEN / "bubble_d4_n5.json"), "--split", "2,"),
+    "effective_split_empty": ("effective", str(GOLDEN / "bubble_d4_n5.json"), "--split", ""),
 }
 
 
@@ -482,6 +488,14 @@ def test_wrong_container_refused_by_its_field(case, capsys, tmp_path):
     reason = capsys.readouterr().err.splitlines()[0]
     assert code == 2
     assert reason.startswith(f"refused: {command}: {path}: {field} must be a JSON "), reason
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(REFUSED_ARGV) if "_split_" in c])
+def test_bad_split_refused_by_its_form(case, capsys):
+    code = main(list(REFUSED_ARGV[case]))
+    reason = capsys.readouterr().err.splitlines()[0]
+    assert code == 2
+    assert reason.endswith(": expected comma-separated distinct colours in 1..4"), reason
 
 
 def test_enumeration_budget_checked_while_enumerating(capsys, monkeypatch):

@@ -247,6 +247,48 @@ class TestTranspositionWalk:
                 shifted = bytes(closed + count for count in recount)
                 assert oracle._row(g).translate(oracle._shift(closed)) == shifted
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_drop_equals_the_recount(self, k):
+        # #cycles(g pi_j rho) = closed + #cycles(f rho) for every g in S_k,
+        # every j and every rho in S_{k-1} (rho fixes k-1 in S_k).
+        rhos = list(permutations(range(k - 1)))
+        for g in permutations(range(k)):
+            for j in range(k):
+                f, closed = oracle._drop(g, j)
+                pi = [x for x in range(k) if x != j] + [j]
+                for rho in rhos:
+                    whole = [g[pi[r]] for r in rho + (k - 1,)]
+                    assert len(_cycles(whole)) == closed + len(_cycles([f[r] for r in rho]))
+
+    def test_drops_shared_by_the_cosets_below(self, monkeypatch):
+        # With the rows of S_K cached, n = 9 and d = 4 drop each colour's map
+        # once per node of the walk above S_K: 9 + 9*8 + 9*8*7 nodes.
+        b = random_bubble(random.Random("shared drops"), 4, 9)
+        expected = wick_histogram(b)
+        calls = []
+        drop = oracle._drop
+
+        def spy(g, j):
+            calls.append(len(g))
+            return drop(g, j)
+
+        monkeypatch.setattr(oracle, "_drop", spy)
+        assert wick_histogram(b) == expected
+        assert len(calls) == 4 * (9 + 72 + 504) == 2340
+        assert set(calls) == {7, 8, 9}
+
+    @pytest.mark.parametrize("n, d", [(8, 31), (9, 28)])
+    def test_identity_colours_give_stirling_numbers(self, n, d):
+        # Every colour the identity: a pairing's total is d * #cycles(pi),
+        # so the histogram is {d*k: c(n, k)}, c the unsigned Stirling numbers
+        # of the first kind.  Totals reach d*n = 248 and 252 of a byte's 255,
+        # and many cosets close cycles above S_K.
+        stirling = [1]
+        for m in range(n):  # c(m+1, k) = m c(m, k) + c(m, k-1)
+            stirling = [m * a + b for a, b in zip(stirling + [0], [0] + stirling)]
+        b = Bubble(d, n, (Permutation.identity(n),) * d)
+        assert wick_histogram(b) == {d * k: c for k, c in enumerate(stirling) if c}
+
     def test_totals_cache_only_unshifted_rows(self, monkeypatch):
         # wick_histogram adds a coset's closed cycles as one integer, so the
         # row cache holds rows unshifted: the rows of S_K that _coset_rows
