@@ -15,11 +15,16 @@ import.
 
 Every colour has the same dimension N, so the result needs only each
 pairing's total, the sum over colours of its cycle counts.
-``wick_histogram`` adds a coset's d rows as little-endian integers: one
-big-int addition per colour sums all k! pairings, one byte each, and one
-more adds the cycles the drops closed above S_k to every byte.  A byte
+``wick_histogram`` sums a block of cosets colour by colour: one colour's
+rows, joined over the block, are one little-endian integer, one byte per
+pairing, and the cycles the drops closed above S_k are one more.  A byte
 holds at most d*n, so no carry crosses into the next pairing while
-d*n <= 255, which ``check_size`` requires.
+d*n <= 255, which ``check_size`` requires.  The block's bytes are then
+counted eight candidate totals per pass: one ``translate`` gives each
+candidate its own bit and every other byte 0, and a masked ``bit_count``
+reads each candidate's count.  For even d every total has the parity of
+sum_c parity(tau_c), so the candidates step by 2 and one pass usually
+covers a block.
 """
 from __future__ import annotations
 
@@ -39,9 +44,11 @@ DEFAULT_N_MAX = 9
 # 720 rows of S_6 (0.5 MB) take 4-6 ms cold, S_1..S_5 included, against
 # 1.3 s for one cycle walk per entry.
 K = 6
-# Cosets whose totals ``wick_histogram`` counts at a time (23040 bytes at
-# K = 6).  At n = 9 and K = 5 the count took the same time for 16 to 512
-# cosets, but 512 raised the call's traced memory peak from 19 KiB to 168 KiB.
+# Cosets whose totals ``wick_histogram`` sums and counts at a time (23040
+# bytes at K = 6).  The five warm histograms of the wick workload's seed 1
+# (n = 8, 8, 8, 8, 9) took the same time for 8 to 32 cosets (12.2-12.7 ms
+# on a 2-vCPU VM) and 5-15% longer for 64 to 504; the n = 9 call's traced
+# memory peak is 65 / 125 / 250 KiB at 16 / 32 / 64 cosets.
 COSETS_PER_BLOCK = 32
 
 
@@ -53,8 +60,8 @@ def check_size(n: int, d: int) -> None:
         pairings = math.lgamma(n + 1)  # n! by its log, as ``approx`` takes it
         cosets = pairings - math.lgamma(K + 1)
         raise Refused(
-            f"n={n} exceeds n_max={DEFAULT_N_MAX}: ~{approx(cosets, 2)} cosets x {d} cycle walks "
-            f"plus ~{approx(pairings, 2)} table entries; use the Monte Carlo estimator instead"
+            f"n={n} exceeds n_max={DEFAULT_N_MAX}: ~{approx(cosets, 2)} cosets, each adding {d} rows, "
+            f"and ~{approx(pairings, 2)} totals counted; use the Monte Carlo estimator instead"
         )
     if d * n > 255:
         raise Refused(
@@ -106,6 +113,23 @@ def _row(g: tuple[int, ...]) -> bytes:
     return b"".join(pieces)
 
 
+@lru_cache(maxsize=None)
+def _fill(closed: int, width: int) -> bytes:
+    """``width`` copies of the byte ``closed``: a coset's closed cycles,
+    added once to each of its totals."""
+    return bytes((closed,)) * width
+
+
+# The bytes ``wick_histogram``'s count table gives candidate totals 0..7 of a pass.
+_BITS = bytes(1 << i for i in range(8))
+
+
+@lru_cache(maxsize=None)
+def _masks(length: int) -> tuple[int, ...]:
+    """Bit i of each of ``length`` little-endian bytes, for i = 0..7."""
+    return tuple(int.from_bytes(bytes((bit,)) * length, "little") for bit in _BITS)
+
+
 def _coset_rows(b: Bubble):
     """Each coset's d rows and its closed count: the colours' cycle counts
     of its k! pairings, k = min(n, K), are closed + the sum of the rows.
@@ -134,32 +158,48 @@ def _coset_rows(b: Bubble):
 def wick_histogram(b: Bubble) -> dict[int, int]:
     """Map sum_c #cycles(tau_c pi) -> number of pairings pi realizing it.
 
-    A coset's rows, added as little-endian integers, and its closed cycles,
-    added once as that many copies of a row of ones, give its k! totals as
-    bytes.  They are counted by byte value a block of cosets at a time, so
-    the n! totals are never held at once.  A block's scan starts at its
-    least closed count plus d: each entry of a row of S_k, k >= 1, is at
-    least one cycle.
+    A block of cosets is summed colour by colour: each colour's rows, joined
+    coset by coset, are one little-endian integer, and the cosets' closed
+    counts one more, joined from ``_fill``.  The sum's bytes are the block's
+    totals, so the n! totals are never held at once.  They are counted eight
+    candidate values per pass: ``translate`` sends the i-th candidate to bit
+    i and every other byte to 0, and ``_masks`` picks out each bit's count.
+
+    The first candidate is the block's least closed count plus d: each entry
+    of a row of S_k, k >= 1, is at least one cycle.  For even d the
+    candidates step by 2 from the parity of the block's first total: every
+    total is congruent to sum_c parity(tau_c), as #cycles(tau_c pi) is
+    n + parity(tau_c) + parity(pi) mod 2 and d*n, d*parity(pi) are even.
     """
     width = math.factorial(min(b.n, K))
-    ones = int.from_bytes(b"\x01" * width, "little")
     least = b.d if b.n else 0
+    step = 2 - b.d % 2
+    # Sized for the first block: ``&`` keeps the shorter length, so a short
+    # last block needs no masks of its own.
+    masks = _masks(min(math.factorial(b.n) // width, COSETS_PER_BLOCK) * width)
     walk = _coset_rows(b)
     hist: dict[int, int] = {}
     while cosets := list(islice(walk, COSETS_PER_BLOCK)):
-        block = bytearray()
-        for rows, closed in cosets:
-            sums = closed * ones
-            for row in rows:
-                sums += int.from_bytes(row, "little")
-            block += sums.to_bytes(width, "little")
-        total = least + min(closed for _, closed in cosets)
+        sums = int.from_bytes(b"".join([_fill(closed, width) for _, closed in cosets]), "little")
+        for column in zip(*[rows for rows, _ in cosets]):
+            sums += int.from_bytes(b"".join(column), "little")
+        block = sums.to_bytes(len(cosets) * width, "little")
+        first = least + min(closed for _, closed in cosets)
+        first += (first - block[0]) % step
         left = len(block)
-        while left:
-            if count := block.count(total):
-                hist[total] = hist.get(total, 0) + count
-                left -= count
-            total += 1
+        for value in range(first, 256, 8 * step):
+            # Room past 255 keeps the slice eight long; translate reads 256.
+            table = bytearray(256 + 8 * step)
+            table[value : value + 8 * step : step] = _BITS
+            hot = int.from_bytes(block.translate(table[:256]), "little")
+            for total, mask in zip(range(value, 256, step), masks):
+                if count := (hot & mask).bit_count():
+                    hist[total] = hist.get(total, 0) + count
+                    left -= count
+            if not left:
+                break
+        else:
+            raise RuntimeError(f"{left} totals of a block not counted")
     return hist
 
 

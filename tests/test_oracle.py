@@ -289,6 +289,31 @@ class TestTranspositionWalk:
         b = Bubble(d, n, (Permutation.identity(n),) * d)
         assert wick_histogram(b) == {d * k: c for k, c in enumerate(stirling) if c}
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_histogram_does_not_depend_on_the_block_size(self, d, monkeypatch):
+        # 504 cosets at n = 9: one per block, 72 blocks of 7, a last block
+        # of 9 and of 24 cosets after 45 of 11 and 15 of 32, and one block.
+        # The count's masks are sized by the block size, and for even d each
+        # block's first candidate takes its parity from its first total.
+        b = random_bubble(random.Random(f"block size {d}:9"), d, 9)
+        hists = []
+        for size in (1, 7, 11, 32, 504):
+            monkeypatch.setattr(oracle, "COSETS_PER_BLOCK", size)
+            hists.append(wick_histogram(b))
+        assert all(hist == hists[0] for hist in hists)
+        assert sum(hists[0].values()) == math.factorial(9)
+
+    @pytest.mark.parametrize("n", range(K + 2))
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_even_d_totals_have_the_parity_of_the_colours(self, d, n):
+        # #cycles(tau_c pi) = n + parity(tau_c) + parity(pi) mod 2, so for
+        # even d every total is sum_c parity(tau_c) mod 2: the invariant
+        # that lets wick_histogram step its candidate totals by 2.
+        b = random_bubble(random.Random(f"parity {d}:{n}"), d, n)
+        parity = sum(n - len(_cycles(b.tau(c)._zero_indexed())) for c in range(1, d + 1)) % 2
+        totals = by_total(histogram_brute_force(b))
+        assert {total % 2 for total in totals} == {parity}
+
     def test_totals_cache_only_unshifted_rows(self, monkeypatch):
         # wick_histogram adds a coset's closed cycles as one integer, so the
         # row cache holds rows unshifted: the rows of S_K that _coset_rows
